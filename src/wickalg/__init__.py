@@ -42,7 +42,7 @@ from .rewrite import (
     verify_identity,
     wick_order,
 )
-from .scalars import Scalar, rational
+from .scalars import Scalar, rational, rational_str
 from .states import (
     CoherentParam,
     annihilator_apply,

@@ -7,9 +7,12 @@ from __future__ import annotations
 
 from itertools import permutations as _permutations
 
+import numpy as np
+
 from .algebra import CoeffTensor
+from .eigen import eigvalsh
 from .linalg import Matrix, identity
-from .tensorops import DEFAULT_DIM_CAP, MatrixOp, embed, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, MatrixOp, braid_check, embed, t_matrix
 
 __all__ = [
     "braid_check",
@@ -22,15 +25,6 @@ __all__ = [
     "permutation_kernel_matrix",
     "permutation_kernel_psd",
 ]
-
-
-def braid_check(T: CoeffTensor) -> bool:
-    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}."""
-    tm = t_matrix(T)
-    cap = max(DEFAULT_DIM_CAP, T.d**3)
-    t1 = embed(tm, 1, 3, cap)
-    t2 = embed(tm, 2, 3, cap)
-    return t1 * t2 * t1 == t2 * t1 * t2
 
 
 # -- permutation utilities ----------------------------------------------------
@@ -137,8 +131,6 @@ def p_n_by_permutations(
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
     """Float block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n."""
-    import numpy as np
-
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
     d = T.d
@@ -166,8 +158,6 @@ def permutation_kernel_psd(T: CoeffTensor, n: int, tol: float = 1e-9) -> bool:
     """Numeric PSD test of the (π,σ) ↦ T(π⁻¹σ) block kernel (n ≤ 3)."""
     if n > 3:
         raise ValueError("kernel PSD test is limited to n <= 3")
-    from .eigen import eigvalsh
-
     K = permutation_kernel_matrix(T, n)
     ev = eigvalsh(K)
     scale = max(1.0, float(abs(ev[-1])) if ev.size else 1.0)

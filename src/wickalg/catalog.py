@@ -22,15 +22,6 @@ class PresetSpec:
     params: dict = field(default_factory=dict)
 
 
-def _q(value):
-    if isinstance(value, str):
-        if "/" in value:
-            p, qden = value.split("/")
-            return rational(int(p), int(qden))
-        return rational(int(value))
-    return rational(value)
-
-
 def _require_open_unit(name: str, v) -> None:
     if not (0 < v < 1):
         raise ValueError(f"parameter {name} must satisfy 0 < {name} < 1, got {v}")
@@ -41,14 +32,14 @@ def _require_open_unit(name: str, v) -> None:
 
 def _qccr(d: int, params: dict) -> RelationSystem:
     # a_i† a_j = δ_ij + q a_j a_i†
-    q = _q(params.get("q", 0))
+    q = rational(params.get("q", 0))
     entries = {(i, j, i, j): Scalar(q) for i in range(1, d + 1) for j in range(1, d + 1)}
     return RelationSystem(CoeffTensor(d, entries), [], "qccr", {"q": q})
 
 
 def _tlw(d: int, params: dict) -> RelationSystem:
     # a_i† a_j = δ_ij + q a_i a_j†
-    q = _q(params.get("q", 0))
+    q = rational(params.get("q", 0))
     entries = {(i, j, j, i): Scalar(q) for i in range(1, d + 1) for j in range(1, d + 1)}
     return RelationSystem(CoeffTensor(d, entries), [], "tlw", {"q": q})
 
@@ -62,7 +53,7 @@ def _twisted_tail(entries: dict, d: int, mu) -> None:
 
 
 def _twisted_ccr(d: int, params: dict) -> RelationSystem:
-    mu = _q(params.get("mu", params.get("q", 0)))
+    mu = rational(params.get("mu", params.get("q", 0)))
     _require_open_unit("mu", mu)
     entries = {}
     for i in range(1, d + 1):
@@ -110,12 +101,12 @@ def _mucar_cubic_generators(d: int, mu) -> list:
 
 
 def _twisted_car(d: int, params: dict) -> RelationSystem:
-    mu = _q(params.get("mu", params.get("q", 0)))
+    mu = rational(params.get("mu", params.get("q", 0)))
     _require_open_unit("mu", mu)
     entries = {}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            entries[(i, j, i, j)] = Scalar(rational(-1) if i == j else -mu)
+            entries[(i, j, i, j)] = Scalar(-1 if i == j else -mu)
     _twisted_tail(entries, d, mu)
     gens = [Polynomial.monomial((i, i)) for i in range(1, d + 1)]
     gens += [
@@ -130,7 +121,7 @@ def _twisted_car(d: int, params: dict) -> RelationSystem:
 def _snu2(d: int, params: dict) -> RelationSystem:
     if d not in (None, 2):
         raise ValueError("snu2 is defined for d=2")
-    nu = _q(params.get("nu", 0))
+    nu = rational(params.get("nu", 0))
     if nu == 0:
         raise ValueError("parameter nu must be nonzero")
     entries = {
@@ -150,7 +141,7 @@ def _q_ij(d: int, params: dict) -> RelationSystem:
         for j in range(1, d + 1):
             re = params.get(f"q{i}{j}", 0)
             im = params.get(f"q{i}{j}_im", 0)
-            coeffs[(i, j)] = Scalar(_q(re), _q(im))
+            coeffs[(i, j)] = Scalar(rational(re), rational(im))
     for i in range(1, d + 1):
         if coeffs[(i, i)].im:
             raise ValueError("diagonal q_ii must be real")
@@ -184,8 +175,8 @@ def _degenerate(d: int, params: dict) -> RelationSystem:
 
 def _usym(d: int, params: dict) -> RelationSystem:
     # a_i† a_j = δ_ij + q a_j a_i† − λ δ_ij Σ_k a_k a_k†
-    q = _q(params.get("q", 0))
-    lam = _q(params.get("lam", params.get("lambda", 0)))
+    q = rational(params.get("q", 0))
+    lam = rational(params.get("lam", params.get("lambda", 0)))
     entries = {}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -204,7 +195,7 @@ def _usym(d: int, params: dict) -> RelationSystem:
 def _aklt(d: int, params: dict) -> RelationSystem:
     if d not in (None, 3):
         raise ValueError("aklt is defined for d=3")
-    lam = _q(params.get("lam", params.get("lambda", 1)))
+    lam = rational(params.get("lam", params.get("lambda", 1)))
     half = rational(1, 2)
     third = rational(1, 3)
     entries = {}
@@ -229,7 +220,7 @@ def _bs_ce(d: int, params: dict) -> RelationSystem:
     # cross rows vanish.
     if d not in (None, 2):
         raise ValueError("bs_ce is defined for d=2")
-    tau = _q(params.get("tau", 0))
+    tau = rational(params.get("tau", 0))
     entries = {
         (1, 1, 1, 1): Scalar(tau),
         (1, 1, 2, 2): Scalar(-tau),
@@ -242,8 +233,8 @@ def _bs_ce(d: int, params: dict) -> RelationSystem:
 def _bp_ce(d: int, params: dict) -> RelationSystem:
     # a_i† a_i = 1 + λ a_ia_i† + ε Σ_{k≠i} a_ka_k†; cross rows vanish.
     d = d or 2
-    lam = _q(params.get("lam", params.get("lambda", 0)))
-    eps = _q(params.get("eps", 0))
+    lam = rational(params.get("lam", params.get("lambda", 0)))
+    eps = rational(params.get("eps", 0))
     entries = {}
     for i in range(1, d + 1):
         for k in range(1, d + 1):
@@ -276,7 +267,8 @@ def make_preset(spec, d: int = None, **params) -> RelationSystem:
     """Build a preset relation system.
 
     Accepts either a :class:`PresetSpec` or ``make_preset(name, d, key=value…)``
-    with rational parameter values (ints, Fractions, or strings like "1/3").
+    with rational parameter values (ints, Fractions, or strings like "1/3"
+    or "0.5", read by :func:`~wickalg.scalars.rational`).
     """
     if isinstance(spec, PresetSpec):
         family, d, params = spec.family, spec.d, dict(spec.params)

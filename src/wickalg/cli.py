@@ -12,18 +12,21 @@ import sys
 import time
 
 from .algebra import RelationSystem, hermiticity_check, word_str
+from .braid import p_n_by_permutations
 from .catalog import make_preset, preset_names
+from .diffcalc import form_space_dim, wick_diff_star_algebra_exists
 from .exprparse import parse_expression, print_polynomial
-from .reports import (
-    Report,
-    load_relations,
-    parse_rational_str,
-    rational_str,
-    save_relations,
-    save_report,
-    scalar_to_json,
+from .ideals import (
+    minus_one_eigenprojection,
+    quadratic_ideal_check,
+    wick_ideal_condition_check,
 )
-from .scalars import Scalar
+from .kms import KmsNonUniquenessError, kms_evaluate, kms_series
+from .reports import Report, load_relations, save_relations, save_report, scalar_to_json
+from .rewrite import verify_identity, wick_order
+from .scalars import Scalar, rational, rational_str
+from .states import CoherentParam, gram_matrix
+from .tensorops import braid_check, index_to_word, p_n, positivity_report
 
 __all__ = ["main", "build_parser"]
 
@@ -60,14 +63,12 @@ def _relation_system(args) -> RelationSystem:
             if k == "d":
                 d = int(v)
             else:
-                params[k] = parse_rational_str(v)
+                params[k] = rational(v)
         return make_preset(args.preset, d=d, **params)
     raise SystemExit("a relation source is required: --relations FILE or --preset NAME")
 
 
 def _phi(args, d: int):
-    from .states import CoherentParam
-
     if not args.phi:
         return CoherentParam.zero(d)
     comps = []
@@ -98,8 +99,6 @@ def _relation_meta(rs: RelationSystem) -> dict:
 
 
 def _cmd_order(args) -> int:
-    from .rewrite import wick_order
-
     rs = _relation_system(args)
     p = parse_expression(args.expr, rs.d)
     q = wick_order(p, rs.tensor, cap=args.cap * args.cap)
@@ -111,8 +110,6 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    from .rewrite import verify_identity
-
     rs = _relation_system(args)
     lhs = parse_expression(args.lhs, rs.d)
     rhs = parse_expression(args.rhs, rs.d)
@@ -125,9 +122,6 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    from .states import gram_matrix
-    from .tensorops import index_to_word
-
     rs = _relation_system(args)
     d = rs.d
     n = args.nmax
@@ -154,8 +148,6 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    from .tensorops import positivity_report
-
     rs = _relation_system(args)
     report = positivity_report(rs.tensor, args.nmax, cap=args.cap)
     report.relation = _relation_meta(rs)
@@ -167,9 +159,6 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_braid(args) -> int:
-    from .braid import braid_check, p_n_by_permutations
-    from .tensorops import p_n
-
     rs = _relation_system(args)
     braided = braid_check(rs.tensor)
     print(f"braid relation: {'holds' if braided else 'fails'}")
@@ -187,12 +176,6 @@ def _cmd_braid(args) -> int:
 
 
 def _cmd_ideal_check(args) -> int:
-    from .ideals import (
-        minus_one_eigenprojection,
-        quadratic_ideal_check,
-        wick_ideal_condition_check,
-    )
-
     rs = _relation_system(args)
     report = Report(tool="ideal-check", relation=_relation_meta(rs))
     if hermiticity_check(rs.tensor):
@@ -218,8 +201,6 @@ def _cmd_ideal_check(args) -> int:
 
 
 def _cmd_forms(args) -> int:
-    from .diffcalc import form_space_dim, wick_diff_star_algebra_exists
-
     rs = _relation_system(args)
     report = Report(tool="forms", relation=_relation_meta(rs))
     dims = []
@@ -243,10 +224,8 @@ def _cmd_forms(args) -> int:
 
 
 def _cmd_kms(args) -> int:
-    from .kms import KmsNonUniquenessError, kms_evaluate, kms_series
-
     rs = _relation_system(args)
-    lam = parse_rational_str(args.lam)
+    lam = rational(args.lam)
     report = Report(tool="kms", relation=_relation_meta(rs))
     series = kms_series(rs.tensor, Scalar(lam), args.nmax, cap=args.cap)
     print(f"ranks of level Gram operators: {series['ranks']}")

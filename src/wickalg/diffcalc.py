@@ -4,9 +4,9 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, identity, kron
+from .linalg import Matrix, identity, kron, zeros
 from .scalars import ONE, Scalar
-from .tensorops import DEFAULT_DIM_CAP, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, braid_check, t_matrix
 
 __all__ = [
     "d_and_twist",
@@ -117,8 +117,6 @@ def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matr
         K = Matrix([[vec[r] for vec in kb] for r in range(cand.cols)])
         B = cand * K
     if B is None:
-        from .linalg import zeros
-
         return zeros(d**p, 0)
     return B
 
@@ -131,8 +129,6 @@ def form_space_dim(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> int:
 def wick_diff_star_algebra_exists(T: CoeffTensor) -> dict:
     """Existence of the differential *-calculus: requires the two-slot
     operator to be invertible and braided; then S = T and R = T⁻¹."""
-    from .braid import braid_check
-
     tm = t_matrix(T)
     try:
         inv = tm.inverse()

@@ -13,6 +13,7 @@ Set the environment variable ``WICKALG_NO_NUMBA=1`` to force the fallback.
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import numpy as np
@@ -108,9 +109,7 @@ _kernel = _jacobi_kernel_numpy
 
 if os.environ.get("WICKALG_NO_NUMBA", "") != "1":
     try:
-        from numba import njit
-
-        _kernel = njit(cache=True)(_jacobi_kernel)
+        _kernel = importlib.import_module("numba").njit(cache=True)(_jacobi_kernel)
         USING_NUMBA = True
     except ImportError:
         pass

@@ -17,7 +17,7 @@ form that re-parses to the identical polynomial.
 from __future__ import annotations
 
 from .algebra import Polynomial, word_str
-from .scalars import Scalar, rational
+from .scalars import Scalar, rational, rational_str
 
 __all__ = ["ParseError", "parse_expression", "print_polynomial"]
 
@@ -119,15 +119,14 @@ class _Parser:
         raise ParseError(f"expected a factor, found {kind!r}", pos)
 
     def parse_rat(self):
-        t = self.expect("num")
-        value = rational(t[1])
-        if self.peek()[0] == "/":
-            self.next()
-            den = self.expect("num")
-            if den[1] == 0:
-                raise ParseError("zero denominator", den[3])
-            value = value / rational(den[1])
-        return value
+        num = self.expect("num")[1]
+        if self.peek()[0] != "/":
+            return rational(num)
+        self.next()
+        den = self.expect("num")
+        if den[1] == 0:
+            raise ParseError("division by zero", den[3])
+        return rational(num, den[1])
 
     def parse_scalar(self) -> Scalar:
         if self.peek()[0] == "i":
@@ -150,24 +149,19 @@ def parse_expression(text: str, d: int) -> Polynomial:
     return result
 
 
-def _rat_str(q) -> str:
-    num, den = int(q.numerator), int(q.denominator)
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def _coeff_parts(c: Scalar, unit_word: bool):
     """(sign, magnitude-string) for one canonical term."""
     if not c.im:
         sign = "-" if c.re < 0 else "+"
-        mag = _rat_str(abs(c.re))
+        mag = rational_str(abs(c.re))
         if mag == "1" and not unit_word:
             mag = ""
         return sign, mag
     if not c.re:
         sign = "-" if c.im < 0 else "+"
-        return sign, _rat_str(abs(c.im)) + "i"
+        return sign, rational_str(abs(c.im)) + "i"
     im_sign = "-" if c.im < 0 else "+"
-    body = f"{_rat_str(c.re)}{im_sign}{_rat_str(abs(c.im))}i"
+    body = f"{rational_str(c.re)}{im_sign}{rational_str(abs(c.im))}i"
     return "+", f"({body})"
 
 

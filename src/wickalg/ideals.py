@@ -4,7 +4,7 @@ condition, and coherent-annihilation checks."""
 
 from __future__ import annotations
 
-from .algebra import CoeffTensor, Polynomial
+from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import Matrix, identity, kron, zeros
 from .rewrite import ideal_membership, wick_order
 from .scalars import ONE, Scalar
@@ -27,8 +27,6 @@ def minus_one_eigenprojection(T: CoeffTensor) -> MatrixOp:
     Computed as P = B(B*B)⁻¹B* from an exact kernel basis B, which avoids
     irrational normalization.
     """
-    from .algebra import hermiticity_check
-
     if not hermiticity_check(T):
         raise ValueError("minus_one_eigenprojection requires a hermitian tensor")
     d = T.d

@@ -9,7 +9,7 @@ splitting off lower bidegrees yields one exact linear system per bidegree.
 
 from __future__ import annotations
 
-from .algebra import CoeffTensor, Polynomial
+from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import Matrix, identity
 from .rewrite import wick_order
 from .scalars import ONE, ZERO, Scalar
@@ -29,8 +29,6 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
     Returns {"ranks": [rank P_0, …, rank P_{n_max}],
              "partial_sums": [Scalar, …]} (both lists of length n_max+1).
     """
-    from .algebra import hermiticity_check
-
     lam = Scalar.coerce(lam)
     if lam.im or lam.re < 0:
         raise ValueError("lambda must be a nonnegative real rational")

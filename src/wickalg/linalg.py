@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = ["Matrix", "identity", "kron", "zeros"]
@@ -244,8 +246,6 @@ class Matrix:
     # -- views -----------------------------------------------------------------
     def to_complex(self):
         """Dense complex128 numpy view of the matrix."""
-        import numpy as np
-
         out = np.empty((self.rows, self.cols), dtype=np.complex128)
         for r, row in enumerate(self.data):
             for c, x in enumerate(row):

@@ -1,24 +1,23 @@
 """Report objects and JSON serialization for relation systems and check results.
 
-Rational scalars are serialized as decimal strings ``"p/q"`` (or ``"p"``),
-which round-trips bit-exactly.
+Rational scalars are serialized as exact strings ``"p/q"`` (or ``"p"``) by
+:func:`~wickalg.scalars.rational_str` and read back by
+:func:`~wickalg.scalars.rational`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .algebra import CoeffTensor, RelationSystem
-from .scalars import Scalar
+from .algebra import CoeffTensor, RelationSystem, hermiticity_check
+from .exprparse import parse_expression, print_polynomial
+from .scalars import Scalar, rational, rational_str
 
 __all__ = [
     "SCHEMA_VERSION",
     "TOOL_VERSION",
     "Report",
-    "rational_str",
-    "parse_rational_str",
     "scalar_to_json",
     "scalar_from_json",
     "relations_to_json",
@@ -33,33 +32,14 @@ SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
 
-def rational_str(q) -> str:
-    """Exact decimal string "p/q" (or "p" when the denominator is 1)."""
-    num, den = int(q.numerator), int(q.denominator)
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def parse_rational_str(s: str):
-    from .scalars import rational
-
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/")
-        return rational(int(p), int(q))
-    return rational(int(s))
-
-
 def scalar_to_json(c: Scalar) -> dict:
     return {"re": rational_str(c.re), "im": rational_str(c.im)}
 
 
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
-        return Scalar(parse_rational_str(obj))
-    return Scalar(
-        parse_rational_str(obj.get("re", "0")),
-        parse_rational_str(obj.get("im", "0")),
-    )
+        return Scalar(rational(obj))
+    return Scalar(rational(obj.get("re", "0")), rational(obj.get("im", "0")))
 
 
 @dataclass
@@ -106,8 +86,6 @@ class Report:
 
 
 def relations_to_json(rs: RelationSystem) -> dict:
-    from .exprparse import print_polynomial
-
     entries = []
     for (i, j, k, l), c in sorted(rs.tensor.entries.items()):
         entries.append(
@@ -125,22 +103,20 @@ def relations_to_json(rs: RelationSystem) -> dict:
 
 
 def relations_from_json(obj: dict, warn=None) -> RelationSystem:
-    from .algebra import hermiticity_check
-    from .exprparse import parse_expression
-
-    d = int(obj["d"])
+    d = obj.get("d")
+    if type(d) is not int:
+        raise ValueError(f'relation file needs an integer "d", got {d!r}')
     entries = {}
     for e in obj.get("entries", []):
         key = (int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"]))
-        entries[key] = Scalar(
-            parse_rational_str(e.get("re", "0")),
-            parse_rational_str(e.get("im", "0")),
-        )
+        if key in entries:
+            raise ValueError(f"duplicate relation entry (i,j,k,l) = {key}")
+        entries[key] = scalar_from_json(e)
     T = CoeffTensor(d, entries)
     if not hermiticity_check(T) and warn is not None:
         warn("relation tensor is not hermitian")
     gens = [parse_expression(s, d) for s in obj.get("ideal_generators", [])]
-    params = {k: parse_rational_str(v) for k, v in obj.get("params", {}).items()}
+    params = {k: rational(v) for k, v in obj.get("params", {}).items()}
     return RelationSystem(T, gens, obj.get("name", ""), params)
 
 

@@ -13,6 +13,7 @@ import random
 from typing import Iterable, Optional
 
 from .algebra import CoeffTensor, Polynomial, Word
+from .linalg import Matrix
 from .scalars import ONE, Scalar
 
 __all__ = [
@@ -302,8 +303,6 @@ def ideal_membership(
 
 
 def _component_in_span(target_terms: dict, vecs: list) -> bool:
-    from .linalg import Matrix
-
     if not target_terms:
         return True
     if not vecs:

@@ -6,31 +6,47 @@ appears in derived "views" used by the spectral routines.
 
 The rational backend is ``gmpy2.mpq`` when available (C-implemented, much
 faster) and ``fractions.Fraction`` otherwise.  Both are exact.
+
+This module is the one place that decides how a rational is built, read and
+written: :func:`rational` is the only parser and :func:`rational_str` the only
+formatter.  The text format is ``"p"`` or ``"p/q"``; decimals such as
+``"0.5"`` are read exactly.
 """
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as Q
-
+    Q = importlib.import_module("gmpy2").mpq
     HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover
     Q = Fraction
     HAVE_GMPY2 = False
 
-__all__ = ["Q", "Scalar", "ZERO", "ONE", "rational", "HAVE_GMPY2"]
+__all__ = ["Q", "Scalar", "ZERO", "ONE", "rational", "rational_str", "HAVE_GMPY2"]
+
+_Q0 = Q(0)
 
 
 def rational(value, den=None):
-    """Coerce ``value`` (int, str like ``"3/4"``, Fraction, mpq) to the exact
-    rational backend type.  ``rational(p, q)`` builds p/q."""
+    """Coerce ``value`` to the exact rational backend type ``Q``.
+
+    Accepts int, Fraction, mpq, or a string ``"p"``, ``"p/q"`` or decimal
+    ``"0.5"`` (surrounding spaces allowed), never going through a float.
+    ``rational(p, q)`` builds p/q.  A float raises ``TypeError``."""
     if den is not None:
         return Q(value) / Q(den)
     if isinstance(value, float):
         raise TypeError("refusing to build an exact rational from a float")
     return Q(value)
+
+
+def rational_str(q) -> str:
+    """Exact text ``"p/q"`` (or ``"p"`` when integral) that :func:`rational`
+    reads back to ``q``."""
+    return str(q)
 
 
 class Scalar:
@@ -41,9 +57,9 @@ class Scalar:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rational(re))
-        object.__setattr__(self, "im", rational(im))
+    def __init__(self, re=_Q0, im=_Q0):
+        self.re = re if type(re) is Q else rational(re)
+        self.im = im if type(im) is Q else rational(im)
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
@@ -128,7 +144,7 @@ class Scalar:
 
     # -- comparisons / hashing ---------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is type(self.re):
+        if isinstance(other, (int, Fraction)) or type(other) is Q:
             return self.re == other and not self.im
         if isinstance(other, Scalar):
             return self.re == other.re and self.im == other.im
@@ -136,7 +152,7 @@ class Scalar:
 
     def __hash__(self):
         if not self.im:
-            return hash(Fraction(int(self.re.numerator), int(self.re.denominator)))
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CoeffTensor, Polynomial
+from .algebra import CoeffTensor, Polynomial, adjoint_word
 from .linalg import Matrix
 from .rewrite import _first_redex, wick_order
 from .scalars import ONE, Scalar
@@ -134,8 +134,6 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
         if any(c < 0 for c in w):
             raise ValueError("gram_matrix requires generator-only words")
     ev = _OmegaEvaluator(T, phi)
-    from .algebra import adjoint_word
-
     n = len(words)
     data = [[Scalar(0)] * n for _ in range(n)]
     for a, wa in enumerate(words):

@@ -10,11 +10,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import CoeffTensor
+from .algebra import CoeffTensor, hermiticity_check
 from .eigen import eigvalsh
 from .linalg import Matrix, identity, kron, zeros
-from .reports import Report, rational_str
-from .scalars import ONE, Scalar
+from .reports import Report
+from .scalars import rational_str
 
 __all__ = [
     "DimensionCapExceeded",
@@ -27,6 +27,7 @@ __all__ = [
     "t_matrix",
     "ttilde_matrix",
     "embed",
+    "braid_check",
     "p_n",
     "spectral_summary",
     "positivity_report",
@@ -119,6 +120,15 @@ def embed(X: MatrixOp, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixO
     return MatrixOp.wrap(m, d, n)
 
 
+def braid_check(T: CoeffTensor) -> bool:
+    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}."""
+    tm = t_matrix(T)
+    cap = max(DEFAULT_DIM_CAP, T.d**3)
+    t1 = embed(tm, 1, 3, cap)
+    t2 = embed(tm, 2, 3, cap)
+    return t1 * t2 * t1 == t2 * t1 * t2
+
+
 def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixOp:
     """The level-n Fock Gram operator, by the recursion
     P_{m+1} = (I ⊗ P_m)(I + T₁ + T₁T₂ + … + T₁⋯T_m), P_1 = I."""
@@ -171,9 +181,6 @@ def positivity_report(
 ) -> Report:
     """Which sufficient positivity criteria apply, operator bounds, and the
     direct PSD/rank status of P_n up to n_max."""
-    from .algebra import hermiticity_check
-    from .braid import braid_check  # deferred: braid imports this module
-
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
     t0 = time.perf_counter()
@@ -256,8 +263,6 @@ def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: MatrixOp, cap: int
 def cuntz_stability_predicate(T: CoeffTensor, tol: float = PSD_TOL) -> bool:
     """True iff max{|t₊|,|t₋|}² < 1 − t₊ + t₋ on the spectrum of the
     two-slot operator (float evaluation with tolerance ``tol``)."""
-    from .algebra import hermiticity_check
-
     if not hermiticity_check(T):
         raise ValueError("cuntz_stability_predicate requires a hermitian tensor")
     s = spectral_summary(t_matrix(T))

@@ -9,14 +9,14 @@ from wickalg import CoeffTensor, Polynomial, Scalar, make_preset, rational
 
 # -- small exact scalars -------------------------------------------------------
 
-_small_rat = st.builds(
+rationals = st.builds(
     lambda n, d: rational(n, d),
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=1, max_value=4),
 )
 
-scalars = st.builds(Scalar, _small_rat, _small_rat)
-real_scalars = st.builds(Scalar, _small_rat)
+scalars = st.builds(Scalar, rationals, rationals)
+real_scalars = st.builds(Scalar, rationals)
 nonzero_scalars = scalars.filter(bool)
 
 

@@ -20,6 +20,13 @@ def test_order(capsys):
     assert out.strip() == "1 + 1/2 a1 a1*"
 
 
+def test_decimal_param_read_exactly(capsys):
+    code, out = run(capsys, "order", "--preset", "qccr",
+                    "--param", "d=2", "--param", "q=0.5", "a1* a1")
+    assert code == 0
+    assert out.strip() == "1 + 1/2 a1 a1*"
+
+
 def test_identity_exit_codes(capsys):
     args = ["identity", "--preset", "twisted_ccr",
             "--param", "d=2", "--param", "mu=1/2"]

@@ -5,11 +5,19 @@ import json
 import pytest
 
 from test_catalog import REPRESENTATIVES
-from wickalg import Report, Scalar, load_relations, load_report, make_preset, rational, save_relations, save_report
+from wickalg import (
+    Report,
+    Scalar,
+    load_relations,
+    load_report,
+    make_preset,
+    rational,
+    rational_str,
+    save_relations,
+    save_report,
+)
 from wickalg.reports import (
     SCHEMA_VERSION,
-    parse_rational_str,
-    rational_str,
     relations_from_json,
     relations_to_json,
     scalar_from_json,
@@ -20,8 +28,8 @@ from wickalg.reports import (
 def test_rational_strings():
     assert rational_str(rational(3, 6)) == "1/2"
     assert rational_str(rational(-7)) == "-7"
-    assert parse_rational_str("1/2") == rational(1, 2)
-    assert parse_rational_str(" -7 ") == rational(-7)
+    assert rational("1/2") == rational(1, 2)
+    assert rational(" -7 ") == rational(-7)
 
 
 def test_scalar_json_round_trip():
@@ -52,6 +60,33 @@ def test_non_hermitian_load_warns_but_succeeds():
     rs = relations_from_json(obj, warn=messages.append)
     assert rs.tensor.get(1, 2, 1, 2) == Scalar(1)
     assert messages == ["relation tensor is not hermitian"]
+
+
+def test_duplicate_entry_rejected():
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    obj["entries"].append(dict(obj["entries"][0], re="3"))
+    with pytest.raises(ValueError, match=r"duplicate relation entry .*\(1, 1, 1, 1\)"):
+        relations_from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [None, "2", 2.0, True])
+def test_missing_or_non_integer_d_rejected(bad):
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    if bad is None:
+        del obj["d"]
+    else:
+        obj["d"] = bad
+    with pytest.raises(ValueError, match='integer "d"'):
+        relations_from_json(obj)
+
+
+def test_decimal_strings_read_exactly():
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    obj["params"] = {"q": "0.5"}
+    obj["entries"] = [dict(e, re="0.5") for e in obj["entries"]]
+    rs = relations_from_json(obj)
+    assert rs.tensor == make_preset("qccr", 2, q="1/2").tensor
+    assert rs.params == {"q": rational(1, 2)}
 
 
 def test_report_round_trip(tmp_path):

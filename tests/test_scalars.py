@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import scalars, nonzero_scalars
-from wickalg import Scalar, rational
-from wickalg.scalars import ONE, ZERO
+from conftest import nonzero_scalars, rationals, scalars
+from wickalg import Scalar, rational, rational_str
+from wickalg.scalars import ONE, Q, ZERO
 
 
 def test_construction_and_equality():
@@ -21,6 +21,24 @@ def test_construction_and_equality():
 def test_float_rejected():
     with pytest.raises(TypeError):
         Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(1, 0.5)
+
+
+def test_parts_stay_exact_after_mixed_arithmetic():
+    for x in (Scalar(3) + 2, 2 * Scalar(1, 2) - 1, 1 - Scalar(rational(1, 3)),
+              Scalar(0, 1) * 3 / 2, Scalar(2) ** 3, -Scalar(1, -1)):
+        assert type(x.re) is Q and type(x.im) is Q
+
+
+def test_decimal_strings_are_exact():
+    assert rational("0.1") == Fraction(1, 10)
+    assert rational(" -2.50 ") == rational(-5, 2)
+
+
+@given(rationals)
+def test_rational_string_round_trip(q):
+    assert rational(rational_str(q)) == q
 
 
 def test_exact_arithmetic_examples():
