@@ -6,6 +6,8 @@ Gram operators with positivity/braid/ideal/KMS certificates, twisted
 differential calculus, and a preset catalog of relation families.
 """
 
+import warnings
+
 from .algebra import (
     CoeffTensor,
     Letter,
@@ -52,7 +54,6 @@ from .states import (
 )
 from .tensorops import (
     DimensionCapExceeded,
-    MatrixOp,
     SpectralSummary,
     cuntz_stability_predicate,
     embed,
@@ -66,3 +67,11 @@ from .tensorops import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Deprecated alias, kept for one release: operators are plain Matrix.
+    if name == "MatrixOp":
+        warnings.warn("MatrixOp is deprecated; use Matrix", DeprecationWarning, stacklevel=2)
+        return Matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import numpy as np
 from .algebra import CoeffTensor
 from .eigen import eigvalsh
 from .linalg import Matrix, identity
-from .tensorops import DEFAULT_DIM_CAP, MatrixOp, braid_check, embed, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
     "braid_check",
@@ -73,7 +73,7 @@ def inverse(perm) -> tuple:
 
 def t_of_permutation(
     T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP
-) -> MatrixOp:
+) -> Matrix:
     """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π; well defined only
     under the braid relation, which is checked first."""
     if not braid_check(T):
@@ -81,33 +81,31 @@ def t_of_permutation(
     return _t_of_permutation_unchecked(T, perm, cap)
 
 
-def _t_of_permutation_unchecked(T: CoeffTensor, perm, cap: int) -> MatrixOp:
+def _t_of_permutation_unchecked(T: CoeffTensor, perm, cap: int) -> Matrix:
     n = len(perm)
-    d = T.d
     tm = t_matrix(T)
-    out: Matrix = identity(d**n)
+    out = identity(T.d**n)
     for i in reduced_word(perm):
         out = out * embed(tm, i, n, cap)
-    return MatrixOp.wrap(out, d, n)
+    return out
 
 
 def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
-) -> MatrixOp:
+) -> Matrix:
     """Σ over all n! permutations of T(π), computed incrementally along the
     weak order (one matrix product per permutation)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = T.d
-    if d**n > cap:
-        raise ValueError(f"d^n = {d**n} exceeds cap {cap}")
+    _check_cap(d, n, cap)
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
     tm = t_matrix(T)
     ident = tuple(range(1, n + 1))
-    known = {ident: MatrixOp.wrap(identity(d**n), d, n)}
+    known = {ident: identity(d**n)}
     frontier = [ident]
-    total: Matrix = known[ident]
+    total = known[ident]
     embeds = {i: embed(tm, i, n, cap) for i in range(1, n)}
     while frontier:
         nxt = []
@@ -121,12 +119,12 @@ def p_n_by_permutations(
                 new = tuple(new)
                 if permutation_length(new) != base_len + 1 or new in known:
                     continue
-                prod = MatrixOp.wrap(embeds[i] * mat, d, n)
+                prod = embeds[i] * mat
                 known[new] = prod
                 total = total + prod
                 nxt.append(new)
         frontier = nxt
-    return MatrixOp.wrap(total, d, n)
+    return total
 
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from typing import NoReturn
 
 from .algebra import RelationSystem, hermiticity_check, word_str
 from .braid import p_n_by_permutations
@@ -23,7 +23,7 @@ from .ideals import (
 )
 from .kms import KmsNonUniquenessError, kms_evaluate, kms_series
 from .reports import Report, load_relations, save_relations, save_report, scalar_to_json
-from .rewrite import verify_identity, wick_order
+from .rewrite import TermBudgetExceeded, verify_identity, wick_order
 from .scalars import Scalar, rational, rational_str
 from .states import CoherentParam, gram_matrix
 from .tensorops import braid_check, index_to_word, p_n, positivity_report
@@ -46,9 +46,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="dense dimension cap d^n (default 4096)")
 
 
+def _usage_error(msg: str) -> NoReturn:
+    """One stderr line and exit code 2, as argparse does for its own errors."""
+    print(f"wickalg: error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option_value(opt: str, text: str, parse):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        _usage_error(f"bad {opt} value {text!r}")
+
+
 def _relation_system(args) -> RelationSystem:
     if args.relations and args.preset:
-        raise SystemExit("use either --relations or --preset, not both")
+        _usage_error("use either --relations or --preset, not both")
     if args.relations:
         return load_relations(
             args.relations, warn=lambda m: print(f"warning: {m}", file=sys.stderr)
@@ -58,14 +71,14 @@ def _relation_system(args) -> RelationSystem:
         d = None
         for kv in args.param:
             if "=" not in kv:
-                raise SystemExit(f"bad --param {kv!r}, expected K=V")
+                _usage_error(f"bad --param {kv!r}, expected K=V")
             k, v = kv.split("=", 1)
             if k == "d":
-                d = int(v)
+                d = _option_value("--param d", v, int)
             else:
-                params[k] = rational(v)
+                params[k] = _option_value(f"--param {k}", v, rational)
         return make_preset(args.preset, d=d, **params)
-    raise SystemExit("a relation source is required: --relations FILE or --preset NAME")
+    _usage_error("a relation source is required: --relations FILE or --preset NAME")
 
 
 def _phi(args, d: int):
@@ -75,10 +88,10 @@ def _phi(args, d: int):
     for chunk in args.phi.split(","):
         p = parse_expression(chunk.strip(), 1)
         if p.max_word_len() != 0:
-            raise SystemExit(f"--phi component {chunk!r} is not a scalar")
+            _usage_error(f"--phi component {chunk!r} is not a scalar")
         comps.append(p.constant_term)
     if len(comps) != d:
-        raise SystemExit(f"--phi needs {d} components, got {len(comps)}")
+        _usage_error(f"--phi needs {d} components, got {len(comps)}")
     return CoherentParam(tuple(comps))
 
 
@@ -225,7 +238,7 @@ def _cmd_forms(args) -> int:
 
 def _cmd_kms(args) -> int:
     rs = _relation_system(args)
-    lam = rational(args.lam)
+    lam = _option_value("--lam", args.lam, rational)
     report = Report(tool="kms", relation=_relation_meta(rs))
     series = kms_series(rs.tensor, Scalar(lam), args.nmax, cap=args.cap)
     print(f"ranks of level Gram operators: {series['ranks']}")
@@ -313,8 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Usage errors exit 2 (SystemExit); an error from
+    the library (bad input, a cap or budget exceeded, no convergence) or an
+    unreadable file prints one stderr line and returns 2, never a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, TermBudgetExceeded, ArithmeticError, OSError) as exc:
+        print(f"wickalg: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

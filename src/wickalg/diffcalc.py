@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix, identity, kron, zeros
-from .scalars import ONE, Scalar
-from .tensorops import DEFAULT_DIM_CAP, braid_check, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
     "d_and_twist",
@@ -93,8 +92,7 @@ def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matr
     d = T.d
     if p < 0:
         raise ValueError("p must be >= 0")
-    if d**max(p, 1) > cap:
-        raise ValueError(f"d^p = {d**p} exceeds cap {cap}")
+    _check_cap(d, max(p, 1), cap)
     if p == 0:
         return identity(1)
     if p == 1:
@@ -108,8 +106,7 @@ def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matr
             B = None
             break
         cand = kron(identity(d), B)  # columns span H ⊗ Ω^{m−1}
-        M = kron(it, identity(d ** (m - 2)))
-        constrained = M * cand
+        constrained = embed(it, 1, m, cap) * cand
         kb = constrained.kernel_basis()
         if not kb:
             B = None

@@ -1,20 +1,13 @@
 """Hermitian eigenvalues via cyclic Jacobi rotations.
 
 The spectral routines in this package never call an external eigensolver;
-this module provides the complex-Hermitian Jacobi kernel they use.  The
-kernel exists in two interchangeable builds:
-
-* a ``numba``-compiled version (default when numba is installed), and
-* a pure-numpy/python fallback.
-
-Set the environment variable ``WICKALG_NO_NUMBA=1`` to force the fallback.
-``benchmarks/bench_eigen.py`` compares the two.
+this module holds the one complex-Hermitian Jacobi kernel they use,
+vectorised with numpy.  When the sweeps run out before the off-diagonal
+part is negligible, ``eigvalsh`` raises ``ArithmeticError`` rather than
+return an unconverged diagonal.
 """
 
 from __future__ import annotations
-
-import importlib
-import os
 
 import numpy as np
 
@@ -25,61 +18,21 @@ _MAX_SWEEPS = 60
 
 def _jacobi_kernel(a: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Diagonalize the Hermitian complex matrix ``a`` in place by cyclic
-    Jacobi sweeps; returns the (unsorted) real diagonal."""
-    n = a.shape[0]
-    frob2 = 0.0
-    for p in range(n):
-        for q in range(n):
-            frob2 += abs(a[p, q]) ** 2
-    stop = 1e-28 * (frob2 + 1.0)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += abs(a[p, q]) ** 2
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                absg = abs(g)
-                if absg * absg <= stop / (n * n):
-                    continue
-                phase = g / absg  # e^{i arg g}
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absg)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(tau * tau + 1.0))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(tau * tau + 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * np.conj(phase)
-                for r in range(n):
-                    arp = a[p, r]
-                    arq = a[q, r]
-                    a[p, r] = c * arp - sp * arq
-                    a[q, r] = s * arp + c * phase * arq
-                for r in range(n):
-                    arp = a[r, p]
-                    arq = a[r, q]
-                    a[r, p] = c * arp - spc * arq
-                    a[r, q] = s * arp + c * np.conj(phase) * arq
-    diag = np.empty(n, dtype=np.float64)
-    for p in range(n):
-        diag[p] = a[p, p].real
-    return diag
-
-
-def _jacobi_kernel_numpy(a: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Vectorized pure-numpy build of the same cyclic Jacobi sweeps."""
+    Jacobi sweeps (rows and columns rotated as numpy slices); returns the
+    unsorted real diagonal.  Raises ``ArithmeticError`` when ``max_sweeps``
+    sweeps leave the off-diagonal mass above the stop level."""
     n = a.shape[0]
     stop = 1e-28 * (float(np.sum(np.abs(a) ** 2)) + 1.0)
     pair_stop = stop / (n * n)
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
         if off <= stop:
             break
+        if sweep == max_sweeps:
+            raise ArithmeticError(
+                f"Jacobi did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {off ** 0.5:.3g})"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 g = a[p, q]
@@ -104,15 +57,8 @@ def _jacobi_kernel_numpy(a: np.ndarray, max_sweeps: int) -> np.ndarray:
     return np.real(np.diagonal(a)).copy()
 
 
+# The Jacobi kernel is never JIT-compiled; kept because benchmark reports read it.
 USING_NUMBA = False
-_kernel = _jacobi_kernel_numpy
-
-if os.environ.get("WICKALG_NO_NUMBA", "") != "1":
-    try:
-        _kernel = importlib.import_module("numba").njit(cache=True)(_jacobi_kernel)
-        USING_NUMBA = True
-    except ImportError:
-        pass
 
 
 def _as_complex_array(mat) -> np.ndarray:
@@ -136,7 +82,7 @@ def eigvalsh(mat) -> np.ndarray:
     if herm_defect > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian")
     a = (a + a.conj().T) / 2.0
-    diag = _kernel(a, _MAX_SWEEPS)
+    diag = _jacobi_kernel(a, _MAX_SWEEPS)
     return np.sort(diag)
 
 

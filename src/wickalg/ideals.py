@@ -5,11 +5,11 @@ condition, and coherent-annihilation checks."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import Matrix, identity, kron, zeros
+from .linalg import Matrix, identity, zeros
 from .rewrite import ideal_membership, wick_order
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 from .states import CoherentParam
-from .tensorops import DEFAULT_DIM_CAP, MatrixOp, embed, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, embed, t_matrix
 
 __all__ = [
     "minus_one_eigenprojection",
@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-def minus_one_eigenprojection(T: CoeffTensor) -> MatrixOp:
+def minus_one_eigenprojection(T: CoeffTensor) -> Matrix:
     """Orthogonal projection onto ker(I + T) on H⊗H, exact.
 
     Computed as P = B(B*B)⁻¹B* from an exact kernel basis B, which avoids
@@ -33,11 +33,10 @@ def minus_one_eigenprojection(T: CoeffTensor) -> MatrixOp:
     tm = t_matrix(T)
     basis = (identity(d * d) + tm).kernel_basis()
     if not basis:
-        return MatrixOp.wrap(zeros(d * d, d * d), d, 2)
+        return zeros(d * d, d * d)
     B = Matrix([[vec[r] for vec in basis] for r in range(d * d)])
     Bs = B.adjoint()
-    P = B * (Bs * B).inverse() * Bs
-    return MatrixOp.wrap(P, d, 2)
+    return B * (Bs * B).inverse() * Bs
 
 
 def is_projection(P: Matrix) -> bool:
@@ -61,36 +60,31 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     tm = t_matrix(T)
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()
-    eye1 = identity(d)
-    t1 = kron(tm, eye1)
-    t2 = kron(eye1, tm)
-    lhs = kron(eye1, eye2 - P) * t1 * t2 * kron(P, eye1)
+    cap = d**3
+    lhs = (embed(eye2 - P, 2, 3, cap) * embed(tm, 1, 3, cap)
+           * embed(tm, 2, 3, cap) * embed(P, 1, 3, cap))
     quadratic = lhs.is_zero()
     return {"linear": linear, "quadratic": quadratic}
 
 
 def ideal_generator_relations(
     T: CoeffTensor, P: Matrix, cap: int = DEFAULT_DIM_CAP
-) -> MatrixOp:
+) -> Matrix:
     """The coefficient operator P₁P₃·T₂T₁T₃T₂·P₃P₁ on H^{⊗4}.
 
     Its matrix elements ⟨k₁k₂r₁r₂| · |i₁i₂s₁s₂⟩ give the commutation
     relations A†_{k₁k₂} A_{i₁i₂} = Σ coeff · A_{r₁r₂} A†_{s₁s₂} for the
     quadratic generators A_{ij} = P(i⊗j).
     """
+    _check_cap(T.d, 4, cap)
     check = quadratic_ideal_check(T, P)
     if not (check["linear"] and check["quadratic"]):
         raise ValueError("P does not define a quadratic Wick ideal")
-    d = T.d
-    if d**4 > cap:
-        raise ValueError(f"d^4 = {d**4} exceeds cap {cap}")
     tm = t_matrix(T)
-    eye2 = identity(d * d)
-    p1 = kron(P, eye2)
-    p3 = kron(eye2, P)
+    p1 = embed(P, 1, 4, cap)
+    p3 = embed(P, 3, 4, cap)
     t = {i: embed(tm, i, 4, cap) for i in (1, 2, 3)}
-    M = p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
-    return MatrixOp.wrap(M, d, 4)
+    return p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
 
 
 def _split_by_dag(p: Polynomial):

@@ -37,9 +37,21 @@ def scalar_to_json(c: Scalar) -> dict:
 
 
 def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        return Scalar(rational(obj))
-    return Scalar(rational(obj.get("re", "0")), rational(obj.get("im", "0")))
+    """Read ``"p/q"`` or ``{"re": "p/q", "im": "p/q"}`` (missing parts are 0).
+    Anything else, a JSON number included, raises ``ValueError``."""
+    if isinstance(obj, dict):
+        return Scalar(_rational_from_json("re", obj.get("re", "0")),
+                      _rational_from_json("im", obj.get("im", "0")))
+    return Scalar(_rational_from_json("value", obj))
+
+
+def _rational_from_json(key: str, text):
+    if not isinstance(text, str):
+        raise ValueError(f'"{key}" must be a rational string such as "1/10", got {text!r}')
+    try:
+        return rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f'"{key}" is not a rational string: {text!r}') from None
 
 
 @dataclass
@@ -103,21 +115,38 @@ def relations_to_json(rs: RelationSystem) -> dict:
 
 
 def relations_from_json(obj: dict, warn=None) -> RelationSystem:
+    if not isinstance(obj, dict):
+        raise ValueError(f"relation file must hold a JSON object, got {obj!r}")
     d = obj.get("d")
     if type(d) is not int:
         raise ValueError(f'relation file needs an integer "d", got {d!r}')
     entries = {}
-    for e in obj.get("entries", []):
-        key = (int(e["i"]), int(e["j"]), int(e["k"]), int(e["l"]))
+    for e in _field(obj, "entries", list, []):
+        if not isinstance(e, dict):
+            raise ValueError(f"relation entry must be an object, got {e!r}")
+        key = tuple(e.get(f) for f in "ijkl")
+        if any(type(idx) is not int for idx in key):
+            raise ValueError(f'relation entry needs integer "i", "j", "k", "l", got {e!r}')
         if key in entries:
             raise ValueError(f"duplicate relation entry (i,j,k,l) = {key}")
         entries[key] = scalar_from_json(e)
     T = CoeffTensor(d, entries)
     if not hermiticity_check(T) and warn is not None:
         warn("relation tensor is not hermitian")
-    gens = [parse_expression(s, d) for s in obj.get("ideal_generators", [])]
-    params = {k: rational(v) for k, v in obj.get("params", {}).items()}
+    gens = []
+    for text in _field(obj, "ideal_generators", list, []):
+        if not isinstance(text, str):
+            raise ValueError(f"ideal generator must be an expression string, got {text!r}")
+        gens.append(parse_expression(text, d))
+    params = {k: _rational_from_json(k, v) for k, v in _field(obj, "params", dict, {}).items()}
     return RelationSystem(T, gens, obj.get("name", ""), params)
+
+
+def _field(obj: dict, key: str, kind: type, default):
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f'relation file field "{key}" must be a JSON {kind.__name__}, got {value!r}')
+    return value
 
 
 def save_relations(rs: RelationSystem, path) -> None:

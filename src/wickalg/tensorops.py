@@ -8,7 +8,9 @@ letters sits at flat index Σ_k (i_k−1)·d^{n−k} (big-endian).
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
+from math import isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
 from .eigen import eigvalsh
@@ -18,7 +20,6 @@ from .scalars import rational_str
 
 __all__ = [
     "DimensionCapExceeded",
-    "MatrixOp",
     "SpectralSummary",
     "DEFAULT_DIM_CAP",
     "PSD_TOL",
@@ -42,26 +43,12 @@ class DimensionCapExceeded(ValueError):
     """Raised when a requested tensor power exceeds the dense-size cap."""
 
 
-class MatrixOp(Matrix):
-    """An exact matrix on H^{⊗n} carrying its tensor-power metadata."""
-
-    __slots__ = ("d", "n")
-
-    def __init__(self, data, d: int, n: int):
-        super().__init__(data)
-        if self.rows != d**n or self.cols != d**n:
-            raise ValueError(f"expected a {d**n}x{d**n} matrix for d={d}, n={n}")
-        self.d = d
-        self.n = n
-
-    @staticmethod
-    def wrap(m: Matrix, d: int, n: int) -> "MatrixOp":
-        op = MatrixOp.__new__(MatrixOp)
-        op.rows, op.cols, op.data = m.rows, m.cols, m.data
-        if op.rows != d**n or op.cols != d**n:
-            raise ValueError(f"expected a {d**n}x{d**n} matrix for d={d}, n={n}")
-        op.d, op.n = d, n
-        return op
+def __getattr__(name):
+    # Deprecated alias, kept for one release: operators are plain Matrix.
+    if name == "MatrixOp":
+        warnings.warn("MatrixOp is deprecated; use Matrix", DeprecationWarning, stacklevel=2)
+        return Matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def word_to_index(w, d: int) -> int:
@@ -86,38 +73,39 @@ def _check_cap(d: int, n: int, cap: int) -> None:
         )
 
 
-def t_matrix(T: CoeffTensor) -> MatrixOp:
+def t_matrix(T: CoeffTensor) -> Matrix:
     """The operator on H⊗H with ⟨ij| · |kl⟩ = T_{ik}^{lj}."""
     d = T.d
     m = zeros(d * d, d * d)
     for (i, k, l, j), c in T.entries.items():
         m.data[(i - 1) * d + (j - 1)][(k - 1) * d + (l - 1)] = c
-    return MatrixOp.wrap(m, d, 2)
+    return m
 
 
-def ttilde_matrix(T: CoeffTensor) -> MatrixOp:
+def ttilde_matrix(T: CoeffTensor) -> Matrix:
     """The exchange operator on H⊗H: column (i,j) ↦ Σ_{kl} T_{ij}^{kl} row (l,k)."""
     d = T.d
     m = zeros(d * d, d * d)
     for (i, j, k, l), c in T.entries.items():
         m.data[(l - 1) * d + (k - 1)][(i - 1) * d + (j - 1)] = c
-    return MatrixOp.wrap(m, d, 2)
+    return m
 
 
-def embed(X: MatrixOp, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixOp:
-    """X acting on adjacent tensor slots (slot, slot+1) of H^{⊗n}."""
-    d = X.d
-    if X.n != 2:
-        raise ValueError("embed expects a two-slot operator")
+def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
+    """The two-slot operator X (d²×d², d read off its shape) acting on
+    adjacent tensor slots (slot, slot+1) of H^{⊗n}."""
+    d = isqrt(X.rows)
+    if X.rows != d * d or X.cols != X.rows:
+        raise ValueError(f"embed expects a d²×d² two-slot operator, got {X.rows}x{X.cols}")
     if not (1 <= slot <= n - 1):
         raise ValueError(f"slot {slot} out of range 1..{n - 1}")
     _check_cap(d, n, cap)
-    m: Matrix = X
+    m = X
     if slot > 1:
         m = kron(identity(d ** (slot - 1)), m)
     if slot + 1 < n:
         m = kron(m, identity(d ** (n - slot - 1)))
-    return MatrixOp.wrap(m, d, n)
+    return m
 
 
 def braid_check(T: CoeffTensor) -> bool:
@@ -129,7 +117,7 @@ def braid_check(T: CoeffTensor) -> bool:
     return t1 * t2 * t1 == t2 * t1 * t2
 
 
-def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixOp:
+def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
     """The level-n Fock Gram operator, by the recursion
     P_{m+1} = (I ⊗ P_m)(I + T₁ + T₁T₂ + … + T₁⋯T_m), P_1 = I."""
     if n < 1:
@@ -137,7 +125,7 @@ def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixOp:
     d = T.d
     _check_cap(d, n, cap)
     tm = t_matrix(T)
-    p = MatrixOp.wrap(identity(d), d, 1)
+    p = identity(d)
     for m in range(1, n):
         dim = d ** (m + 1)
         acc = identity(dim)
@@ -146,7 +134,7 @@ def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> MatrixOp:
             ti = embed(tm, i, m + 1, cap)
             prefix = ti if prefix is None else prefix * ti
             acc = acc + prefix
-        p = MatrixOp.wrap(kron(identity(d), p) * acc, d, m + 1)
+        p = kron(identity(d), p) * acc
     return p
 
 
@@ -226,13 +214,11 @@ def positivity_report(
     return report
 
 
-def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: MatrixOp, cap: int) -> None:
+def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix, cap: int) -> None:
     """When P_3 fails PSD, report the most negative diagonal entry of
     (I+T₂)⁻¹ + T₁ on H^{⊗3}, an exact certificate against the monotone
-    chain P_3 ≥ 1⊗P_2."""
+    chain P_3 ≥ 1⊗P_2.  P_3 was built under the same cap, so H^{⊗3} fits."""
     d = T.d
-    if d**3 > cap:
-        return
     t1 = embed(tm, 1, 3, cap)
     t2 = embed(tm, 2, 3, cap)
     eye = identity(d**3)

@@ -24,7 +24,7 @@ from wickalg.braid import (
     permutation_length,
     reduced_word,
 )
-from wickalg.tensorops import MatrixOp, embed
+from wickalg.tensorops import embed
 
 BRAIDED = [
     make_preset("qccr", 2, q="1/3").tensor,
@@ -88,14 +88,14 @@ def test_t_of_permutation_requires_braid():
 def test_t_of_permutation_examples():
     T = BRAIDED[0]
     d = T.d
-    assert t_of_permutation(T, (1, 2, 3)) == MatrixOp.wrap(identity(d**3), d, 3)
+    assert t_of_permutation(T, (1, 2, 3)) == identity(d**3)
     tm = t_matrix(T)
     assert t_of_permutation(T, (2, 1, 3)) == embed(tm, 1, 3)
     # two different reduced words of the same permutation give one matrix
     t1 = embed(tm, 1, 3)
     t2 = embed(tm, 2, 3)
     w0 = t_of_permutation(T, (3, 2, 1))  # longest element
-    assert w0 == MatrixOp.wrap(t1 * t2 * t1, 2, 3) == MatrixOp.wrap(t2 * t1 * t2, 2, 3)
+    assert w0 == t1 * t2 * t1 == t2 * t1 * t2
 
 
 def test_qccr_full_reversal_scales_reversal_permutation():
@@ -105,7 +105,7 @@ def test_qccr_full_reversal_scales_reversal_permutation():
     w0 = t_of_permutation(T, (3, 2, 1))
     from wickalg import index_to_word, word_to_index
 
-    rev = MatrixOp.wrap(identity(8).scale(0), 2, 3)
+    rev = identity(8).scale(0)
     for idx in range(8):
         w = index_to_word(idx, 2, 3)
         rev.data[word_to_index(tuple(reversed(w)), 2)][idx] = q * q * q
@@ -126,8 +126,8 @@ def test_quasi_multiplicativity_when_lengths_add():
         for sigma in permutations(range(1, 4)):
             prod = compose(pi, sigma)
             if permutation_length(prod) == permutation_length(pi) + permutation_length(sigma):
-                assert t_of_permutation(T, prod) == MatrixOp.wrap(
-                    t_of_permutation(T, pi) * t_of_permutation(T, sigma), 2, 3
+                assert t_of_permutation(T, prod) == (
+                    t_of_permutation(T, pi) * t_of_permutation(T, sigma)
                 )
 
 

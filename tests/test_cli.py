@@ -121,6 +121,30 @@ def test_relation_source_required(capsys):
         main(["order", "--preset", "qccr", "--relations", "x.json", "a1"])
 
 
+QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "--preset", "qccr", "--param", "d=2", "--param", "q=abc", "a1"],
+    ["order", "--preset", "qccr", "--param", "d=x", "--param", "q=1/2", "a1"],
+    ["kms", *QCCR, "--lam", "x"],
+    ["order", "--preset", "no_such_family", "--param", "d=2", "a1"],
+    ["order", *QCCR, "a3* a1"],
+    ["order", *QCCR, "--relations", "x.json", "a1"],
+])
+def test_bad_input_fails_clean(capsys, argv):
+    # Exit code 2 and one stderr line, whether argument handling
+    # (SystemExit) or the library (returned code) rejects the input.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bad_phi_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["gram", "--preset", "qccr", "--param", "d=2", "--param", "q=1/2",

@@ -1,9 +1,4 @@
-"""Jacobi eigensolver: both kernel builds against numpy references."""
-
-import importlib
-import os
-import subprocess
-import sys
+"""Jacobi eigensolver against numpy references."""
 
 import numpy as np
 import pytest
@@ -55,32 +50,14 @@ def test_singular_values_and_norm():
                        atol=1e-10)
 
 
-def test_numpy_fallback_kernel_direct():
-    # The pure-numpy kernel is importable regardless of which build is active.
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 9):
-        a = random_hermitian(n, rng)
-        got = np.sort(eigen._jacobi_kernel_numpy(a.copy(), eigen._MAX_SWEEPS))
-        assert np.allclose(got, np.linalg.eigvalsh(a), atol=1e-10)
-
-
-def test_fallback_build_selected_by_env(tmp_path):
-    # A child process with WICKALG_NO_NUMBA=1 must run the numpy kernel and
-    # still agree with numpy.linalg.
-    code = (
-        "import numpy as np, wickalg.eigen as e\n"
-        "assert not e.USING_NUMBA\n"
-        "rng = np.random.default_rng(5)\n"
-        "a = rng.normal(size=(6,6)) + 1j*rng.normal(size=(6,6)); a=(a+a.conj().T)/2\n"
-        "assert np.allclose(e.eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, WICKALG_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+def test_unconverged_sweeps_raise(monkeypatch):
+    rng = np.random.default_rng(6)
+    a = random_hermitian(6, rng)
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+        eigvalsh(a)
+    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 60)
+    assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
 
 
 def test_exact_rational_spectrum_recovered():

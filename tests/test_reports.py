@@ -80,6 +80,41 @@ def test_missing_or_non_integer_d_rejected(bad):
         relations_from_json(obj)
 
 
+_INDICES = 'integer "i", "j", "k", "l"'
+
+
+@pytest.mark.parametrize("field,bad,match", [
+    *[(f, None, _INDICES) for f in "ijkl"],  # missing
+    ("j", 1.7, _INDICES),
+    ("j", "2", _INDICES),
+    ("j", True, _INDICES),
+    ("re", 0.5, '"re" must be a rational string such as "1/10"'),
+    ("im", 1, '"im" must be a rational string such as "1/10"'),
+    ("re", "abc", '"re" is not a rational string'),
+    ("re", "1/0", '"re" is not a rational string'),
+])
+def test_bad_entry_rejected(field, bad, match):
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    if bad is None:
+        del obj["entries"][0][field]
+    else:
+        obj["entries"][0][field] = bad
+    with pytest.raises(ValueError, match=match):
+        relations_from_json(obj)
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("entries", 5), ("params", [1]), ("ideal_generators", "a1 a2"), ("ideal_generators", [3]),
+])
+def test_bad_file_field_rejected(key, bad):
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    obj[key] = bad
+    with pytest.raises(ValueError):
+        relations_from_json(obj)
+    with pytest.raises(ValueError, match="JSON object"):
+        relations_from_json([obj])
+
+
 def test_decimal_strings_read_exactly():
     obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
     obj["params"] = {"q": "0.5"}

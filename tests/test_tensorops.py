@@ -2,6 +2,7 @@
 
 import pytest
 
+import wickalg
 from wickalg import (
     CoeffTensor,
     DimensionCapExceeded,
@@ -13,6 +14,7 @@ from wickalg import (
     index_to_word,
     kron,
     make_preset,
+    minus_one_eigenprojection,
     p_n,
     positivity_report,
     rational,
@@ -20,7 +22,6 @@ from wickalg import (
     t_matrix,
     word_to_index,
 )
-from wickalg.tensorops import MatrixOp
 
 
 def test_index_word_round_trip():
@@ -32,11 +33,21 @@ def test_index_word_round_trip():
     assert word_to_index((1, 2), 3) == 1  # big-endian: (i1-1)*d + (i2-1)
 
 
-def test_matrixop_shape_validation():
-    with pytest.raises(ValueError):
-        MatrixOp([[0, 1], [1, 0]], d=2, n=2)
-    op = MatrixOp.wrap(identity(4), 2, 2)
-    assert (op.d, op.n) == (2, 2)
+def test_embed_shape_validation():
+    # embed reads d off the operator, which must be square with d² rows.
+    for rows, cols in [(3, 3), (8, 8), (1, 4)]:
+        with pytest.raises(ValueError):
+            embed(Matrix([[0] * cols for _ in range(rows)]), 1, 3)
+    P = minus_one_eigenprojection(make_preset("twisted_car", 3, mu="1/3").tensor)
+    assert not P.is_zero()
+    assert embed(P, 1, 3) == kron(P, identity(3))
+
+
+def test_matrixop_is_a_deprecated_alias():
+    with pytest.warns(DeprecationWarning):
+        assert wickalg.MatrixOp is wickalg.Matrix
+    with pytest.warns(DeprecationWarning):
+        assert wickalg.tensorops.MatrixOp is Matrix
 
 
 def test_embed_slots():
@@ -44,8 +55,8 @@ def test_embed_slots():
     tm = t_matrix(T)
     t1 = embed(tm, 1, 3)
     t2 = embed(tm, 2, 3)
-    assert t1 == MatrixOp.wrap(kron(tm, identity(2)), 2, 3)
-    assert t2 == MatrixOp.wrap(kron(identity(2), tm), 2, 3)
+    assert t1 == kron(tm, identity(2))
+    assert t2 == kron(identity(2), tm)
     with pytest.raises(ValueError):
         embed(tm, 3, 3)
     with pytest.raises(DimensionCapExceeded):
@@ -56,7 +67,7 @@ def test_p1_and_p2():
     for name, d, params in [("qccr", 2, {"q": "1/2"}),
                             ("twisted_car", 2, {"mu": "1/3"})]:
         T = make_preset(name, d, **params).tensor
-        assert p_n(T, 1) == MatrixOp.wrap(identity(d), d, 1)
+        assert p_n(T, 1) == identity(d)
         assert p_n(T, 2) == identity(d * d) + t_matrix(T)
 
 
@@ -67,7 +78,7 @@ def test_p3_recursion_explicit():
     t1 = embed(tm, 1, 3)
     t2 = embed(tm, 2, 3)
     expected = kron(identity(2), identity(4) + tm) * (identity(8) + t1 + t1 * t2)
-    assert p_n(T, 3) == MatrixOp.wrap(expected, 2, 3)
+    assert p_n(T, 3) == expected
 
 
 def test_p_n_zero_tensor_is_identity():
