@@ -244,18 +244,19 @@ def _bp_ce(d: int, params: dict) -> RelationSystem:
     return RelationSystem(CoeffTensor(d, entries), [], "bp_ce", {"lam": lam, "eps": eps})
 
 
+# family -> (builder, needs d, accepted parameter names incl. aliases)
 _FAMILIES = {
-    "qccr": (_qccr, True),
-    "tlw": (_tlw, True),
-    "twisted_ccr": (_twisted_ccr, True),
-    "twisted_car": (_twisted_car, True),
-    "snu2": (_snu2, False),
-    "q_ij": (_q_ij, True),
-    "degenerate": (_degenerate, True),
-    "usym": (_usym, True),
-    "aklt": (_aklt, False),
-    "bs_ce": (_bs_ce, False),
-    "bp_ce": (_bp_ce, False),
+    "qccr": (_qccr, True, ("q",)),
+    "tlw": (_tlw, True, ("q",)),
+    "twisted_ccr": (_twisted_ccr, True, ("mu", "q")),
+    "twisted_car": (_twisted_car, True, ("mu", "q")),
+    "snu2": (_snu2, False, ("nu",)),
+    "q_ij": (_q_ij, True, None),
+    "degenerate": (_degenerate, True, ()),
+    "usym": (_usym, True, ("q", "lam", "lambda")),
+    "aklt": (_aklt, False, ("lam", "lambda")),
+    "bs_ce": (_bs_ce, False, ("tau",)),
+    "bp_ce": (_bp_ce, False, ("lam", "lambda", "eps")),
 }
 
 
@@ -268,17 +269,36 @@ def make_preset(spec, d: int = None, **params) -> RelationSystem:
 
     Accepts either a :class:`PresetSpec` or ``make_preset(name, d, key=value…)``
     with rational parameter values (ints, Fractions, or strings like "1/3"
-    or "0.5", read by :func:`~wickalg.scalars.rational`).
+    or "0.5", read by :func:`~wickalg.scalars.rational`).  A parameter the
+    family does not know raises ``ValueError``; a missing one takes its
+    default:
+
+    - ``qccr``, ``tlw``: ``q = 0`` (the free case);
+    - ``twisted_ccr``, ``twisted_car``: ``mu`` (alias ``q``), required, 0 < mu < 1;
+    - ``snu2`` (d = 2): ``nu``, required, nonzero;
+    - ``q_ij``: ``qIJ`` and ``qIJ_im`` for 1 <= I, J <= d, each 0;
+    - ``degenerate``: none;
+    - ``usym``: ``q = 0``, ``lam = 0`` (alias ``lambda``);
+    - ``aklt`` (d = 3): ``lam = 1`` (alias ``lambda``);
+    - ``bs_ce`` (d = 2): ``tau = 0``;
+    - ``bp_ce`` (d = 2 unless given): ``lam = 0`` (alias ``lambda``), ``eps = 0``.
     """
     if isinstance(spec, PresetSpec):
         family, d, params = spec.family, spec.d, dict(spec.params)
     else:
         family = spec
     try:
-        builder, needs_d = _FAMILIES[family]
+        builder, needs_d, names = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown preset family {family!r}; "
                          f"known: {', '.join(preset_names())}") from None
     if needs_d and (d is None or d < 1):
         raise ValueError(f"preset {family!r} requires a dimension d >= 1")
+    if names is None:  # q_ij: the names depend on d
+        names = [f"q{i}{j}{part}" for i in range(1, d + 1)
+                 for j in range(1, d + 1) for part in ("", "_im")]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"unknown parameter {', '.join(unknown)} for preset "
+                         f"{family!r}; accepted: {', '.join(names) or 'none'}")
     return builder(d, params)

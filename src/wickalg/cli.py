@@ -26,7 +26,7 @@ from .reports import Report, load_relations, save_relations, save_report, scalar
 from .rewrite import TermBudgetExceeded, verify_identity, wick_order
 from .scalars import Scalar, rational, rational_str
 from .states import CoherentParam, gram_matrix
-from .tensorops import braid_check, index_to_word, p_n, positivity_report
+from .tensorops import _check_cap, braid_check, index_to_word, p_n, positivity_report
 
 __all__ = ["main", "build_parser"]
 
@@ -138,6 +138,7 @@ def _cmd_gram(args) -> int:
     rs = _relation_system(args)
     d = rs.d
     n = args.nmax
+    _check_cap(d, n, args.cap)
     words = [index_to_word(i, d, n) for i in range(d**n)]
     phi = _phi(args, d)
     g = gram_matrix(words, phi, rs.tensor)

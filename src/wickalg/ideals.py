@@ -7,8 +7,7 @@ from __future__ import annotations
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import Matrix, identity, zeros
 from .rewrite import ideal_membership, wick_order
-from .scalars import Scalar
-from .states import CoherentParam
+from .states import CoherentParam, _check_generator_words, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, embed, t_matrix
 
 __all__ = [
@@ -149,14 +148,7 @@ def coherent_annihilation_check(gens, phi: CoherentParam) -> bool:
     """True iff the multiplicative extension of a_i ↦ conj(φ_i) kills every
     generator."""
     for g in gens:
-        if not g.is_generator_only():
-            raise ValueError("generators must be generator-only")
-        total = Scalar(0)
-        for w, c in g.terms.items():
-            v = c
-            for i in w:
-                v = v * phi.component(i).conjugate()
-            total = total + v
-        if total:
+        _check_generator_words(g.terms, phi.d)
+        if _normal_value(g, phi):
             return False
     return True

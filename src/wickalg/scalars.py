@@ -4,8 +4,7 @@ All algebraic data in this package is carried by :class:`Scalar`, an exact
 complex number with rational real and imaginary parts.  Floating point only
 appears in derived "views" used by the spectral routines.
 
-The rational backend is ``gmpy2.mpq`` when available (C-implemented, much
-faster) and ``fractions.Fraction`` otherwise.  Both are exact.
+The rational type ``Q`` is the standard library's ``fractions.Fraction``.
 
 This module is the one place that decides how a rational is built, read and
 written: :func:`rational` is the only parser and :func:`rational_str` the only
@@ -15,15 +14,11 @@ formatter.  The text format is ``"p"`` or ``"p/q"``; decimals such as
 
 from __future__ import annotations
 
-import importlib
 from fractions import Fraction
 
-try:  # pragma: no cover - exercised implicitly
-    Q = importlib.import_module("gmpy2").mpq
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    Q = Fraction
-    HAVE_GMPY2 = False
+Q = Fraction
+# There is no gmpy2 path; kept because benchmark reports read it.
+HAVE_GMPY2 = False
 
 __all__ = ["Q", "Scalar", "ZERO", "ONE", "rational", "rational_str", "HAVE_GMPY2"]
 
@@ -31,9 +26,9 @@ _Q0 = Q(0)
 
 
 def rational(value, den=None):
-    """Coerce ``value`` to the exact rational backend type ``Q``.
+    """Coerce ``value`` to the exact rational type ``Q``.
 
-    Accepts int, Fraction, mpq, or a string ``"p"``, ``"p/q"`` or decimal
+    Accepts int, Fraction, or a string ``"p"``, ``"p/q"`` or decimal
     ``"0.5"`` (surrounding spaces allowed), never going through a float.
     ``rational(p, q)`` builds p/q.  A float raises ``TypeError``."""
     if den is not None:
@@ -144,7 +139,7 @@ class Scalar:
 
     # -- comparisons / hashing ---------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is Q:
+        if isinstance(other, (int, Fraction)):
             return self.re == other and not self.im
         if isinstance(other, Scalar):
             return self.re == other.re and self.im == other.im

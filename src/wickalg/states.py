@@ -1,20 +1,25 @@
-"""Coherent and Fock functionals, inner products, Gram matrices, and the
-annihilator recursion used as an independent cross-check.
+"""Coherent and Fock functionals, inner products and Gram matrices.
 
 Convention: a coherent parameter stores the components φ_i = ⟨i, φ⟩ of a
 conjugate-linear functional φ, with ⟨f, φ⟩ = Σ_i conj(f_i)·φ_i.  Under the
 functional ω_φ a normal word a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}† evaluates to
 Π_k conj(φ_{i_k}) · Π_ℓ φ_{j_ℓ}; the all-zero φ is the Fock state.
+
+Inner products and Gram matrices never rewrite: ⟨F, G⟩ = ω_φ(F†G) is
+carried by the annihilator recursion λ_φ(a_i†) applied to G, one letter of
+F at a time, and the product formula on the generator-only result.
+:func:`coherent_functional` (Wick order, then the product formula) is the
+independent rewriting route they are cross-checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CoeffTensor, Polynomial, adjoint_word
+from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix
-from .rewrite import _first_redex, wick_order
-from .scalars import ONE, Scalar
+from .rewrite import wick_order
+from .scalars import Scalar
 
 __all__ = [
     "CoherentParam",
@@ -57,69 +62,54 @@ def _check_phi(phi: CoherentParam, T: CoeffTensor) -> None:
         raise ValueError(f"coherent parameter has length {phi.d}, expected {T.d}")
 
 
-def _normal_word_value(w, phi: CoherentParam) -> Scalar:
-    v = ONE
-    for c in w:
-        v = v * (phi.component(c).conjugate() if c > 0 else phi.component(-c))
-    return v
+def _normal_value(p: Polynomial, phi: CoherentParam) -> Scalar:
+    """ω_φ of a Wick-ordered polynomial, by the product formula."""
+    total = Scalar(0)
+    for w, c in p.terms.items():
+        v = c
+        for x in w:
+            v = v * (phi.component(x).conjugate() if x > 0 else phi.component(-x))
+        total = total + v
+    return total
 
 
 def coherent_functional(p: Polynomial, phi: CoherentParam, T: CoeffTensor) -> Scalar:
     """ω_φ(p): Wick order, then apply the product formula to each normal word."""
     _check_phi(phi, T)
-    q = wick_order(p, T)
-    total = Scalar(0)
-    for w, c in q.terms.items():
-        total = total + c * _normal_word_value(w, phi)
-    return total
+    return _normal_value(wick_order(p, T), phi)
 
 
-class _OmegaEvaluator:
-    """Scalar-memoized evaluation of ω_φ on single words.
+def _check_generator_words(words, d: int) -> None:
+    for w in words:
+        if not all(1 <= c <= d for c in w):
+            raise ValueError(f"word {w} is not generator-only over a_1..a_{d}")
 
-    Follows exactly the leftmost rewriting recursion, but folds the linear
-    functional in eagerly so only scalars are cached per word.  A property
-    test pins this to coherent_functional.
+
+def _annihilator_chains(words, x: Polynomial, phi: CoherentParam, T: CoeffTensor) -> dict:
+    """{w: λ_φ(a_w†)x} for every prefix w of ``words``.
+
+    a_w† = a_{w_n}†⋯a_{w_1}†, so w_1 acts first and each prefix is its
+    parent plus one annihilator; words that share a prefix share its chain.
     """
-
-    def __init__(self, T: CoeffTensor, phi: CoherentParam):
-        self.T = T
-        self.phi = phi
-        self._cache: dict = {}
-
-    def value(self, w) -> Scalar:
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        pos = _first_redex(w)
-        if pos < 0:
-            v = _normal_word_value(w, self.phi)
-        else:
-            i, j = -w[pos], w[pos + 1]
-            head, tail = w[:pos], w[pos + 2:]
-            v = Scalar(0)
-            if i == j:
-                v = v + self.value(head + tail)
-            for (k, l, c) in self.T.row(i, j):
-                v = v + c * self.value(head + (l, -k) + tail)
-        self._cache[w] = v
-        return v
-
-    def of_polynomial(self, p: Polynomial) -> Scalar:
-        total = Scalar(0)
-        for w, c in p.terms.items():
-            total = total + c * self.value(w)
-        return total
+    chain = {(): x}
+    for w in words:
+        for k in range(1, len(w) + 1):
+            if w[:k] not in chain:
+                chain[w[:k]] = annihilator_apply(w[k - 1], chain[w[:k - 1]], phi, T)
+    return chain
 
 
 def inner_product(
     F: Polynomial, G: Polynomial, phi: CoherentParam, T: CoeffTensor
 ) -> Scalar:
-    """⟨F, G⟩ = ω_φ(F†G) for generator-only F, G."""
-    if not (F.is_generator_only() and G.is_generator_only()):
-        raise ValueError("inner_product requires generator-only polynomials")
+    """⟨F, G⟩ = ω_φ(F†G) = Σ_w conj(f_w)·ω_φ(λ_φ(a_w†)G) for generator-only F, G."""
     _check_phi(phi, T)
-    return _OmegaEvaluator(T, phi).of_polynomial(F.adjoint() * G)
+    _check_generator_words([*F.terms, *G.terms], T.d)
+    chain = _annihilator_chains(F.terms, G, phi, T)
+    total = Scalar(0)
+    for w, c in F.terms.items():
+        total = total + c.conjugate() * _normal_value(chain[w], phi)
+    return total
 
 
 def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
@@ -130,16 +120,13 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     """
     _check_phi(phi, T)
     words = [tuple(w) for w in words]
-    for w in words:
-        if any(c < 0 for c in w):
-            raise ValueError("gram_matrix requires generator-only words")
-    ev = _OmegaEvaluator(T, phi)
+    _check_generator_words(words, T.d)
     n = len(words)
     data = [[Scalar(0)] * n for _ in range(n)]
-    for a, wa in enumerate(words):
-        wa_dag = adjoint_word(wa)
-        for b, wb in enumerate(words):
-            data[a][b] = ev.value(wa_dag + wb)
+    for b, wb in enumerate(words):
+        chain = _annihilator_chains(words, Polynomial.monomial(wb), phi, T)
+        for a, wa in enumerate(words):
+            data[a][b] = _normal_value(chain[wa], phi)
     return Matrix(data)
 
 

@@ -131,6 +131,9 @@ QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
     ["order", "--preset", "no_such_family", "--param", "d=2", "a1"],
     ["order", *QCCR, "a3* a1"],
     ["order", *QCCR, "--relations", "x.json", "a1"],
+    ["order", *QCCR, "--param", "foo=1", "a1"],
+    ["order", "--preset", "twisted_ccr", "--param", "d=2", "--param", "nu=1/2", "a1"],
+    ["gram", *QCCR, "--nmax", "14", "--cap", "16"],
 ])
 def test_bad_input_fails_clean(capsys, argv):
     # Exit code 2 and one stderr line, whether argument handling

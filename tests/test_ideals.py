@@ -150,5 +150,6 @@ def test_coherent_annihilation_check():
     assert not coherent_annihilation_check([g_comm], ones)  # 1 - mu != 0
     g_diff = Polynomial.generator(1) - Polynomial.generator(2)
     assert coherent_annihilation_check([g_diff], ones)
-    with pytest.raises(ValueError):
-        coherent_annihilation_check([Polynomial.monomial((-1,))], fock)
+    for bad in ((-1,), (3,), (0,)):
+        with pytest.raises(ValueError):
+            coherent_annihilation_check([Polynomial.monomial(bad)], fock)

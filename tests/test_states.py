@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gen_polynomials, polynomials, sample_tensors
+from conftest import gen_polynomials, gen_words, sample_tensors
 from wickalg import (
     CoherentParam,
     Polynomial,
@@ -18,7 +18,6 @@ from wickalg import (
     rational,
     wick_order,
 )
-from wickalg.states import _OmegaEvaluator
 
 TENSORS = sample_tensors()
 
@@ -54,18 +53,36 @@ def test_coherent_values():
     assert coherent_functional(f * f.adjoint(), phi, T) == Scalar(0)
 
 
-@settings(max_examples=50, deadline=None)
+# The sample spread plus a complex q_ij; Fock, real and complex φ.
+CROSS_TENSORS = TENSORS + [make_preset(
+    "q_ij", 2, q11="1/3", q22="1/4", q12="1/2", q12_im="1/2",
+    q21="1/2", q21_im="-1/2").tensor]
+PHIS = [
+    CoherentParam.zero(2),
+    CoherentParam((rational(1, 2), rational(-1, 3))),
+    CoherentParam((Scalar(rational(1, 2), rational(1, 3)), Scalar(0, -1))),
+]
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    polynomials(2, max_len=4, max_terms=3),
-    st.integers(min_value=0, max_value=len(TENSORS) - 1),
-    st.sampled_from([(0, 0), (1, 0), ("1/2", "1/3")]),
+    st.lists(gen_words(2, max_len=3), max_size=4).map(lambda ws: [()] + ws),
+    gen_polynomials(2, max_len=3, max_terms=3),
+    gen_polynomials(2, max_len=3, max_terms=3),
+    st.integers(min_value=0, max_value=len(CROSS_TENSORS) - 1),
+    st.sampled_from(PHIS),
 )
-def test_evaluator_matches_reference(p, ti, phi_parts):
-    # The scalar-memoized evaluator agrees with order-then-evaluate.
-    T = TENSORS[ti]
-    phi = CoherentParam((Scalar(rational(str(phi_parts[0]))),
-                         Scalar(rational(str(phi_parts[1])))))
-    assert _OmegaEvaluator(T, phi).of_polynomial(p) == coherent_functional(p, phi, T)
+def test_annihilator_route_matches_rewriting(words, f, g, ti, phi):
+    # Inner products and Gram entries, carried by the annihilator recursion,
+    # equal the Wick-order-then-evaluate reference.
+    T = CROSS_TENSORS[ti]
+    assert inner_product(f, g, phi, T) == coherent_functional(f.adjoint() * g, phi, T)
+    gram = gram_matrix(words, phi, T)
+    for a, wa in enumerate(words):
+        for b, wb in enumerate(words):
+            ref = coherent_functional(Polynomial.monomial(wa).adjoint()
+                                      * Polynomial.monomial(wb), phi, T)
+            assert gram.data[a][b] == ref, (wa, wb)
 
 
 def test_inner_product_examples():
@@ -116,8 +133,17 @@ def test_gram_matrix_equals_level_operator(name, d, params):
 
 def test_gram_matrix_rejects_dag_words():
     T = TENSORS[1]
+    fock = CoherentParam.zero(2)
     with pytest.raises(ValueError):
-        gram_matrix([(1, -1)], CoherentParam.zero(2), T)
+        gram_matrix([(1, -1)], fock, T)
+    # letters outside 1..d, in a Gram word list or an inner-product factor
+    for words in ([(3,), (1,)], [(1, 3)], [(0,)]):
+        with pytest.raises(ValueError):
+            gram_matrix(words, fock, T)
+    a1, a3 = Polynomial.generator(1), Polynomial.generator(3)
+    for f, g in ((a3, a3), (a1, a3), (a3, a1)):
+        with pytest.raises(ValueError):
+            inner_product(f, g, fock, T)
 
 
 def test_annihilator_apply_base_cases():
