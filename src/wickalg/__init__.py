@@ -6,8 +6,6 @@ Gram operators with positivity/braid/ideal/KMS certificates, twisted
 differential calculus, and a preset catalog of relation families.
 """
 
-import warnings
-
 from .algebra import (
     CoeffTensor,
     Letter,
@@ -67,11 +65,3 @@ from .tensorops import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # Deprecated alias, kept for one release: operators are plain Matrix.
-    if name == "MatrixOp":
-        warnings.warn("MatrixOp is deprecated; use Matrix", DeprecationWarning, stacklevel=2)
-        return Matrix
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -241,13 +241,12 @@ class CoeffTensor:
         self.entries = {}
         if entries:
             for (i, j, k, l), c in entries.items():
-                c = Scalar.coerce(c)
-                if not c:
-                    continue
                 for idx in (i, j, k, l):
                     if not (1 <= idx <= d):
                         raise ValueError(f"tensor index {idx} out of range 1..{d}")
-                self.entries[(i, j, k, l)] = c
+                c = Scalar.coerce(c)
+                if c:
+                    self.entries[(i, j, k, l)] = c
         self._rows = None
         self._rewriter = None
 

@@ -1,8 +1,9 @@
 """Command-line surface: certificates and tables over relation systems.
 
 Every subcommand accepts a relation source (``--relations FILE`` or
-``--preset NAME --param k=v``), prints a human-readable table, and can
-mirror the same data to JSON with ``--json OUT``.
+``--preset NAME --param k=v``) and only the options it reads.  All but
+``preset`` print a human-readable table and can mirror the same data to
+JSON with ``--json OUT``.
 """
 
 from __future__ import annotations
@@ -31,19 +32,26 @@ from .tensorops import _check_cap, braid_check, index_to_word, p_n, positivity_r
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_OPTIONS = {
+    "nmax": dict(type=int, default=3, metavar="N",
+                 help="maximum tensor level / degree (default 3)"),
+    "phi": dict(metavar="C1,C2,…", help="coherent parameter components (default Fock)"),
+    "json": dict(metavar="OUT", help="write the JSON report here"),
+    "cap": dict(type=int, default=4096, metavar="N",
+                help="dense dimension cap d^n (default 4096)"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
+    """The relation-source options, then the named ``_OPTIONS`` the
+    subcommand reads."""
     p.add_argument("--relations", metavar="FILE", help="relation-system JSON file")
     p.add_argument("--preset", metavar="NAME",
                    help="catalog preset (%s)" % ", ".join(preset_names()))
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="preset parameter (repeatable), e.g. q=1/2 or d=3")
-    p.add_argument("--nmax", type=int, default=3, metavar="N",
-                   help="maximum tensor level / degree (default 3)")
-    p.add_argument("--phi", metavar="C1,C2,…",
-                   help="coherent parameter components (default Fock)")
-    p.add_argument("--json", metavar="OUT", help="write the JSON report here")
-    p.add_argument("--cap", type=int, default=4096, metavar="N",
-                   help="dense dimension cap d^n (default 4096)")
+    for name in options:
+        p.add_argument("--" + name, **_OPTIONS[name])
 
 
 def _usage_error(msg: str) -> NoReturn:
@@ -114,7 +122,7 @@ def _relation_meta(rs: RelationSystem) -> dict:
 def _cmd_order(args) -> int:
     rs = _relation_system(args)
     p = parse_expression(args.expr, rs.d)
-    q = wick_order(p, rs.tensor, cap=args.cap * args.cap)
+    q = wick_order(p, rs.tensor)
     print(print_polynomial(q))
     report = Report(tool="order", relation=_relation_meta(rs))
     report.add_check("order", input=args.expr, output=print_polynomial(q))
@@ -281,38 +289,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("order", help="Wick-order an expression")
-    _add_common(p)
+    _add_common(p, "json")
     p.add_argument("expr", help="expression, e.g. 'a1* a2 - 1/2 a2 a1*'")
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("identity", help="verify an identity in the algebra")
-    _add_common(p)
+    _add_common(p, "json")
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("gram", help="Gram matrix over all length-n words")
-    _add_common(p)
+    _add_common(p, "nmax", "phi", "json", "cap")
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("positivity", help="positivity criteria and P_n spectra")
-    _add_common(p)
+    _add_common(p, "nmax", "json", "cap")
     p.set_defaults(func=_cmd_positivity)
 
     p = sub.add_parser("braid", help="braid relation and permutation sums")
-    _add_common(p)
+    _add_common(p, "nmax", "json", "cap")
     p.set_defaults(func=_cmd_braid)
 
     p = sub.add_parser("ideal-check", help="quadratic and general Wick-ideal checks")
-    _add_common(p)
+    _add_common(p, "nmax", "json")
     p.set_defaults(func=_cmd_ideal_check)
 
     p = sub.add_parser("forms", help="differential-form dimensions")
-    _add_common(p)
+    _add_common(p, "nmax", "json", "cap")
     p.set_defaults(func=_cmd_forms)
 
     p = sub.add_parser("kms", help="KMS rank series and functional values")
-    _add_common(p)
+    _add_common(p, "nmax", "json", "cap")
     p.add_argument("--lam", default="1/2", metavar="RAT",
                    help="KMS parameter lambda (rational, default 1/2)")
     p.add_argument("expr", nargs="?", help="optional expression to evaluate")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix, identity, kron, zeros
+from .rewrite import rewriter_for
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
@@ -15,7 +16,12 @@ __all__ = [
 
 
 def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
-    """Twisted derivatives D_i(f) and twists Θ_i^ℓ(f), by the recursion
+    """Twisted derivatives D_i(f) and twists Θ_i^ℓ(f) of a generator-only f,
+    defined by moving an annihilator through f:
+
+        a_i†·f = D_i(f) + Σ_ℓ Θ_i^ℓ(f)·a_ℓ†.
+
+    So D_i is the Fock annihilator, and by the Wick relation
 
         D_i(1) = 0,  Θ_i^ℓ(1) = δ_iℓ·1,
         D_i(x_j f') = δ_ij·f' + Σ_ℓ Θ_i^ℓ(x_j)·D_ℓ(f'),
@@ -25,65 +31,15 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
     Returns {"D": [d polynomials], "Theta": d×d nested list of polynomials};
     all generator-only.
     """
-    if not f.is_generator_only():
-        raise ValueError("d_and_twist requires a generator-only polynomial")
     d = T.d
+    rw = rewriter_for(T)
     zero = Polynomial.zero()
-    unit = Polynomial.unit()
-
-    # Θ_i^ℓ(x_j) as a lookup table
-    theta_letter = {}
+    D, Theta = [], []
     for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            row = [Polynomial.zero() for _ in range(d)]
-            for (k, l, c) in T.row(i, j):
-                row[l - 1] = row[l - 1] + Polynomial.monomial((k,), c)
-            theta_letter[(i, j)] = row
-
-    cache: dict = {}
-
-    def on_word(w):
-        got = cache.get(w)
-        if got is not None:
-            return got
-        if not w:
-            D = [zero] * d
-            Th = [[unit if i == l else zero for l in range(d)] for i in range(d)]
-        else:
-            j, rest = w[0], w[1:]
-            D_rest, Th_rest = on_word(rest)
-            rest_poly = Polynomial.monomial(rest)
-            D = []
-            Th = []
-            for i in range(1, d + 1):
-                theta_ij = theta_letter[(i, j)]
-                di = rest_poly if i == j else zero
-                for l in range(d):
-                    if theta_ij[l] and D_rest[l]:
-                        di = di + theta_ij[l] * D_rest[l]
-                D.append(di)
-                row = []
-                for l in range(d):
-                    acc = zero
-                    for k in range(d):
-                        if theta_ij[k] and Th_rest[k][l]:
-                            acc = acc + theta_ij[k] * Th_rest[k][l]
-                    row.append(acc)
-                Th.append(row)
-        cache[w] = (D, Th)
-        return D, Th
-
-    D_total = [zero] * d
-    Th_total = [[zero] * d for _ in range(d)]
-    for w, c in f.terms.items():
-        D_w, Th_w = on_word(w)
-        for i in range(d):
-            if D_w[i]:
-                D_total[i] = D_total[i] + D_w[i].scale(c)
-            for l in range(d):
-                if Th_w[i][l]:
-                    Th_total[i][l] = Th_total[i][l] + Th_w[i][l].scale(c)
-    return {"D": D_total, "Theta": Th_total}
+        parts = rw.split(i, f)
+        D.append(parts.get(0, zero))
+        Theta.append([parts.get(l, zero) for l in range(1, d + 1)])
+    return {"D": D, "Theta": Theta}
 
 
 def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:

@@ -4,10 +4,10 @@ condition, and coherent-annihilation checks."""
 
 from __future__ import annotations
 
-from .algebra import CoeffTensor, Polynomial, hermiticity_check
+from .algebra import CoeffTensor, hermiticity_check
 from .linalg import Matrix, identity, zeros
-from .rewrite import ideal_membership, wick_order
-from .states import CoherentParam, _check_generator_words, _normal_value
+from .rewrite import _check_generator_words, ideal_membership, rewriter_for
+from .states import CoherentParam, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, embed, t_matrix
 
 __all__ = [
@@ -86,40 +86,12 @@ def ideal_generator_relations(
     return p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
 
 
-def _split_by_dag(p: Polynomial):
-    """Split a wick-ordered polynomial into (dag-free part,
-    {j: coefficient polynomial of the trailing a_j†}, higher-dag residue)."""
-    free = {}
-    single: dict = {}
-    higher = False
-    for w, c in p.terms.items():
-        ndag = sum(1 for x in w if x < 0)
-        if ndag == 0:
-            free[w] = c
-        elif ndag == 1:
-            j = -w[-1]
-            if w[-1] >= 0:
-                raise AssertionError("wick-ordered word with interior dag letter")
-            single.setdefault(j, {})[w[:-1]] = c
-        else:
-            higher = True
-    p0 = Polynomial.__new__(Polynomial)
-    p0.terms = free
-    singles = {}
-    for j, terms in single.items():
-        q = Polynomial.__new__(Polynomial)
-        q.terms = terms
-        singles[j] = q
-    return p0, singles, higher
-
-
 def wick_ideal_condition_check(
     T: CoeffTensor, gens, max_deg: int
 ) -> bool:
     """True iff the two-sided ideal generated by ``gens`` in the
     generator-only subalgebra absorbs left multiplication by annihilators:
-    for every g and k, the Wick ordering of a_k†·g splits into a dag-free
-    part and single-dag parts whose coefficient polynomials all lie in the
+    for every g and k, a_k†·g = q_0 + Σ_m q_m·a_m† with every q_m in the
     (degree-truncated) ideal."""
     gens = list(gens)
     if not gens:
@@ -130,16 +102,11 @@ def wick_ideal_condition_check(
     if max_deg < max(g.max_word_len() for g in gens) + 1:
         raise ValueError("max_deg must exceed the longest generator")
     d = T.d
+    rw = rewriter_for(T)
     for g in gens:
         for k in range(1, d + 1):
-            q = wick_order(Polynomial.adjoint_generator(k) * g, T)
-            p0, singles, higher = _split_by_dag(q)
-            if higher:
-                return False
-            if not ideal_membership(p0, gens, max_deg, d=d):
-                return False
-            for poly in singles.values():
-                if not ideal_membership(poly, gens, max_deg, d=d):
+            for q in rw.split(k, g).values():
+                if not ideal_membership(q, gens, max_deg, d=d):
                     return False
     return True
 

@@ -3,8 +3,13 @@
 The single rewrite rule replaces an adjacent pair ``a_i† a_j`` by
 ``δ_ij·1 + Σ_{k,l} T_{ij}^{kl} a_l a_k†``.  The rewriting system is confluent
 (diamond property), so the normal form is independent of the substitution
-order; the default strategy rewrites the leftmost such pair and memoizes
-normal forms per word.
+order.  Two engines compute it:
+
+- :class:`Rewriter`, the default, memoizes per tensor how ``a_k†`` passes a
+  generator word and absorbs the letters of a word into its normal suffix
+  from right to left;
+- a one-step rewriter with leftmost, rightmost or random redex choice
+  (``wick_order(..., strategy=...)``), the independent reference.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "verify_identity",
     "ideal_membership",
     "Rewriter",
+    "rewriter_for",
     "DEFAULT_TERM_CAP",
 ]
 
@@ -44,14 +50,6 @@ def is_normal(w: Word) -> bool:
     return True
 
 
-def _first_redex(w: Word) -> int:
-    """Index p of the leftmost adjacent (Dag, Gen) pair, or -1."""
-    for p in range(len(w) - 1):
-        if w[p] < 0 and w[p + 1] > 0:
-            return p
-    return -1
-
-
 def _redex_positions(w: Word) -> list:
     return [p for p in range(len(w) - 1) if w[p] < 0 and w[p + 1] > 0]
 
@@ -63,8 +61,33 @@ def _check_indices(p: Polynomial, d: int) -> None:
                 raise ValueError(f"generator index {abs(c)} out of range 1..{d}")
 
 
+def _check_generator_words(words, d: int) -> None:
+    """ValueError unless every word uses only the generator letters a_1..a_d."""
+    for w in words:
+        if not all(1 <= c <= d for c in w):
+            raise ValueError(f"word {w} is not generator-only over a_1..a_{d}")
+
+
+def _add(acc: dict, key, v) -> None:
+    """acc[key] += v, keeping no zero value."""
+    s = acc.get(key)
+    s = v if s is None else s + v
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
 class Rewriter:
-    """Leftmost-strategy Wick normalizer with a per-tensor memo cache."""
+    """Memoized Wick normalizer of one tensor.
+
+    Its memo ``_cache`` is the map (k, g) ↦ a_k†·a_g for generator words g
+    (see :meth:`through`).  Normal ordering, the annihilators of
+    ``states``, the twisted derivatives of ``diffcalc`` and the Wick-ideal
+    check of ``ideals`` all read it.  ``cap`` bounds the terms one
+    :meth:`wick_order` call makes; it is a per-call budget, not part of
+    the memo.
+    """
 
     def __init__(self, T: CoeffTensor, cap: int = DEFAULT_TERM_CAP):
         self.T = T
@@ -72,41 +95,70 @@ class Rewriter:
         self._cache: dict = {}
         self._work = 0
 
-    def normal_form_word(self, w: Word) -> dict:
-        """Normal form of a single word as a dict Word -> Scalar."""
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
-        p = _first_redex(w)
-        if p < 0:
-            out = {w: ONE}
-            self._cache[w] = out
+    def through(self, k: int, g: Word) -> dict:
+        """a_k†·a_g for a generator word g, as {(g', m): c} meaning
+        Σ c·a_{g'}·a_m†, with m = 0 for a contracted term (no a†):
+
+            a_k†·1 = a_k†,
+            a_k†·a_j a_h = δ_kj·a_h + Σ_{k',l} T_{kj}^{k'l} a_l·(a_{k'}†·a_h).
+
+        The returned dict is the memo entry; do not modify it.
+        """
+        key = (k, g)
+        out = self._cache.get(key)
+        if out is not None:
             return out
-        i, j = -w[p], w[p + 1]
-        head, tail = w[:p], w[p + 2:]
-        out: dict = {}
-        branches = []
-        if i == j:
-            branches.append((ONE, head + tail))
-        for (k, l, c) in self.T.row(i, j):
-            branches.append((c, head + (l, -k) + tail))
-        for coeff, bw in branches:
-            sub = self.normal_form_word(bw)
-            self._work += len(sub)
+        if not g:
+            out = {((), k): ONE}
+        else:
+            j, rest = g[0], g[1:]
+            out = {(rest, 0): ONE} if j == k else {}
+            for (kk, l, c) in self.T.row(k, j):
+                for (h, m), v in self.through(kk, rest).items():
+                    _add(out, ((l,) + h, m), c * v)
+        self._cache[key] = out
+        return out
+
+    def split(self, k: int, p: Polynomial) -> dict:
+        """a_k†·p for a generator-only p over a_1..a_d, as {m: q_m} with
+        a_k†·p = q_0 + Σ_{m≥1} q_m·a_m†; zero parts are left out."""
+        _check_generator_words(p.terms, self.T.d)
+        parts: dict = {}
+        for w, c in p.terms.items():
+            for (g, m), v in self.through(k, w).items():
+                _add(parts.setdefault(m, {}), g, c * v)
+        return {m: Polynomial(terms) for m, terms in parts.items() if terms}
+
+    def normal_form_word(self, w: Word) -> dict:
+        """Normal form of a single word as a dict Word -> Scalar.
+
+        The longest normal suffix of ``w`` stays as it is; the letters before
+        it are absorbed from right to left into terms a_g·a_h† (g generator,
+        h adjoint letters): a generator letter is prepended to g, and a_k†
+        passes g by :meth:`through`.
+        """
+        e = len(w)
+        while e and w[e - 1] < 0:
+            e -= 1
+        s = e
+        while s and w[s - 1] > 0:
+            s -= 1
+        terms = {(w[s:e], w[e:]): ONE}
+        for x in reversed(w[:s]):
+            if x > 0:
+                terms = {((x,) + g, h): c for (g, h), c in terms.items()}
+            else:
+                out: dict = {}
+                for (g, h), c in terms.items():
+                    for (g2, m), v in self.through(-x, g).items():
+                        _add(out, (g2, (-m,) + h if m else h), c * v)
+                terms = out
+            self._work += len(terms)
             if self._work > self.cap:
                 raise TermBudgetExceeded(
                     f"intermediate term count exceeded cap={self.cap}"
                 )
-            for sw, sc in sub.items():
-                v = coeff * sc
-                s = out.get(sw)
-                s = v if s is None else s + v
-                if s:
-                    out[sw] = s
-                elif sw in out:
-                    del out[sw]
-        self._cache[w] = out
-        return out
+        return {g + h: c for (g, h), c in terms.items()}
 
     def wick_order(self, p: Polynomial) -> Polynomial:
         _check_indices(p, self.T.d)
@@ -114,24 +166,17 @@ class Rewriter:
         acc: dict = {}
         for w, c in p.terms.items():
             for sw, sc in self.normal_form_word(w).items():
-                v = c * sc
-                s = acc.get(sw)
-                s = v if s is None else s + v
-                if s:
-                    acc[sw] = s
-                elif sw in acc:
-                    del acc[sw]
+                _add(acc, sw, c * sc)
         res = Polynomial.__new__(Polynomial)
         res.terms = acc
         return res
 
 
-def _rewriter_for(T: CoeffTensor, cap: int) -> Rewriter:
-    rw = T._rewriter
-    if rw is None or rw.cap != cap:
-        rw = Rewriter(T, cap)
-        T._rewriter = rw
-    return rw
+def rewriter_for(T: CoeffTensor) -> Rewriter:
+    """The memoizing rewriter of ``T``, made on first use and kept on ``T``."""
+    if T._rewriter is None:
+        T._rewriter = Rewriter(T)
+    return T._rewriter
 
 
 def _wick_order_strategy(
@@ -194,17 +239,22 @@ def _wick_order_strategy(
 def wick_order(
     p: Polynomial,
     T: CoeffTensor,
-    strategy: str = "leftmost",
+    strategy: Optional[str] = None,
     rng: Optional[random.Random] = None,
     cap: int = DEFAULT_TERM_CAP,
 ) -> Polynomial:
     """Normalize ``p`` modulo the Wick relations of ``T``.
 
-    The result contains only normal words and is independent of ``strategy``
-    (confluence); strategies other than the default bypass the memo cache.
+    With no ``strategy`` this runs the memoized :class:`Rewriter` of ``T``;
+    ``"leftmost"``, ``"rightmost"`` or ``"random"`` (redex and term drawn
+    from ``rng``, default ``Random(0)``) run the one-step rewriter instead.
+    The result contains only normal words and is independent of the engine
+    (confluence).  ``cap`` bounds the intermediate terms of this call.
     """
-    if strategy == "leftmost" and rng is None:
-        return _rewriter_for(T, cap).wick_order(p)
+    if strategy is None:
+        rw = rewriter_for(T)
+        rw.cap = cap
+        return rw.wick_order(p)
     if rng is None:
         rng = random.Random(0)
     return _wick_order_strategy(p, T, strategy, rng, cap)

@@ -5,11 +5,11 @@ conjugate-linear functional φ, with ⟨f, φ⟩ = Σ_i conj(f_i)·φ_i.  Under 
 functional ω_φ a normal word a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}† evaluates to
 Π_k conj(φ_{i_k}) · Π_ℓ φ_{j_ℓ}; the all-zero φ is the Fock state.
 
-Inner products and Gram matrices never rewrite: ⟨F, G⟩ = ω_φ(F†G) is
-carried by the annihilator recursion λ_φ(a_i†) applied to G, one letter of
-F at a time, and the product formula on the generator-only result.
-:func:`coherent_functional` (Wick order, then the product formula) is the
-independent rewriting route they are cross-checked against.
+Inner products and Gram matrices never rewrite a product: ⟨F, G⟩ = ω_φ(F†G)
+is carried by the annihilators λ_φ(a_i†), read off the tensor's memo of how
+a_i† passes a generator word (:meth:`rewrite.Rewriter.through`), applied to
+G one letter of F at a time, and the product formula on the generator-only
+result.  :func:`coherent_functional` is Wick order, then the product formula.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix
-from .rewrite import wick_order
+from .rewrite import _check_generator_words, rewriter_for, wick_order
 from .scalars import Scalar
 
 __all__ = [
@@ -79,12 +79,6 @@ def coherent_functional(p: Polynomial, phi: CoherentParam, T: CoeffTensor) -> Sc
     return _normal_value(wick_order(p, T), phi)
 
 
-def _check_generator_words(words, d: int) -> None:
-    for w in words:
-        if not all(1 <= c <= d for c in w):
-            raise ValueError(f"word {w} is not generator-only over a_1..a_{d}")
-
-
 def _annihilator_chains(words, x: Polynomial, phi: CoherentParam, T: CoeffTensor) -> dict:
     """{w: λ_φ(a_w†)x} for every prefix w of ``words``.
 
@@ -133,37 +127,18 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
 def annihilator_apply(
     i: int, x: Polynomial, phi: CoherentParam, T: CoeffTensor
 ) -> Polynomial:
-    """λ_φ(a_i†) applied to a generator-only polynomial, by the recursion
+    """λ_φ(a_i†) applied to a generator-only polynomial: a_i†·x with each
+    trailing a_m† replaced by φ_m, so that
 
         λ_φ(i†)·1 = φ_i·1,
         λ_φ(i†)(j ⊗ X) = δ_ij·X + Σ_{k,l} T_{ij}^{kl} · l ⊗ (λ_φ(k†)X).
     """
-    if not x.is_generator_only():
-        raise ValueError("annihilator_apply requires a generator-only polynomial")
     _check_phi(phi, T)
     if not (1 <= i <= T.d):
         raise ValueError(f"generator index {i} out of range 1..{T.d}")
-
-    cache: dict = {}
-
-    def on_word(k: int, w) -> Polynomial:
-        key = (k, w)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        if not w:
-            res = Polynomial.monomial((), phi.component(k))
-        else:
-            j, rest = w[0], w[1:]
-            res = Polynomial.monomial(rest) if j == k else Polynomial.zero()
-            for (kk, ll, c) in T.row(k, j):
-                sub = on_word(kk, rest)
-                if sub:
-                    res = res + Polynomial.monomial((ll,), c) * sub
-        cache[key] = res
-        return res
-
-    out = Polynomial.zero()
-    for w, c in x.terms.items():
-        out = out + on_word(i, w).scale(c)
+    parts = rewriter_for(T).split(i, x)
+    out = parts.pop(0, Polynomial.zero())
+    for m, q in parts.items():
+        if phi.component(m):
+            out = out + q.scale(phi.component(m))
     return out

@@ -8,7 +8,6 @@ letters sits at flat index Σ_k (i_k−1)·d^{n−k} (big-endian).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from math import isqrt
 
@@ -41,14 +40,6 @@ PSD_TOL = 1e-9
 
 class DimensionCapExceeded(ValueError):
     """Raised when a requested tensor power exceeds the dense-size cap."""
-
-
-def __getattr__(name):
-    # Deprecated alias, kept for one release: operators are plain Matrix.
-    if name == "MatrixOp":
-        warnings.warn("MatrixOp is deprecated; use Matrix", DeprecationWarning, stacklevel=2)
-        return Matrix
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def word_to_index(w, d: int) -> int:

@@ -101,6 +101,8 @@ def test_coeff_tensor_validation():
     with pytest.raises(ValueError):
         CoeffTensor(2, {(1, 3, 1, 1): Scalar(1)})
     with pytest.raises(ValueError):
+        CoeffTensor(2, {(3, 1, 1, 1): 0})  # a zero entry is range-checked too
+    with pytest.raises(ValueError):
         CoeffTensor(0)
 
 

@@ -148,6 +148,17 @@ def test_bad_input_fails_clean(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", *QCCR, "--cap", "5", "a1"],
+    ["identity", *QCCR, "--nmax", "2", "a1", "a1"],
+])
+def test_unread_options_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_phi_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["gram", "--preset", "qccr", "--param", "d=2", "--param", "q=1/2",

@@ -5,10 +5,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gen_polynomials
+from conftest import gen_polynomials, sample_tensors
 from wickalg import (
+    CoherentParam,
     Polynomial,
     Scalar,
+    annihilator_apply,
     d_and_twist,
     form_space_dim,
     identity,
@@ -17,6 +19,7 @@ from wickalg import (
     rational,
     t_matrix,
     wick_diff_star_algebra_exists,
+    wick_order,
 )
 from wickalg.diffcalc import form_space_basis
 
@@ -42,10 +45,32 @@ def test_twist_on_letters_matches_tensor_rows():
     for i in range(1, 3):
         for l in range(1, 3):
             expect = Polynomial.zero()
-            for (k, ll, c) in TCCR.row(i, 2):
-                if ll == l:
+            for (lu, k, c) in TCCR.row(i, 2):  # c = T_i2^{lu k}
+                if lu == l:
                     expect = expect + Polynomial.monomial((k,), c)
             assert out["Theta"][i - 1][l - 1] == expect
+
+
+# The sample spread plus a complex q_ij.
+CROSS_TENSORS = sample_tensors() + [make_preset(
+    "q_ij", 2, q11="1/3", q22="1/4", q12="1/2", q12_im="1/2",
+    q21="1/2", q21_im="-1/2").tensor]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen_polynomials(2, max_len=3, max_terms=3), st.sampled_from(CROSS_TENSORS))
+def test_annihilator_splits_into_derivative_and_twists(f, T):
+    # a_i†·f = D_i(f) + sum_l Theta_i^l(f)·a_l†, against the one-step
+    # rewriter; D_i is the Fock annihilator.
+    out = d_and_twist(f, T)
+    fock = CoherentParam.zero(2)
+    for i in range(1, 3):
+        expect = out["D"][i - 1]
+        for l in range(1, 3):
+            expect = expect + out["Theta"][i - 1][l - 1] * Polynomial.adjoint_generator(l)
+        got = wick_order(Polynomial.adjoint_generator(i) * f, T, strategy="leftmost")
+        assert got == expect
+        assert out["D"][i - 1] == annihilator_apply(i, f, fock, T)
 
 
 def test_d_and_twist_rejects_dag_letters():

@@ -103,6 +103,14 @@ def test_bad_entry_rejected(field, bad, match):
         relations_from_json(obj)
 
 
+def test_out_of_range_zero_entry_rejected():
+    # A zero coefficient is dropped, but only after its indices are checked.
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    obj["entries"].append({"i": 5, "j": 1, "k": 1, "l": 1, "re": "0", "im": "0"})
+    with pytest.raises(ValueError, match="out of range"):
+        relations_from_json(obj)
+
+
 @pytest.mark.parametrize("key,bad", [
     ("entries", 5), ("params", [1]), ("ideal_generators", "a1 a2"), ("ideal_generators", [3]),
 ])

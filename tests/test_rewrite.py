@@ -87,6 +87,7 @@ def test_term_budget():
 def test_confluence_strategies_agree(p, ti, seed):
     T = TENSORS[ti]
     left = wick_order(p, T)
+    assert wick_order(p, T, strategy="leftmost") == left
     assert wick_order(p, T, strategy="rightmost") == left
     assert wick_order(p, T, strategy="random", rng=random.Random(seed)) == left
 

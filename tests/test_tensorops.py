@@ -2,7 +2,6 @@
 
 import pytest
 
-import wickalg
 from wickalg import (
     CoeffTensor,
     DimensionCapExceeded,
@@ -41,13 +40,6 @@ def test_embed_shape_validation():
     P = minus_one_eigenprojection(make_preset("twisted_car", 3, mu="1/3").tensor)
     assert not P.is_zero()
     assert embed(P, 1, 3) == kron(P, identity(3))
-
-
-def test_matrixop_is_a_deprecated_alias():
-    with pytest.warns(DeprecationWarning):
-        assert wickalg.MatrixOp is wickalg.Matrix
-    with pytest.warns(DeprecationWarning):
-        assert wickalg.tensorops.MatrixOp is Matrix
 
 
 def test_embed_slots():
