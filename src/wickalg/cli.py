@@ -187,6 +187,7 @@ def _cmd_braid(args) -> int:
     report = Report(tool="braid", relation=_relation_meta(rs))
     report.add_check("braid", holds=braided)
     if braided and args.nmax >= 2:
+        _check_cap(rs.d, args.nmax, args.cap)
         for n in range(2, args.nmax + 1):
             same = p_n_by_permutations(rs.tensor, n, cap=args.cap) == p_n(
                 rs.tensor, n, cap=args.cap

@@ -10,10 +10,10 @@ splitting off lower bidegrees yields one exact linear system per bidegree.
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import Matrix, identity
+from .linalg import identity
 from .rewrite import wick_order
 from .scalars import ONE, ZERO, Scalar
-from .tensorops import DEFAULT_DIM_CAP, p_n
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, p_n
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
 
@@ -34,6 +34,7 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
         raise ValueError("lambda must be a nonnegative real rational")
     if not hermiticity_check(T):
         raise ValueError("kms_series requires a hermitian tensor")
+    _check_cap(T.d, n_max, cap)
     ranks = [1]
     for n in range(1, n_max + 1):
         ranks.append(p_n(T, n, cap).rank())
@@ -81,21 +82,17 @@ class KmsEvaluator:
             self._ensure(n - 1, m - 1)
         words = self._bidegree_words(n, m)
         idx = {w: a for a, w in enumerate(words)}
-        N = len(words)
-        lam_n = ONE
-        for _ in range(n):
-            lam_n = lam_n * self.lam
-        A = [[ZERO] * N for _ in range(N)]
-        b = [ZERO] * N
+        lam_n = self.lam ** n
+        S = identity(len(words))  # becomes I − λⁿA, A the same-bidegree part
+        b = [ZERO] * len(words)
         for a, w in enumerate(words):
             exchanged = w[n:] + w[:n]  # dag group first, then the gen group
             nf = wick_order(Polynomial.monomial(exchanged), self.T)
             for v, c in nf.terms.items():
                 if _bidegree(v) == (n, m):
-                    A[a][idx[v]] = A[a][idx[v]] + c
+                    S.data[a][idx[v]] -= lam_n * c
                 else:
                     b[a] = b[a] + c * self.known[v]
-        S = identity(N) - Matrix(A).scale(lam_n)
         rhs = [lam_n * x for x in b]
         try:
             sol = S.solve(rhs)

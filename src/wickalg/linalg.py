@@ -1,14 +1,16 @@
-"""Exact dense linear algebra over the complex rationals.
+"""Exact linear algebra over the complex rationals.
 
-Everything here is exact: rank, kernel, inverse, and solving are done by
-fraction-free-enough Gaussian elimination on :class:`~wickalg.scalars.Scalar`
-entries.  Floating point enters only through :meth:`Matrix.to_complex`, the
-view consumed by the spectral routines.
+A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
+but does arithmetic on nonzero entries only: sums and products visit the
+nonzeros of the right operand, and elimination runs on ``{col: Scalar}`` row
+dicts, so a pivot row reaches only the rows with an entry in its column.
+Floating point enters only through :meth:`Matrix.to_complex`, the view
+consumed by the spectral routines.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -17,8 +19,33 @@ from .scalars import ONE, ZERO, Scalar
 __all__ = ["Matrix", "identity", "kron", "zeros"]
 
 
+def _sparse_rows(data) -> list:
+    """Each row as a ``{col: Scalar}`` dict of its nonzeros (``ZERO`` skipped by identity)."""
+    return [{c: x for c, x in enumerate(row) if x is not ZERO and x} for row in data]
+
+
+def _subtract(row: dict, f: Scalar, prow: dict) -> None:
+    """row -= f·prow in place, dropping entries that cancel."""
+    nf = -f
+    for c, y in prow.items():
+        x = row.get(c)
+        v = nf * y if x is None else x + nf * y
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _clear(a: list, p: int, col: int, rows) -> None:
+    """Clear ``col`` from ``rows`` of ``a`` with the pivot row ``a[p]`` (pivot 1)."""
+    for r in rows:
+        f = a[r].get(col)
+        if f is not None:
+            _subtract(a[r], f, a[p])
+
+
 class Matrix:
-    """A dense matrix of exact complex-rational scalars."""
+    """A matrix of exact complex-rational scalars, stored densely."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -31,10 +58,10 @@ class Matrix:
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
-    def from_function(rows: int, cols: int, f: Callable[[int, int], Scalar]) -> "Matrix":
+    def _of(data: list, rows: int, cols: int) -> "Matrix":
+        """Wrap rows of Scalars without copying or coercing them."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols = rows, cols
-        m.data = [[Scalar.coerce(f(r, c)) for c in range(cols)] for r in range(rows)]
+        m.rows, m.cols, m.data = rows, cols, data
         return m
 
     @staticmethod
@@ -42,34 +69,31 @@ class Matrix:
         return Matrix([[x] for x in vec])
 
     def copy(self) -> "Matrix":
-        m = Matrix.__new__(Matrix)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [row[:] for row in self.data]
-        return m
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return Matrix._of([row[:] for row in self.data], self.rows, self.cols)
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix.from_function(
-            self.rows, self.cols, lambda r, c: self.data[r][c] + other.data[r][c]
-        )
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        out = [row[:] for row in self.data]
+        for orow, brow in zip(out, _sparse_rows(other.data)):
+            for c, y in brow.items():
+                x = orow[c]
+                orow[c] = (x + y or ZERO) if x else y
+        return Matrix._of(out, self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix.from_function(
-            self.rows, self.cols, lambda r, c: self.data[r][c] - other.data[r][c]
-        )
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_function(self.rows, self.cols, lambda r, c: -self.data[r][c])
+        return self.scale(-ONE)
 
     def scale(self, s) -> "Matrix":
         s = Scalar.coerce(s)
-        return Matrix.from_function(self.rows, self.cols, lambda r, c: s * self.data[r][c])
+        if not s:
+            return zeros(self.rows, self.cols)
+        data = [[s * x if x else ZERO for x in row] for row in self.data]
+        return Matrix._of(data, self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -78,24 +102,17 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        bdata = other.data
-        for r in range(self.rows):
-            arow = self.data[r]
-            orow = out[r]
-            for k in range(self.cols):
-                a = arow[k]
-                if not a:
-                    continue  # skip zero entries: operands are usually sparse
-                brow = bdata[k]
-                for c in range(other.cols):
-                    b = brow[c]
-                    if b:
-                        orow[c] = orow[c] + a * b
-        m = Matrix.__new__(Matrix)
-        m.rows, m.cols = self.rows, other.cols
-        m.data = out
-        return m
+        bnz = _sparse_rows(other.data)
+        out = []
+        for arow in self.data:
+            orow = [ZERO] * other.cols
+            for a, brow in zip(arow, bnz):
+                if a:
+                    for c, b in brow.items():
+                        x = orow[c]
+                        orow[c] = x + a * b if x else a * b
+            out.append(orow)
+        return Matrix._of(out, self.rows, other.cols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -103,12 +120,13 @@ class Matrix:
         return NotImplemented
 
     def adjoint(self) -> "Matrix":
-        return Matrix.from_function(
-            self.cols, self.rows, lambda r, c: self.data[c][r].conjugate()
-        )
+        m = self.transpose()
+        m.data = [[x.conjugate() if x.im else x for x in row] for row in m.data]
+        return m
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_function(self.cols, self.rows, lambda r, c: self.data[c][r])
+        data = [[row[c] for row in self.data] for c in range(self.cols)]
+        return Matrix._of(data, self.cols, self.rows)
 
     # -- inspection ---------------------------------------------------------------
     @property
@@ -128,89 +146,71 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_hermitian(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for r in range(self.rows):
-            for c in range(r, self.cols):
-                if self.data[r][c] != self.data[c][r].conjugate():
-                    return False
-        return True
+        return self.rows == self.cols and self.data == self.adjoint().data
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for r in range(self.rows):
-            t = t + self.data[r][r]
-        return t
+        return sum(self.diagonal(), ZERO)
 
     def diagonal(self) -> list:
         return [self.data[r][r] for r in range(min(self.rows, self.cols))]
 
     # -- elimination-based queries ---------------------------------------------
     def _echelon(self, augment: Optional[List[List[Scalar]]] = None):
-        """Row echelon form in place on a copy; returns (rows, pivots, aug)."""
-        a = [row[:] for row in self.data]
-        aug = [row[:] for row in augment] if augment is not None else None
+        """Row echelon form of copies of the rows, each extended by its row
+        of ``augment`` in the columns after ``self.cols``, as ``{col: Scalar}``
+        dicts.  The pivot of each column is the first row at or below the
+        current one with an entry there; it is scaled to 1 and the rows below
+        it are cleared.  Returns (rows, pivot columns)."""
+        a = _sparse_rows(self.data if augment is None else
+                         [row + aug for row, aug in zip(self.data, augment)])
         pivots = []
-        prow = 0
         for col in range(self.cols):
-            sel = -1
-            for r in range(prow, self.rows):
-                if a[r][col]:
-                    sel = r
-                    break
-            if sel < 0:
+            p = len(pivots)
+            sel = next((r for r in range(p, self.rows) if col in a[r]), None)
+            if sel is None:
                 continue
-            if sel != prow:
-                a[sel], a[prow] = a[prow], a[sel]
-                if aug is not None:
-                    aug[sel], aug[prow] = aug[prow], aug[sel]
-            inv = ONE / a[prow][col]
-            a[prow] = [inv * x for x in a[prow]]
-            if aug is not None:
-                aug[prow] = [inv * x for x in aug[prow]]
-            for r in range(self.rows):
-                if r != prow and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-                    if aug is not None:
-                        aug[r] = [x - f * y for x, y in zip(aug[r], aug[prow])]
+            a[sel], a[p] = a[p], a[sel]
+            inv = ONE / a[p][col]
+            if inv != ONE:
+                a[p] = {c: inv * x for c, x in a[p].items()}
+            _clear(a, p, col, range(p + 1, self.rows))
             pivots.append(col)
-            prow += 1
-            if prow == self.rows:
-                break
-        return a, pivots, aug
+        return a, pivots
+
+    def _reduced(self, augment: Optional[List[List[Scalar]]] = None):
+        """The reduced row echelon form: :meth:`_echelon`, then each pivot
+        column cleared above its pivot, last pivot first."""
+        a, pivots = self._echelon(augment)
+        for p in range(len(pivots) - 1, 0, -1):
+            _clear(a, p, pivots[p], range(p))
+        return a, pivots
 
     def rank(self) -> int:
-        _, pivots, _ = self._echelon()
-        return len(pivots)
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list:
         """Basis of the right null space, as a list of column Scalar lists."""
-        a, pivots, _ = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        a, pivots = self._reduced()
         basis = []
-        for fc in free:
+        for fc in sorted(set(range(self.cols)) - set(pivots)):
             v = [ZERO] * self.cols
             v[fc] = ONE
             for prow, pcol in enumerate(pivots):
-                v[pcol] = -a[prow][fc]
+                if fc in a[prow]:
+                    v[pcol] = -a[prow][fc]
             basis.append(v)
         return basis
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        eye = [[ONE if r == c else ZERO for c in range(self.cols)] for r in range(self.rows)]
-        a, pivots, aug = self._echelon(augment=eye)
-        if len(pivots) != self.cols:
+        n = self.cols
+        a, pivots = self._reduced(augment=identity(n).data)
+        if len(pivots) != n:
             raise ValueError("matrix is singular")
-        m = Matrix.__new__(Matrix)
-        m.rows = m.cols = self.cols
-        m.data = aug
-        return m
+        return Matrix._of([[row.get(n + c, ZERO) for c in range(n)] for row in a], n, n)
 
     def solve(self, rhs: Sequence) -> list:
         """Solve A x = rhs exactly; raises ValueError if inconsistent or
@@ -232,24 +232,24 @@ class Matrix:
         rhs_col = [[Scalar.coerce(x)] for x in rhs]
         if len(rhs_col) != self.rows:
             raise ValueError("rhs length mismatch")
-        a, pivots, aug = self._echelon(augment=rhs_col)
-        for r in range(len(pivots), self.rows):
-            if aug[r][0]:
-                return None  # inconsistent
+        a, pivots = self._reduced(augment=rhs_col)
+        if any(a[len(pivots):]):
+            return None  # inconsistent: a row with no pivot keeps an rhs entry
         if require_unique and len(pivots) != self.cols:
             raise ValueError("system is underdetermined")
         x = [ZERO] * self.cols
         for prow, pcol in enumerate(pivots):
-            x[pcol] = aug[prow][0]
+            x[pcol] = a[prow].get(self.cols, ZERO)
         return x
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):
         """Dense complex128 numpy view of the matrix."""
-        out = np.empty((self.rows, self.cols), dtype=np.complex128)
+        out = np.zeros((self.rows, self.cols), dtype=np.complex128)
         for r, row in enumerate(self.data):
             for c, x in enumerate(row):
-                out[r, c] = x.to_complex()
+                if x:
+                    out[r, c] = x.to_complex()
         return out
 
     def __repr__(self):
@@ -257,10 +257,7 @@ class Matrix:
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    m = Matrix.__new__(Matrix)
-    m.rows, m.cols = rows, cols
-    m.data = [[ZERO] * cols for _ in range(rows)]
-    return m
+    return Matrix._of([[ZERO] * cols for _ in range(rows)], rows, cols)
 
 
 def identity(n: int) -> Matrix:
@@ -273,18 +270,13 @@ def identity(n: int) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product a ⊗ b (row-major block layout)."""
     out = zeros(a.rows * b.rows, a.cols * b.cols)
-    for ra in range(a.rows):
-        arow = a.data[ra]
-        for ca in range(a.cols):
-            s = arow[ca]
-            if not s:
-                continue
-            roff, coff = ra * b.rows, ca * b.cols
-            for rb in range(b.rows):
-                brow = b.data[rb]
-                orow = out.data[roff + rb]
-                for cb in range(b.cols):
-                    v = brow[cb]
-                    if v:
+    bnz = _sparse_rows(b.data)
+    for ra, arow in enumerate(a.data):
+        orows = out.data[ra * b.rows:(ra + 1) * b.rows]
+        for ca, s in enumerate(arow):
+            if s:
+                coff = ca * b.cols
+                for orow, brow in zip(orows, bnz):
+                    for cb, v in brow.items():
                         orow[coff + cb] = s * v
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix
 from .rewrite import _check_generator_words, rewriter_for, wick_order
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "CoherentParam",
@@ -63,13 +63,21 @@ def _check_phi(phi: CoherentParam, T: CoeffTensor) -> None:
 
 
 def _normal_value(p: Polynomial, phi: CoherentParam) -> Scalar:
-    """ω_φ of a Wick-ordered polynomial, by the product formula."""
-    total = Scalar(0)
+    """ω_φ of a Wick-ordered polynomial, by the product formula: each word
+    prefix's letter product is formed once, and a zero factor ends the word."""
+    prefix = {(): ONE}
+    total = ZERO
     for w, c in p.terms.items():
-        v = c
-        for x in w:
-            v = v * (phi.component(x).conjugate() if x > 0 else phi.component(-x))
-        total = total + v
+        v = ONE
+        for k, x in enumerate(w, 1):
+            if w[:k] not in prefix:
+                z = phi.component(x).conjugate() if x > 0 else phi.component(-x)
+                prefix[w[:k]] = v * z if k > 1 else z
+            v = prefix[w[:k]]
+            if not v:
+                break
+        if v:
+            total = total + (c * v if w else c)
     return total
 
 

@@ -162,6 +162,7 @@ def positivity_report(
     direct PSD/rank status of P_n up to n_max."""
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
+    _check_cap(T.d, n_max, cap)
     t0 = time.perf_counter()
     report = Report(tool="positivity")
     tm = t_matrix(T)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wickalg import cli, kms, tensorops
 from wickalg.cli import main
 
 
@@ -163,3 +164,19 @@ def test_bad_phi_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["gram", "--preset", "qccr", "--param", "d=2", "--param", "q=1/2",
               "--nmax", "1", "--phi", "1/2"])
+
+
+@pytest.mark.parametrize("command", ["positivity", "kms", "braid"])
+def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
+    # --nmax 20 at d=2 is past the default cap: one stderr line and exit 2,
+    # before any level is built.
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    for module in (cli, kms, tensorops):
+        monkeypatch.setattr(module, "p_n", no_level)
+    monkeypatch.setattr(cli, "p_n_by_permutations", no_level)
+    code = main([command, *QCCR, "--nmax", "20"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wickalg: error: ") and err.count("\n") == 1

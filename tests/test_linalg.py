@@ -1,5 +1,7 @@
 """Exact dense linear algebra."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,3 +121,151 @@ def test_to_complex():
     z = m.to_complex()
     assert z.shape == (1, 1)
     assert abs(z[0, 0] - (0.5 - 1j / 3)) < 1e-15
+
+
+# -- the sparse kernels against a plain dense reference -------------------------
+# Entries are (re, im) Fraction pairs; the reference is textbook Gauss-Jordan
+# with the first nonzero entry of a column as its pivot.
+
+_Z = (Fraction(0), Fraction(0))
+
+
+def _pair(x):
+    return (Fraction(x.re), Fraction(x.im))
+
+
+def _pairs(m):
+    return [[_pair(x) for x in row] for row in m.data]
+
+
+def _add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+def _ref_matmul(a, b, cols):
+    return [[_dot(row, [brow[c] for brow in b]) for c in range(cols)] for row in a]
+
+
+def _dot(u, v):
+    out = _Z
+    for x, y in zip(u, v):
+        out = _add(out, _mul(x, y))
+    return out
+
+
+def _ref_rref(a, cols, aug):
+    a = [row[:] for row in a]
+    aug = [row[:] for row in aug]
+    pivots = []
+    for col in range(cols):
+        p = len(pivots)
+        sel = next((r for r in range(p, len(a)) if a[r][col] != _Z), None)
+        if sel is None:
+            continue
+        a[sel], a[p] = a[p], a[sel]
+        aug[sel], aug[p] = aug[p], aug[sel]
+        inv = _inv(a[p][col])
+        a[p] = [_mul(inv, x) for x in a[p]]
+        aug[p] = [_mul(inv, x) for x in aug[p]]
+        for r in range(len(a)):
+            if r != p and a[r][col] != _Z:
+                f = a[r][col]
+                a[r] = [_sub(x, _mul(f, y)) for x, y in zip(a[r], a[p])]
+                aug[r] = [_sub(x, _mul(f, y)) for x, y in zip(aug[r], aug[p])]
+        pivots.append(col)
+    return a, pivots, aug
+
+
+zero_entries = st.one_of(
+    st.just(ZERO), st.builds(Scalar, st.just(0)), scalars.map(lambda x: x - x)
+)
+sparse_entries = st.tuples(st.booleans(), scalars, zero_entries).map(
+    lambda t: t[1] if t[0] else t[2]
+)
+dims = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def sparse_matrices(draw, rows=dims, cols=dims):
+    r, c = draw(rows), draw(cols)
+    return Matrix([[draw(sparse_entries) for _ in range(c)] for _ in range(r)])
+
+
+@given(sparse_matrices(), st.data())
+def test_elimination_matches_dense_reference(m, data):
+    a = _pairs(m)
+    rref, pivots, _ = _ref_rref(a, m.cols, [[] for _ in a])
+    assert m.rank() == len(pivots)
+    kernel = []
+    for fc in range(m.cols):
+        if fc not in pivots:
+            v = [_Z] * m.cols
+            v[fc] = (Fraction(1), Fraction(0))
+            for prow, pcol in enumerate(pivots):
+                v[pcol] = _sub(_Z, rref[prow][fc])
+            kernel.append(v)
+    assert [[_pair(x) for x in v] for v in m.kernel_basis()] == kernel
+
+    x0 = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    consistent_rhs = [row[0] for row in _ref_matmul(a, [[_pair(x)] for x in x0], 1)]
+    other_rhs = [_pair(x) for x in data.draw(
+        st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))]
+    for rhs in (consistent_rhs, other_rhs):
+        _, _, aug = _ref_rref(a, m.cols, [[x] for x in rhs])
+        consistent = all(row[0] == _Z for row in aug[len(pivots):])
+        rhs_scalars = [Scalar(re, im) for re, im in rhs]
+        assert m.solve_consistent(rhs_scalars) == consistent
+        if consistent and len(pivots) == m.cols:
+            x = [_Z] * m.cols
+            for prow, pcol in enumerate(pivots):
+                x[pcol] = aug[prow][0]
+            assert [_pair(v) for v in m.solve(rhs_scalars)] == x
+        else:
+            with pytest.raises(ValueError):
+                m.solve(rhs_scalars)
+
+    if m.rows == m.cols:
+        eye = _pairs(identity(m.rows))
+        _, _, inv = _ref_rref(a, m.cols, eye)
+        if len(pivots) == m.cols:
+            assert _pairs(m.inverse()) == inv
+        else:
+            with pytest.raises(ValueError):
+                m.inverse()
+
+
+@given(sparse_matrices(), st.data())
+def test_arithmetic_matches_dense_reference(m, data):
+    a = _pairs(m)
+    b_mat = data.draw(sparse_matrices(st.just(m.rows), st.just(m.cols)))
+    b = _pairs(b_mat)
+    assert (m - m).is_zero()
+    assert _pairs(m + b_mat) == [[_add(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert _pairs(m - b_mat) == [[_sub(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+    assert _pairs(-m) == [[_sub(_Z, x) for x in r] for r in a]
+    s = data.draw(sparse_entries)
+    assert _pairs(m.scale(s)) == [[_mul(_pair(s), x) for x in r] for r in a]
+    assert _pairs(m.adjoint()) == [
+        [(x[0], -x[1]) for x in col] for col in ([r[c] for r in a] for c in range(m.cols))
+    ]
+    right = data.draw(sparse_matrices(st.just(m.cols)))
+    assert _pairs(m * right) == _ref_matmul(a, _pairs(right), right.cols)
+    small = data.draw(sparse_matrices(st.integers(1, 3), st.integers(1, 3)))
+    k = _pairs(small)
+    assert _pairs(kron(m, small)) == [
+        [_mul(a[ra][ca], k[rb][cb]) for ca in range(m.cols) for cb in range(small.cols)]
+        for ra in range(m.rows) for rb in range(small.rows)
+    ]
