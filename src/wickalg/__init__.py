@@ -55,6 +55,7 @@ from .tensorops import (
     SpectralSummary,
     cuntz_stability_predicate,
     embed,
+    gram_levels,
     index_to_word,
     p_n,
     positivity_report,

@@ -1,6 +1,7 @@
 """Braid-relation detection and the permutation expansion P_n = Σ_π T(π).
 
-Permutations are tuples of 1-based images: ``perm[p-1] = π(p)``.
+Permutations are tuples of 1-based images: ``perm[p-1] = π(p)``.  The sum
+and the block kernel read each T(π) off one weak-order walk, T(π·s_i) = T(π)·T_i.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .algebra import CoeffTensor
 from .eigen import eigvalsh
-from .linalg import Matrix, identity
+from .linalg import Matrix, identity, zeros
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
@@ -78,10 +79,6 @@ def t_of_permutation(
     under the braid relation, which is checked first."""
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")
-    return _t_of_permutation_unchecked(T, perm, cap)
-
-
-def _t_of_permutation_unchecked(T: CoeffTensor, perm, cap: int) -> Matrix:
     n = len(perm)
     tm = t_matrix(T)
     out = identity(T.d**n)
@@ -90,65 +87,50 @@ def _t_of_permutation_unchecked(T: CoeffTensor, perm, cap: int) -> Matrix:
     return out
 
 
+def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
+    """{π: T(π)} over S_n for a braided T, one product per permutation:
+    walking up the weak order, T(π·s_i) = T(π)·T_i when π(i) < π(i+1)."""
+    tm = t_matrix(T)
+    embeds = [embed(tm, i, n, cap) for i in range(1, n)]
+    ident = tuple(range(1, n + 1))
+    known = {ident: identity(T.d**n)}
+    order = [ident]
+    for perm in order:  # grows as the walk goes
+        for i in range(1, n):
+            if perm[i - 1] < perm[i]:
+                up = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
+                if up not in known:
+                    known[up] = known[perm] * embeds[i - 1]
+                    order.append(up)
+    return known
+
+
 def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
-    """Σ over all n! permutations of T(π), computed incrementally along the
-    weak order (one matrix product per permutation)."""
+    """Σ over all n! permutations of T(π), each T(π) formed once along the
+    weak order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = T.d
     _check_cap(d, n, cap)
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
-    tm = t_matrix(T)
-    ident = tuple(range(1, n + 1))
-    known = {ident: identity(d**n)}
-    frontier = [ident]
-    total = known[ident]
-    embeds = {i: embed(tm, i, n, cap) for i in range(1, n)}
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            mat = known[perm]
-            base_len = permutation_length(perm)
-            for i in range(1, n):
-                # right-multiply by the adjacent transposition s_i
-                new = list(perm)
-                new[i - 1], new[i] = new[i], new[i - 1]
-                new = tuple(new)
-                if permutation_length(new) != base_len + 1 or new in known:
-                    continue
-                prod = embeds[i] * mat
-                known[new] = prod
-                total = total + prod
-                nxt.append(new)
-        frontier = nxt
-    return total
+    return sum(_weak_order_products(T, n, cap).values(), zeros(d**n, d**n))
 
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
     """Float block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n."""
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
-    d = T.d
+    t_of = {perm: m.to_complex() for perm, m in _weak_order_products(T, n, cap).items()}
     perms = list(_permutations(range(1, n + 1)))
-    dim = d**n
-    cache = {}
-
-    def t_of(perm):
-        if perm not in cache:
-            cache[perm] = _t_of_permutation_unchecked(T, perm, cap).to_complex()
-        return cache[perm]
-
-    size = len(perms) * dim
-    K = np.zeros((size, size), dtype=np.complex128)
+    dim = T.d**n
+    K = np.zeros((len(perms) * dim,) * 2, dtype=np.complex128)
     for a, pi in enumerate(perms):
         inv_pi = inverse(pi)
         for b, sigma in enumerate(perms):
-            K[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = t_of(
-                compose(inv_pi, sigma)
-            )
+            K[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = t_of[compose(inv_pi, sigma)]
     return K
 
 

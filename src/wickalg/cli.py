@@ -27,7 +27,7 @@ from .reports import Report, load_relations, save_relations, save_report, scalar
 from .rewrite import TermBudgetExceeded, verify_identity, wick_order
 from .scalars import Scalar, rational, rational_str
 from .states import CoherentParam, gram_matrix
-from .tensorops import _check_cap, braid_check, index_to_word, p_n, positivity_report
+from .tensorops import _check_cap, braid_check, gram_levels, index_to_word, positivity_report
 
 __all__ = ["main", "build_parser"]
 
@@ -187,11 +187,10 @@ def _cmd_braid(args) -> int:
     report = Report(tool="braid", relation=_relation_meta(rs))
     report.add_check("braid", holds=braided)
     if braided and args.nmax >= 2:
-        _check_cap(rs.d, args.nmax, args.cap)
-        for n in range(2, args.nmax + 1):
-            same = p_n_by_permutations(rs.tensor, n, cap=args.cap) == p_n(
-                rs.tensor, n, cap=args.cap
-            )
+        levels = gram_levels(rs.tensor, args.nmax, args.cap)
+        next(levels)  # P_1 = I; taking it refuses an oversized --nmax first
+        for n, pn in enumerate(levels, 2):
+            same = p_n_by_permutations(rs.tensor, n, cap=args.cap) == pn
             print(f"permutation sum equals level-{n} Gram operator: {same}")
             report.add_check("permutation_sum", n=n, equals_p_n=same)
     _emit(report, args)

@@ -114,8 +114,9 @@ def wick_ideal_condition_check(
 def coherent_annihilation_check(gens, phi: CoherentParam) -> bool:
     """True iff the multiplicative extension of a_i ↦ conj(φ_i) kills every
     generator."""
+    prefix = {}
     for g in gens:
         _check_generator_words(g.terms, phi.d)
-        if _normal_value(g, phi):
+        if _normal_value(g, phi, prefix):
             return False
     return True

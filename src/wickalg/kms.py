@@ -13,7 +13,7 @@ from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import identity
 from .rewrite import wick_order
 from .scalars import ONE, ZERO, Scalar
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, p_n
+from .tensorops import DEFAULT_DIM_CAP, gram_levels
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
 
@@ -34,10 +34,7 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
         raise ValueError("lambda must be a nonnegative real rational")
     if not hermiticity_check(T):
         raise ValueError("kms_series requires a hermitian tensor")
-    _check_cap(T.d, n_max, cap)
-    ranks = [1]
-    for n in range(1, n_max + 1):
-        ranks.append(p_n(T, n, cap).rank())
+    ranks = [1] + [p.rank() for p in gram_levels(T, n_max, cap)]
     partial_sums = []
     acc = ZERO
     lam_pow = ONE

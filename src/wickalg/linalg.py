@@ -64,10 +64,6 @@ class Matrix:
         m.rows, m.cols, m.data = rows, cols, data
         return m
 
-    @staticmethod
-    def column(vec: Sequence) -> "Matrix":
-        return Matrix([[x] for x in vec])
-
     def copy(self) -> "Matrix":
         return Matrix._of([row[:] for row in self.data], self.rows, self.cols)
 
@@ -107,7 +103,7 @@ class Matrix:
         for arow in self.data:
             orow = [ZERO] * other.cols
             for a, brow in zip(arow, bnz):
-                if a:
+                if a is not ZERO and a:
                     for c, b in brow.items():
                         x = orow[c]
                         orow[c] = x + a * b if x else a * b
@@ -147,11 +143,6 @@ class Matrix:
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self.data == self.adjoint().data
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.diagonal(), ZERO)
 
     def diagonal(self) -> list:
         return [self.data[r][r] for r in range(min(self.rows, self.cols))]

@@ -14,6 +14,8 @@ formatter.  The text format is ``"p"`` or ``"p/q"``; decimals such as
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 Q = Fraction
@@ -23,18 +25,25 @@ HAVE_GMPY2 = False
 __all__ = ["Q", "Scalar", "ZERO", "ONE", "rational", "rational_str", "HAVE_GMPY2"]
 
 _Q0 = Q(0)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def rational(value, den=None):
     """Coerce ``value`` to the exact rational type ``Q``.
 
     Accepts int, Fraction, or a string ``"p"``, ``"p/q"`` or decimal
-    ``"0.5"`` (surrounding spaces allowed), never going through a float.
-    ``rational(p, q)`` builds p/q.  A float raises ``TypeError``."""
+    ``"-2.5e-3"`` (surrounding spaces allowed), never going through a float.
+    ``rational(p, q)`` builds p/q.  A float raises ``TypeError``, an exponent
+    beyond ``sys.get_int_max_str_digits()`` in magnitude ``ValueError``."""
     if den is not None:
-        return Q(value) / Q(den)
+        return rational(value) / rational(den)
     if isinstance(value, float):
         raise TypeError("refusing to build an exact rational from a float")
+    if isinstance(value, str):
+        exp = _EXPONENT.search(value)  # Q would compute 10**exp
+        limit = sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp.group(1))) > limit:
+            raise ValueError(f"decimal exponent beyond ±{limit}")
     return Q(value)
 
 

@@ -62,10 +62,11 @@ def _check_phi(phi: CoherentParam, T: CoeffTensor) -> None:
         raise ValueError(f"coherent parameter has length {phi.d}, expected {T.d}")
 
 
-def _normal_value(p: Polynomial, phi: CoherentParam) -> Scalar:
+def _normal_value(p: Polynomial, phi: CoherentParam, prefix=None) -> Scalar:
     """ω_φ of a Wick-ordered polynomial, by the product formula: each word
-    prefix's letter product is formed once, and a zero factor ends the word."""
-    prefix = {(): ONE}
+    prefix's letter product is formed once into the ``prefix`` memo (shareable
+    across polynomials of one φ), and a zero factor ends the word."""
+    prefix = {} if prefix is None else prefix
     total = ZERO
     for w, c in p.terms.items():
         v = ONE
@@ -108,9 +109,10 @@ def inner_product(
     _check_phi(phi, T)
     _check_generator_words([*F.terms, *G.terms], T.d)
     chain = _annihilator_chains(F.terms, G, phi, T)
+    prefix = {}
     total = Scalar(0)
     for w, c in F.terms.items():
-        total = total + c.conjugate() * _normal_value(chain[w], phi)
+        total = total + c.conjugate() * _normal_value(chain[w], phi, prefix)
     return total
 
 
@@ -125,10 +127,11 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     _check_generator_words(words, T.d)
     n = len(words)
     data = [[Scalar(0)] * n for _ in range(n)]
+    prefix = {}
     for b, wb in enumerate(words):
         chain = _annihilator_chains(words, Polynomial.monomial(wb), phi, T)
         for a, wa in enumerate(words):
-            data[a][b] = _normal_value(chain[wa], phi)
+            data[a][b] = _normal_value(chain[wa], phi, prefix)
     return Matrix(data)
 
 

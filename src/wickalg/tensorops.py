@@ -1,5 +1,6 @@
 """Matrix realizations on tensor powers: T, T̃, slot embeddings, the Fock
-Gram operators P_n, spectra, and positivity predicates.
+Gram operators P_n (every level in one pass of :func:`gram_levels`), spectra,
+and positivity predicates.
 
 Basis convention on H^{⊗n} (H = C^d): the word (i₁,…,i_n) with 1-based
 letters sits at flat index Σ_k (i_k−1)·d^{n−k} (big-endian).
@@ -28,6 +29,7 @@ __all__ = [
     "ttilde_matrix",
     "embed",
     "braid_check",
+    "gram_levels",
     "p_n",
     "spectral_summary",
     "positivity_report",
@@ -108,24 +110,30 @@ def braid_check(T: CoeffTensor) -> bool:
     return t1 * t2 * t1 == t2 * t1 * t2
 
 
+def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield the Fock Gram operators P_1, …, P_{n_max}, each built from the
+    level before by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and
+    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  A level costs
+    one embed, two krons and two products; the next level reads the yielded
+    one, so modify only copies.  d^n_max is checked against ``cap`` before
+    any level is built."""
+    d = T.d
+    _check_cap(d, n_max, cap)
+    tm = t_matrix(T)
+    p = a = eye = identity(d)
+    for m in range(n_max):
+        if m:  # a = A_m and p = P_{m+1} on H^{⊗(m+1)}
+            a = identity(d ** (m + 1)) + embed(tm, 1, m + 1, cap) * kron(eye, a)
+            p = kron(eye, p) * a
+        yield p
+
+
 def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
-    """The level-n Fock Gram operator, by the recursion
-    P_{m+1} = (I ⊗ P_m)(I + T₁ + T₁T₂ + … + T₁⋯T_m), P_1 = I."""
+    """The level-n Fock Gram operator, the last level of :func:`gram_levels`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = T.d
-    _check_cap(d, n, cap)
-    tm = t_matrix(T)
-    p = identity(d)
-    for m in range(1, n):
-        dim = d ** (m + 1)
-        acc = identity(dim)
-        prefix = None
-        for i in range(1, m + 1):
-            ti = embed(tm, i, m + 1, cap)
-            prefix = ti if prefix is None else prefix * ti
-            acc = acc + prefix
-        p = kron(identity(d), p) * acc
+    for p in gram_levels(T, n, cap):
+        pass
     return p
 
 
@@ -162,7 +170,8 @@ def positivity_report(
     direct PSD/rank status of P_n up to n_max."""
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
-    _check_cap(T.d, n_max, cap)
+    levels = gram_levels(T, n_max, cap)
+    next(levels, None)  # P_1 = I; taking it refuses an oversized n_max first
     t0 = time.perf_counter()
     report = Report(tool="positivity")
     tm = t_matrix(T)
@@ -191,8 +200,7 @@ def positivity_report(
     report.add_check("bounds", **bounds)
 
     p3_psd = True
-    for n in range(2, n_max + 1):
-        pn = p_n(T, n, cap)
+    for n, pn in enumerate(levels, 2):
         s = spectral_summary(pn)
         report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank,
                          eig_min=s.eig_min, dim=pn.rows)

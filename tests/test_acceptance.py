@@ -184,7 +184,7 @@ def test_criterion_06_ideal_suite():
     v = [Scalar(0)] * 4
     v[word_to_index((2, 1), 2)] = Scalar(1)
     v[word_to_index((1, 2), 2)] = -mu
-    col = Matrix.column([a * b for a in v for b in v])
+    col = Matrix([[a * b] for a in v for b in v])
     norm2 = Scalar(1) + mu * mu
     assert (col.adjoint() * M * col)[0, 0] == mu**6 * norm2 * norm2
     _line(6, True, f"ideal suite: quadratic conditions, degree-3 generator "

@@ -18,8 +18,10 @@ from wickalg import (
     t_of_permutation,
 )
 from wickalg.braid import (
+    _weak_order_products,
     compose,
     inverse,
+    permutation_kernel_matrix,
     permutation_kernel_psd,
     permutation_length,
     reduced_word,
@@ -117,6 +119,28 @@ def test_permutation_sum_equals_p_n(ti):
     T = BRAIDED[ti]
     for n in (1, 2, 3, 4):
         assert p_n_by_permutations(T, n) == p_n(T, n)
+
+
+@pytest.mark.parametrize("ti", range(len(BRAIDED)))
+def test_weak_order_products_are_t_of_permutation(ti):
+    # every key π holds T(π), not T(π⁻¹): the presets here tell them apart
+    T = BRAIDED[ti]
+    for n in (1, 2, 3, 4):
+        products = _weak_order_products(T, n, 4096)
+        assert sorted(products) == sorted(permutations(range(1, n + 1)))
+        for perm, m in products.items():
+            assert m == t_of_permutation(T, perm)
+
+
+def test_permutation_kernel_blocks():
+    T = BRAIDED[1]
+    K = permutation_kernel_matrix(T, 3)
+    perms = list(permutations(range(1, 4)))
+    dim = T.d**3
+    for a, pi in enumerate(perms):
+        for b, sigma in enumerate(perms):
+            block = t_of_permutation(T, compose(inverse(pi), sigma)).to_complex()
+            assert (K[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] == block).all()
 
 
 def test_quasi_multiplicativity_when_lengths_add():

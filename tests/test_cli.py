@@ -135,6 +135,8 @@ QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
     ["order", *QCCR, "--param", "foo=1", "a1"],
     ["order", "--preset", "twisted_ccr", "--param", "d=2", "--param", "nu=1/2", "a1"],
     ["gram", *QCCR, "--nmax", "14", "--cap", "16"],
+    ["order", "--preset", "qccr", "--param", "d=2", "--param", "q=1e10000000", "a1"],
+    ["kms", *QCCR, "--lam", "1e-10000000"],
 ])
 def test_bad_input_fails_clean(capsys, argv):
     # Exit code 2 and one stderr line, whether argument handling
@@ -169,13 +171,20 @@ def test_bad_phi_rejected(capsys):
 @pytest.mark.parametrize("command", ["positivity", "kms", "braid"])
 def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     # --nmax 20 at d=2 is past the default cap: one stderr line and exit 2,
-    # before any level is built.
+    # before any level is built.  The real gram_levels runs its cap check.
+    real_levels = tensorops.gram_levels
+
     def no_level(*args, **kwargs):
-        raise AssertionError("a level was built")
+        for _ in real_levels(*args, **kwargs):
+            raise AssertionError("a level was built")
+        yield from ()
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a permutation sum was built")
 
     for module in (cli, kms, tensorops):
-        monkeypatch.setattr(module, "p_n", no_level)
-    monkeypatch.setattr(cli, "p_n_by_permutations", no_level)
+        monkeypatch.setattr(module, "gram_levels", no_level)
+    monkeypatch.setattr(cli, "p_n_by_permutations", no_sum)
     code = main([command, *QCCR, "--nmax", "20"])
     err = capsys.readouterr().err
     assert code == 2

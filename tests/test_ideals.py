@@ -106,7 +106,7 @@ def test_generator_relation_coefficient_matrix():
     v[word_to_index((2, 1), 2)] = Scalar(1)
     v[word_to_index((1, 2), 2)] = -mu
     vv = [a * b for a in v for b in v]  # v (x) v on H^(x4)
-    col = Matrix.column(vv)
+    col = Matrix([[x] for x in vv])
     val = (col.adjoint() * M * col)[0, 0]
     norm2 = Scalar(1) + mu * mu  # v†v
     assert val == mu**6 * norm2 * norm2

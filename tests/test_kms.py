@@ -39,6 +39,12 @@ def test_kms_series_twisted_car():
     assert out["partial_sums"][-1] == Scalar(rational(16, 9))  # 1 + 2/3 + 1/9
 
 
+def test_kms_series_level_zero():
+    out = kms_series(TCAR, LAM, 0)
+    assert out["ranks"] == [1]
+    assert out["partial_sums"] == [Scalar(1)]
+
+
 def test_kms_series_validation():
     with pytest.raises(ValueError):
         kms_series(TCAR, rational(-1, 2), 2)

@@ -92,6 +92,7 @@ _INDICES = 'integer "i", "j", "k", "l"'
     ("im", 1, '"im" must be a rational string such as "1/10"'),
     ("re", "abc", '"re" is not a rational string'),
     ("re", "1/0", '"re" is not a rational string'),
+    ("re", "1e10000000", '"re" is not a rational string'),
 ])
 def test_bad_entry_rejected(field, bad, match):
     obj = relations_to_json(make_preset("qccr", 2, q="1/2"))

@@ -34,6 +34,16 @@ def test_parts_stay_exact_after_mixed_arithmetic():
 def test_decimal_strings_are_exact():
     assert rational("0.1") == Fraction(1, 10)
     assert rational(" -2.50 ") == rational(-5, 2)
+    assert rational("1e5") == 100000
+    assert rational("0.5") == Fraction(1, 2)
+    assert rational("-2.5e-3") == Fraction(-1, 400)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", " 2.5e+4301 "])
+def test_decimal_exponent_past_the_digit_limit_refused(text):
+    # refused before 10**exp is computed, as int() refuses too many digits
+    with pytest.raises(ValueError, match="exponent"):
+        rational(text)
 
 
 @given(rationals)

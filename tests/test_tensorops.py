@@ -4,11 +4,14 @@ import pytest
 
 from wickalg import (
     CoeffTensor,
+    CoherentParam,
     DimensionCapExceeded,
     Matrix,
     Scalar,
     cuntz_stability_predicate,
     embed,
+    gram_levels,
+    gram_matrix,
     identity,
     index_to_word,
     kron,
@@ -90,6 +93,17 @@ def test_p_n_matches_fock_inner_products():
     assert P[i11, i11] == Scalar(1) + q
 
 
+def test_gram_levels_match_fock_gram_matrices():
+    # the annihilator route of states.gram_matrix is independent of the recursion
+    T = make_preset("tlw", 2, q="1/3").tensor
+    assert list(gram_levels(T, 0)) == []
+    levels = list(gram_levels(T, 4))
+    assert len(levels) == 4
+    for n, pn in enumerate(levels, 1):
+        words = [index_to_word(i, 2, n) for i in range(2**n)]
+        assert pn == gram_matrix(words, CoherentParam.zero(2), T)
+
+
 def test_degenerate_p_n_vanishes():
     T = make_preset("degenerate", 2).tensor
     for n in (2, 3):
@@ -109,6 +123,8 @@ def test_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
         p_n(T, 4, cap=8)
     assert p_n(T, 4, cap=16).rows == 16
+    with pytest.raises(DimensionCapExceeded):
+        next(gram_levels(T, 20))  # refused before the first level
 
 
 def test_spectral_summary():
