@@ -7,13 +7,15 @@ and the block kernel read each T(π) off one weak-order walk, T(π·s_i) = T(π)
 from __future__ import annotations
 
 from itertools import permutations as _permutations
+from math import factorial
 
 import numpy as np
 
 from .algebra import CoeffTensor
 from .eigen import eigvalsh
-from .linalg import Matrix, identity, zeros
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
+from .linalg import Matrix, _sparse_rows, identity
+from .scalars import ZERO
+from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
     "braid_check",
@@ -109,29 +111,31 @@ def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
     """Σ over all n! permutations of T(π), each T(π) formed once along the
-    weak order."""
+    weak order and added into one ``{col: Scalar}`` dict per row."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = T.d
-    _check_cap(d, n, cap)
+    dim = T.d**n
+    _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
-    return sum(_weak_order_products(T, n, cap).values(), zeros(d**n, d**n))
+    acc = [{} for _ in range(dim)]
+    for m in _weak_order_products(T, n, cap).values():
+        for row, mrow in zip(acc, _sparse_rows(m.data)):
+            for c, y in mrow.items():
+                row[c] = row[c] + y if c in row else y
+    return Matrix._of([[row.get(c) or ZERO for c in range(dim)] for row in acc], dim, dim)
 
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
-    """Float block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n."""
+    """Float block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n, refused past ``cap``
+    before anything is built."""
+    if factorial(n) * T.d**n > cap:
+        raise DimensionCapExceeded(f"n!·d^n = {factorial(n) * T.d**n} exceeds the dense cap {cap}")
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
     t_of = {perm: m.to_complex() for perm, m in _weak_order_products(T, n, cap).items()}
     perms = list(_permutations(range(1, n + 1)))
-    dim = T.d**n
-    K = np.zeros((len(perms) * dim,) * 2, dtype=np.complex128)
-    for a, pi in enumerate(perms):
-        inv_pi = inverse(pi)
-        for b, sigma in enumerate(perms):
-            K[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] = t_of[compose(inv_pi, sigma)]
-    return K
+    return np.block([[t_of[compose(inverse(pi), sigma)] for sigma in perms] for pi in perms])
 
 
 def permutation_kernel_psd(T: CoeffTensor, n: int, tol: float = 1e-9) -> bool:

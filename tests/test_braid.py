@@ -6,7 +6,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wickalg.braid as braid
 from wickalg import (
+    DimensionCapExceeded,
     Scalar,
     braid_check,
     identity,
@@ -141,6 +143,22 @@ def test_permutation_kernel_blocks():
         for b, sigma in enumerate(perms):
             block = t_of_permutation(T, compose(inverse(pi), sigma)).to_complex()
             assert (K[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] == block).all()
+
+
+def test_permutation_kernel_refused_before_anything_is_built(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built before the n!·d^n cap check")
+
+    for target, name in ((braid, "braid_check"), (braid, "_weak_order_products"),
+                         (braid.np, "zeros"), (braid.np, "block")):
+        monkeypatch.setattr(target, name, built)
+    T = BRAIDED[0]  # d = 2
+    with pytest.raises(DimensionCapExceeded, match="3840"):
+        permutation_kernel_matrix(T, 5, cap=3839)  # 5!·2^5 = 3840
+    with pytest.raises(DimensionCapExceeded, match="46080"):
+        permutation_kernel_matrix(T, 6)  # 6!·2^6 past the default cap 4096
+    monkeypatch.undo()
+    assert permutation_kernel_matrix(T, 3, cap=48).shape == (48, 48)  # 3!·2^3, at the cap
 
 
 def test_quasi_multiplicativity_when_lengths_add():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import wickalg.eigen as eigen
-from wickalg import Matrix, Scalar, eigvalsh, operator_norm, rational, singular_values
+from wickalg import (
+    Matrix, Scalar, eigvalsh, make_preset, operator_norm, p_n, rational, singular_values,
+)
 
 
 def random_hermitian(n, rng):
@@ -12,12 +14,47 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+def hidden_blocks(sizes, rng):
+    """A random Hermitian block-diagonal matrix, rows and columns shuffled."""
+    a = np.zeros((sum(sizes),) * 2, dtype=np.complex128)
+    at = 0
+    for m in sizes:
+        a[at:at + m, at:at + m] = random_hermitian(m, rng)
+        at += m
+    perm = rng.permutation(a.shape[0])
+    return a[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 33])
 def test_matches_numpy(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         a = random_hermitian(n, rng)
         assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
+
+
+def test_hidden_blocks_match_numpy():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        a = hidden_blocks([1, 2, 3, 4, 1, 5, 2, 7], rng)
+        rounds = eigen._round_robin(a)
+        # a sweep pairs within the blocks only: 8 - 1 rounds for the 7-block
+        assert len(rounds) == 7
+        pairs = [frozenset(pq) for p, q in rounds for pq in zip(p.tolist(), q.tolist())]
+        assert all(len(set(p.tolist() + q.tolist())) == 2 * p.size for p, q in rounds)
+        support = {frozenset(pq) for pq in zip(*np.nonzero(np.triu(a, 1)))}
+        assert len(pairs) == len(set(pairs)) == len(support) and set(pairs) == support
+        assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("family, d, params, n", [
+    ("qccr", 2, {"q": "1/2"}, 6),
+    ("tlw", 3, {"q": "1/3"}, 4),
+    ("aklt", None, {"lam": "1"}, 4),
+])
+def test_gram_levels_match_numpy(family, d, params, n):
+    a = p_n(make_preset(family, d, **params).tensor, n).to_complex()
+    assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
 
 
 def test_exact_matrix_input():
@@ -37,6 +74,9 @@ def test_rejects_non_hermitian_and_non_square():
 def test_degenerate_and_trivial_spectra():
     assert np.allclose(eigvalsh(np.eye(5)), np.ones(5))
     assert np.allclose(eigvalsh(np.zeros((4, 4))), np.zeros(4))
+    diag = np.diag([3.0, -1.0, 0.5, 2.0])
+    assert eigen._round_robin(diag) == []
+    assert np.array_equal(eigvalsh(diag), [-1.0, 0.5, 2.0, 3.0])
     assert eigvalsh(np.zeros((0, 0))).size == 0
 
 
@@ -52,12 +92,13 @@ def test_singular_values_and_norm():
 
 def test_unconverged_sweeps_raise(monkeypatch):
     rng = np.random.default_rng(6)
-    a = random_hermitian(6, rng)
-    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)
-    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
-        eigvalsh(a)
-    monkeypatch.setattr(eigen, "_MAX_SWEEPS", 60)
-    assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
+    # one block, and two: a block split must not hide a failure to converge
+    for a in (random_hermitian(6, rng), hidden_blocks([6, 5], rng)):
+        monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+            eigvalsh(a)
+        monkeypatch.setattr(eigen, "_MAX_SWEEPS", 60)
+        assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
 
 
 def test_exact_rational_spectrum_recovered():

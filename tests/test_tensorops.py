@@ -162,6 +162,82 @@ def test_positivity_report_negative_case_with_witness():
     assert wit["basis_word"] == [1, 2, 2]
 
 
+# Reports pinned before the spectra came from the parallel Jacobi kernel: the
+# four criteria, per level (dim, rank, is_psd, eig_min, ‖P_n‖ to 4 digits), and
+# the P_3 diagonal witness or None.
+CRITERIA = ("norm_le_half", "t_positive", "braid_and_norm_le_one", "any_fires")
+PINNED_REPORTS = [
+    (("qccr", 2, {"q": "1/2"}, 6), (True, False, True, True), [
+        (4, 4, True, 0.4999999999999999, 1.5),
+        (8, 8, True, 0.37499999999999994, 2.625),
+        (16, 16, True, 0.21598571037125344, 4.922),
+        (32, 32, True, 0.15478668227440862, 9.536),
+        (64, 64, True, 0.09232195496120744, 18.77),
+    ], None),
+    (("tlw", 3, {"q": "1/3"}, 4), (False, True, False, True), [
+        (9, 9, True, 0.9999999999999998, 2.0),
+        (27, 27, True, 0.999999999999999, 2.854),
+        (81, 81, True, 0.9999999999999986, 5.939),
+    ], None),
+    (("tlw", 2, {"q": "-1/2"}, 5), (False, False, False, False), [
+        (4, 3, True, 0.0, 1.0),
+        (8, 6, True, 0.0, 1.0),
+        (16, 12, True, -6.037868363332873e-17, 1.0),
+        (32, 24, True, -3.7279704146265734e-17, 1.0),
+    ], None),
+    (("twisted_car", 3, {"mu": "1/2"}, 4), (False, False, True, True), [
+        (9, 3, True, 0.0, 1.25),
+        (27, 1, True, -2.495169308853617e-18, 1.641),
+        (81, 0, True, 0.0, 0.0),
+    ], None),
+    (("twisted_ccr", 2, {"mu": "1/2"}, 5), (False, False, True, True), [
+        (4, 3, True, 0.0, 1.25),
+        (8, 4, True, 0.0, 1.641),
+        (16, 5, True, -2.884112944763125e-17, 2.179),
+        (32, 6, True, -5.066136571198401e-17, 2.902),
+    ], None),
+    (("snu2", None, {"nu": "1/2"}, 5), (False, False, False, False), [
+        (4, 4, False, -0.24999999999999997, 1.0),
+        (8, 6, False, -0.31249999999999994, 1.0),
+        (16, 9, False, -0.3281250000000001, 1.0),
+        (32, 12, False, -0.3320312500000006, 1.0),
+    ], {"value": "-13/4", "value_float": -3.25, "basis_word": [1, 2, 1], "negative": True}),
+    (("usym", 2, {"q": "1/2", "lam": "1/3"}, 5), (False, False, False, False), [
+        (4, 4, True, 0.1666666666666666, 1.167),
+        (8, 8, True, 0.13457892461583854, 1.394),
+        (16, 16, True, 0.029148577624325402, 1.671),
+        (32, 32, True, 0.020953877437787465, 2.005),
+    ], None),
+    (("aklt", None, {"lam": "1"}, 4), (False, False, False, False), [
+        (9, 5, True, 0.0, 1.0),
+        (27, 15, True, -1.1200647955065673e-16, 1.0),
+        (81, 45, True, -5.823592369147216e-17, 1.0),
+    ], None),
+    (("bp_ce", 2, {"lam": "12", "eps": "-1/10"}, 3), (False, False, False, False), [
+        (4, 4, True, 0.9, 13.0),
+        (8, 8, False, -3.9, 2041.0),
+    ], {"value": "-3/130", "value_float": -0.023076923076923078, "basis_word": [1, 2, 2],
+        "negative": True}),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_REPORTS,
+                         ids=lambda c: "{}-d{}-n{}".format(c[0][0], c[0][1], c[0][3]))
+def test_positivity_report_pinned(case):
+    (family, d, params, n_max), criteria, levels, witness = case
+    rep = positivity_report(make_preset(family, d, **params).tensor, n_max)
+    crit = _check(rep, "sufficient_criteria")
+    assert tuple(crit[k] for k in CRITERIA) == criteria
+    assert [c["name"] for c in rep.checks if c["name"].startswith("p_")] == [
+        f"p_{n}" for n in range(2, n_max + 1)]
+    for n, (dim, rank, is_psd, eig_min, norm) in enumerate(levels, 2):
+        lev = _check(rep, f"p_{n}")
+        assert (lev["dim"], lev["rank"], lev["is_psd"]) == (dim, rank, is_psd), n
+        assert abs(lev["eig_min"] - eig_min) <= 1e-12 * max(1.0, norm), n
+    wit = next((c for c in rep.checks if c["name"] == "p3_diagonal_witness"), None)
+    assert wit == (None if witness is None else {"name": "p3_diagonal_witness", **witness})
+
+
 def test_positivity_report_requires_hermitian():
     with pytest.raises(ValueError):
         positivity_report(CoeffTensor(2, {(1, 2, 1, 2): Scalar(1)}), 2)
