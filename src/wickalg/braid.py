@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import CoeffTensor
 from .eigen import eigvalsh
-from .linalg import Matrix, _sparse_rows, identity
+from .linalg import Matrix, _product, _sparse_rows, identity
 from .scalars import ZERO
 from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, braid_check, embed, t_matrix
 
@@ -91,18 +91,20 @@ def t_of_permutation(
 
 def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
     """{π: T(π)} over S_n for a braided T, one product per permutation:
-    walking up the weak order, T(π·s_i) = T(π)·T_i when π(i) < π(i+1)."""
+    walking up the weak order, T(π·s_i) = T(π)·T_i when π(i) < π(i+1).
+    The nonzero rows of each embedded T_i are collected once."""
     tm = t_matrix(T)
-    embeds = [embed(tm, i, n, cap) for i in range(1, n)]
+    dim = T.d**n
+    t_rows = [_sparse_rows(embed(tm, i, n, cap).data) for i in range(1, n)]
     ident = tuple(range(1, n + 1))
-    known = {ident: identity(T.d**n)}
+    known = {ident: identity(dim)}
     order = [ident]
     for perm in order:  # grows as the walk goes
         for i in range(1, n):
             if perm[i - 1] < perm[i]:
                 up = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
                 if up not in known:
-                    known[up] = known[perm] * embeds[i - 1]
+                    known[up] = Matrix._of(_product(known[perm].data, t_rows[i - 1], dim), dim, dim)
                     order.append(up)
     return known
 

@@ -9,6 +9,7 @@ JSON with ``--json OUT``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import NoReturn
 
@@ -334,11 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  Usage errors exit 2 (SystemExit); an error from
     the library (bad input, a cap or budget exceeded, no convergence) or an
     unreadable file prints one stderr line and returns 2, never a traceback."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TermBudgetExceeded, ArithmeticError, OSError) as exc:

@@ -10,8 +10,10 @@ Grammar (EBNF)::
     RAT    := INT ['/' INT]
 
 Whitespace separates factors; juxtaposition is multiplication; the ``*``
-suffix on a generator is the involution.  The printer emits a canonical
-form that re-parses to the identical polynomial.
+suffix on a generator is the involution.  Parentheses nest at most
+``MAX_DEPTH`` deep, so the recursive descent stays within Python's recursion
+limit.  The printer emits a canonical form that re-parses to the identical
+polynomial.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .algebra import Polynomial, word_str
 from .scalars import Scalar, rational, rational_str
 
 __all__ = ["ParseError", "parse_expression", "print_polynomial"]
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -69,6 +73,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.d = d
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -112,8 +117,12 @@ class _Parser:
         if kind in ("num", "i"):
             return Polynomial.monomial((), self.parse_scalar())
         if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             self.next()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise ParseError(f"expected a factor, found {kind!r}", pos)

@@ -24,6 +24,20 @@ def _sparse_rows(data) -> list:
     return [{c: x for c, x in enumerate(row) if x is not ZERO and x} for row in data]
 
 
+def _product(arows, bnz: list, cols: int) -> list:
+    """Dense rows of A·B from the rows of A and the ``_sparse_rows`` of B."""
+    out = []
+    for arow in arows:
+        orow = [ZERO] * cols
+        for a, brow in zip(arow, bnz):
+            if a is not ZERO and a:
+                for c, b in brow.items():
+                    x = orow[c]
+                    orow[c] = x + a * b if x else a * b
+        out.append(orow)
+    return out
+
+
 def _subtract(row: dict, f: Scalar, prow: dict) -> None:
     """row -= f·prow in place, dropping entries that cancel."""
     nf = -f
@@ -98,16 +112,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} x {other.shape}")
-        bnz = _sparse_rows(other.data)
-        out = []
-        for arow in self.data:
-            orow = [ZERO] * other.cols
-            for a, brow in zip(arow, bnz):
-                if a is not ZERO and a:
-                    for c, b in brow.items():
-                        x = orow[c]
-                        orow[c] = x + a * b if x else a * b
-            out.append(orow)
+        out = _product(self.data, _sparse_rows(other.data), other.cols)
         return Matrix._of(out, self.rows, other.cols)
 
     def __rmul__(self, other):

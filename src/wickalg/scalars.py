@@ -5,6 +5,13 @@ complex number with rational real and imaginary parts.  Floating point only
 appears in derived "views" used by the spectral routines.
 
 The rational type ``Q`` is the standard library's ``fractions.Fraction``.
+The parts ``re`` and ``im`` of every Scalar are canonical Fractions: lowest
+terms, positive denominator, and zero as the one shared ``0/1``.  So two
+Scalars are equal exactly when their numerators and denominators are, and a
+real Scalar hashes like the equal ``Fraction`` and ``int``.  The arithmetic
+operators run on the module-level integer kernels at the end of this module
+(``_add``, ``_mul``, ``_neg``, ``_inv``), which keep that form without going
+through ``Fraction.__new__`` or its operator dispatch.
 
 This module is the one place that decides how a rational is built, read and
 written: :func:`rational` is the only parser and :func:`rational_str` the only
@@ -17,6 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 Q = Fraction
 # There is no gmpy2 path; kept because benchmark reports read it.
@@ -25,6 +33,7 @@ HAVE_GMPY2 = False
 __all__ = ["Q", "Scalar", "ZERO", "ONE", "rational", "rational_str", "HAVE_GMPY2"]
 
 _Q0 = Q(0)
+_new = object.__new__
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -62,8 +71,10 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=_Q0, im=_Q0):
-        self.re = re if type(re) is Q else rational(re)
-        self.im = im if type(im) is Q else rational(im)
+        re = re if type(re) is Q else rational(re)
+        im = im if type(im) is Q else rational(im)
+        self.re = re if re._numerator else _Q0
+        self.im = im if im._numerator else _Q0
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
@@ -74,44 +85,50 @@ class Scalar:
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        s = _new(Scalar)
+        s.re = _add(self.re, other.re)
+        s.im = _add(self.im, other.im) if self.im._numerator or other.im._numerator else _Q0
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        return _scalar(_add(self.re, _neg(other.re)), _add(self.im, _neg(other.im)))
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(_neg(self.re), _neg(self.im))
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        s = _new(Scalar)
         # Fast path: real times real (the overwhelmingly common case).
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not self.im._numerator and not other.im._numerator:
+            s.re = _mul(self.re, other.re)
+            s.im = _Q0
+        else:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            s.re = _add(_mul(a, c), _neg(_mul(b, d)))
+            s.im = _add(_mul(a, d), _mul(b, c))
+        return s
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
-        if not other.re and not other.im:
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        if not other:
             raise ZeroDivisionError("division of Scalar by zero")
-        if not other.im:
-            return Scalar(self.re / other.re, self.im / other.re)
-        denom = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / denom,
-            (self.im * other.re - self.re * other.im) / denom,
-        )
+        if other.im._numerator:  # z/w = z·conj(w)/|w|²
+            return self * other.conjugate() * _scalar(_inv(other.abs2()), _Q0)
+        return self * _scalar(_inv(other.re), _Q0)
 
     def __rtruediv__(self, other):
         return Scalar.coerce(other) / self
@@ -132,44 +149,124 @@ class Scalar:
 
     # -- structure -------------------------------------------------------------
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, _neg(self.im))
 
     def abs2(self):
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return _add(_mul(self.re, self.re), _mul(self.im, self.im))
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.re._numerator and not self.im._numerator
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self.im._numerator
 
     # -- comparisons / hashing ---------------------------------------------------
     def __eq__(self, other):
+        if isinstance(other, Scalar):  # canonical parts: equal iff equal ints
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return (a._numerator == c._numerator and a._denominator == c._denominator
+                    and b._numerator == d._numerator and b._denominator == d._denominator)
         if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
+            return self.re == other and not self.im._numerator
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
+        if not self.im._numerator:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.re._numerator != 0 or self.im._numerator != 0
 
     # -- views -----------------------------------------------------------------
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        re, im = self.re, self.im  # int / int rounds as float(Fraction) does
+        return complex(re._numerator / re._denominator, im._numerator / im._denominator)
 
     def __repr__(self):
-        if not self.im:
+        if not self.im._numerator:
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im})"
+
+
+# -- integer kernels --------------------------------------------------------
+# They read and write the two slots of a canonical ``Fraction`` directly and
+# build their results without ``Fraction.__new__`` or its operator dispatch.
+# Every result is canonical again: lowest terms, positive denominator, zero
+# as the shared ``_Q0``.
+
+
+def _q(n: int, d: int) -> Q:
+    """The Fraction n/d from coprime ints with d > 0."""
+    if not n:
+        return _Q0
+    q = _new(Q)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _neg(a: Q) -> Q:
+    n = a._numerator
+    return _q(-n, a._denominator) if n else _Q0
+
+
+def _inv(a: Q) -> Q:
+    """1/a for a nonzero a."""
+    n = a._numerator
+    return _q(a._denominator, n) if n > 0 else _q(-a._denominator, -n)
+
+
+def _mul(a: Q, b: Q) -> Q:
+    """a·b, with the cross reductions of ``Fraction._mul``."""
+    na = a._numerator
+    nb = b._numerator
+    if not na or not nb:
+        return _Q0
+    da = a._denominator
+    db = b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
+def _add(a: Q, b: Q) -> Q:
+    """a + b, with the reductions of ``Fraction._add``."""
+    nb = b._numerator
+    if not nb:
+        return a
+    na = a._numerator
+    if not na:
+        return b
+    da = a._denominator
+    db = b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _scalar(re: Q, im: Q) -> Scalar:
+    """A Scalar from canonical parts, without ``Scalar.__init__``.
+    ``__add__`` and ``__mul__``, the hottest paths, build theirs inline."""
+    s = _new(Scalar)
+    s.re = re
+    s.im = im
+    return s
 
 
 ZERO = Scalar(0)

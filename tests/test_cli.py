@@ -189,3 +189,20 @@ def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+
+
+def test_parser_reused_without_sharing_param_lists(capsys, monkeypatch):
+    # main builds its parser once; a second call must not see the --param
+    # values that the first call appended.
+    seen = []
+
+    def spy(args):
+        seen.append(args.param)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "_relation_system", spy)
+    assert main(["order", "--preset", "qccr", "--param", "q=1/2", "a1"]) == 2
+    assert main(["order", "--preset", "qccr", "a1"]) == 2
+    assert seen == [["q=1/2"], []]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polynomials
 from wickalg import ParseError, Polynomial, Scalar, parse_expression, print_polynomial, rational
+from wickalg.exprparse import MAX_DEPTH
 
 
 def test_atoms_and_involution():
@@ -71,3 +73,29 @@ def test_print_examples():
 @given(polynomials(3, max_len=4, max_terms=5))
 def test_print_parse_round_trip(p):
     assert parse_expression(print_polynomial(p), 3) == p
+
+
+# Text near the grammar (its characters, digits Python's int() refuses, deep
+# nesting) as well as arbitrary text.
+_near_grammar = st.text(alphabet="a12*()+-/i 0²٣.e\t", max_size=40)
+_nested = st.integers(0, 3 * MAX_DEPTH).map(lambda k: "(" * k + "a1" + ")" * k)
+expression_texts = st.one_of(st.text(), _near_grammar, _nested)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_texts, st.integers(1, 3))
+def test_parser_fuzz_raises_only_parse_errors(text, d):
+    try:
+        parse_expression(text, d)
+    except ValueError:  # ParseError is a ValueError
+        pass
+
+
+def test_nesting_depth_is_bounded():
+    # Deep nesting used to exhaust the recursion limit (RecursionError).
+    inner = "(" * MAX_DEPTH + "2 a1" + ")" * MAX_DEPTH
+    assert parse_expression(inner, 1) == Polynomial.monomial((1,), 2)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_expression("(" + inner + ")", 1)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_expression("(" * 5000, 1)

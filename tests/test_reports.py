@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_catalog import REPRESENTATIVES
 from wickalg import (
@@ -146,3 +148,39 @@ def test_report_round_trip(tmp_path):
     assert got.relation == rep.relation
     assert got.timing == {"seconds": 0.25}
     assert got.schema_version == SCHEMA_VERSION
+
+
+# JSON-like values: leaves of every JSON type plus strings the loader parses,
+# nested in lists and objects.
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1/2", "-3", "0", "1/0", "1e5", "1e-99999", "i", "a1 a2 - a2 a1", "(" * 400]),
+)
+_json = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_entry = st.fixed_dictionaries({}, optional={f: st.integers(-1, 4) | _json for f in ("i", "j", "k", "l", "re", "im")})
+relation_objects = st.fixed_dictionaries({}, optional={
+    "d": st.integers(-1, 3) | _json,
+    "entries": st.lists(_entry | _json, max_size=4) | _json,
+    "ideal_generators": st.lists(st.text(max_size=12) | _json, max_size=3) | _json,
+    "name": _json,
+    "params": st.dictionaries(st.text(max_size=3), _json, max_size=3) | _json,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_objects)
+def test_relation_loader_fuzz_raises_only_value_errors(obj):
+    try:
+        relations_from_json(obj, warn=lambda message: None)
+    except ValueError:  # ParseError is a ValueError
+        pass
+
+
+def test_deeply_nested_ideal_generator_refused():
+    obj = relations_to_json(make_preset("qccr", 2, q="1/2"))
+    obj["ideal_generators"] = ["(" * 5000 + "a1" + ")" * 5000]
+    with pytest.raises(ValueError, match="nested deeper than"):
+        relations_from_json(obj)

@@ -1,13 +1,15 @@
 """Exact scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import nonzero_scalars, rationals, scalars
 from wickalg import Scalar, rational, rational_str
-from wickalg.scalars import ONE, Q, ZERO
+from wickalg.scalars import _Q0, ONE, Q, ZERO
 
 
 def test_construction_and_equality():
@@ -119,3 +121,85 @@ def test_hash_matches_int_for_integers():
     # Scalars with integral real part hash like the underlying rational, so
     # they can share dict keys with plain ints where equal.
     assert hash(Scalar(7)) == hash(Fraction(7))
+
+
+# -- the integer kernel against plain Fraction arithmetic -----------------------
+
+_BIG = 2**64
+big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG).filter(bool)),
+)
+big_scalars = st.one_of(
+    st.builds(Scalar, big_rationals),  # real
+    st.builds(Scalar, big_rationals, big_rationals),
+    st.builds(Scalar, big_rationals, big_rationals.filter(bool)),  # not real
+)
+
+
+def _ref(x):
+    return (Fraction(x.re), Fraction(x.im))
+
+
+def _assert_canonical(x):
+    for part in (x.re, x.im):
+        assert type(part) is Q
+        n, d = part.numerator, part.denominator
+        assert d > 0 and gcd(n, d) == 1  # so zero is 0/1
+
+
+@given(big_scalars, big_scalars)
+def test_kernel_matches_fraction_reference(x, y):
+    (a, b), (c, d) = _ref(x), _ref(y)
+    expected = {
+        "+": (a + c, b + d),
+        "-": (a - c, b - d),
+        "*": (a * c - b * d, a * d + b * c),
+    }
+    for op, z in (("+", x + y), ("-", x - y), ("*", x * y)):
+        _assert_canonical(z)
+        assert (z.re, z.im) == expected[op], op
+    if y:
+        q = x / y
+        _assert_canonical(q)
+        n2 = c * c + d * d
+        assert _ref(q) == ((a * c + b * d) / n2, (b * c - a * d) / n2)
+    _assert_canonical(-x)
+    assert _ref(-x) == (-a, -b)
+    assert bool(x) == (a != 0 or b != 0)
+    assert x.is_zero == (not x) and x.is_real == (b == 0)
+    assert (x == y) == ((a, b) == (c, d))
+
+
+@given(big_scalars, st.integers(-_BIG, _BIG))
+def test_kernel_with_int_operands(x, k):
+    a, b = _ref(x)
+    for z, expected in ((x + k, (a + k, b)), (k + x, (a + k, b)), (x - k, (a - k, b)),
+                        (k - x, (k - a, -b)), (x * k, (a * k, b * k)), (k * x, (a * k, b * k))):
+        _assert_canonical(z)
+        assert _ref(z) == expected
+
+
+@given(big_scalars)
+def test_sum_with_negation_is_zero(x):
+    z = x + (-x)
+    assert not z and z == ZERO
+    assert z.re is _Q0 and z.im is _Q0  # zero parts are the shared zero
+    _assert_canonical(z)
+    _assert_canonical(x.conjugate())
+    assert x.abs2() == _ref(x)[0] ** 2 + _ref(x)[1] ** 2
+
+
+@given(big_rationals)
+def test_real_hash_matches_fraction(q):
+    assert hash(Scalar(q)) == hash(q)
+    assert hash(Scalar(q) * ONE) == hash(q)
+    if q.denominator == 1:
+        assert hash(Scalar(q)) == hash(int(q))
+
+
+def test_fraction_slots_the_kernel_relies_on():
+    # scalars.py reads and writes these two slots to build a Fraction
+    # without Fraction.__new__ (CPython 3.10-3.13).  If this fails, the
+    # kernel has to be adapted to the new Fraction layout.
+    assert Fraction.__slots__ == ("_numerator", "_denominator"), Fraction.__slots__
