@@ -101,6 +101,13 @@ class Polynomial:
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
+    def _of(terms: dict) -> "Polynomial":
+        """Wrap a zero-free ``{Word: Scalar}`` dict without copying or filtering it."""
+        res = Polynomial.__new__(Polynomial)
+        res.terms = terms
+        return res
+
+    @staticmethod
     def zero() -> "Polynomial":
         return Polynomial()
 
@@ -130,17 +137,13 @@ class Polynomial:
                 out[w] = s
             elif w in out:
                 del out[w]
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        return Polynomial._of(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return Polynomial._of({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -156,9 +159,7 @@ class Polynomial:
                     out[w] = s
                 elif w in out:
                     del out[w]
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        return Polynomial._of(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -169,14 +170,10 @@ class Polynomial:
         c = Scalar.coerce(c)
         if not c:
             return Polynomial.zero()
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {w: c * v for w, v in self.terms.items()}
-        return res
+        return Polynomial._of({w: c * v for w, v in self.terms.items()})
 
     def adjoint(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {adjoint_word(w): c.conjugate() for w, c in self.terms.items()}
-        return res
+        return Polynomial._of({adjoint_word(w): c.conjugate() for w, c in self.terms.items()})
 
     # -- inspection ---------------------------------------------------------------
     @property

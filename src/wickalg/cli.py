@@ -28,7 +28,14 @@ from .reports import Report, load_relations, save_relations, save_report, scalar
 from .rewrite import TermBudgetExceeded, verify_identity, wick_order
 from .scalars import Scalar, rational, rational_str
 from .states import CoherentParam, gram_matrix
-from .tensorops import _check_cap, braid_check, gram_levels, index_to_word, positivity_report
+from .tensorops import (
+    DEFAULT_DIM_CAP,
+    _check_cap,
+    braid_check,
+    gram_levels,
+    index_to_word,
+    positivity_report,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -38,8 +45,8 @@ _OPTIONS = {
                  help="maximum tensor level / degree (default 3)"),
     "phi": dict(metavar="C1,C2,…", help="coherent parameter components (default Fock)"),
     "json": dict(metavar="OUT", help="write the JSON report here"),
-    "cap": dict(type=int, default=4096, metavar="N",
-                help="dense dimension cap d^n (default 4096)"),
+    "cap": dict(type=int, default=DEFAULT_DIM_CAP, metavar="N",
+                help=f"dense dimension cap d^n (default {DEFAULT_DIM_CAP})"),
 }
 
 

@@ -4,7 +4,7 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, identity, kron, zeros
+from .linalg import Matrix, identity, kron
 from .rewrite import rewriter_for
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
@@ -51,26 +51,14 @@ def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matr
     _check_cap(d, max(p, 1), cap)
     if p == 0:
         return identity(1)
-    if p == 1:
-        return identity(d)
     it = identity(d * d) + t_matrix(T)
-    # Build iteratively: Ω^m = (H ⊗ Ω^{m−1}) ∩ ker((I+T) on slots (1,2)).
-    kb = it.kernel_basis()
-    B = Matrix([[vec[r] for vec in kb] for r in range(d * d)]) if kb else None
-    for m in range(3, p + 1):
-        if B is None or B.cols == 0:
-            B = None
-            break
-        cand = kron(identity(d), B)  # columns span H ⊗ Ω^{m−1}
-        constrained = embed(it, 1, m, cap) * cand
-        kb = constrained.kernel_basis()
-        if not kb:
-            B = None
-            break
-        K = Matrix([[vec[r] for vec in kb] for r in range(cand.cols)])
-        B = cand * K
-    if B is None:
-        return zeros(d**p, 0)
+    # Ω^m = (H ⊗ Ω^{m−1}) ∩ ker((I+T) on slots (1,2)): the columns of
+    # cand = I ⊗ B span H ⊗ Ω^{m−1}, and those of cand·K, K the kernel basis
+    # of the constraint restricted to them, span Ω^m.
+    B = identity(d)
+    for m in range(2, p + 1):
+        cand = kron(identity(d), B)
+        B = cand * (embed(it, 1, m, cap) * cand).kernel_basis()
     return B
 
 

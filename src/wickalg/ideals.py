@@ -5,8 +5,8 @@ condition, and coherent-annihilation checks."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, hermiticity_check
-from .linalg import Matrix, identity, zeros
-from .rewrite import _check_generator_words, ideal_membership, rewriter_for
+from .linalg import Matrix, identity
+from .rewrite import _check_generator_words, _in_ideal_span, rewriter_for
 from .states import CoherentParam, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, embed, t_matrix
 
@@ -23,17 +23,13 @@ __all__ = [
 def minus_one_eigenprojection(T: CoeffTensor) -> Matrix:
     """Orthogonal projection onto ker(I + T) on H⊗H, exact.
 
-    Computed as P = B(B*B)⁻¹B* from an exact kernel basis B, which avoids
-    irrational normalization.
+    Computed as P = B(B*B)⁻¹B* from the exact kernel basis B (its columns),
+    which avoids irrational normalization; an empty kernel gives P = 0
+    through the 0-column B and the 0×0 inverse.
     """
     if not hermiticity_check(T):
         raise ValueError("minus_one_eigenprojection requires a hermitian tensor")
-    d = T.d
-    tm = t_matrix(T)
-    basis = (identity(d * d) + tm).kernel_basis()
-    if not basis:
-        return zeros(d * d, d * d)
-    B = Matrix([[vec[r] for vec in basis] for r in range(d * d)])
+    B = (identity(T.d**2) + t_matrix(T)).kernel_basis()
     Bs = B.adjoint()
     return B * (Bs * B).inverse() * Bs
 
@@ -101,14 +97,9 @@ def wick_ideal_condition_check(
             raise ValueError("generators must be generator-only and homogeneous")
     if max_deg < max(g.max_word_len() for g in gens) + 1:
         raise ValueError("max_deg must exceed the longest generator")
-    d = T.d
     rw = rewriter_for(T)
-    for g in gens:
-        for k in range(1, d + 1):
-            for q in rw.split(k, g).values():
-                if not ideal_membership(q, gens, max_deg, d=d):
-                    return False
-    return True
+    parts = [q for g in gens for k in range(1, T.d + 1) for q in rw.split(k, g).values()]
+    return _in_ideal_span(parts, gens, max_deg, T.d)
 
 
 def coherent_annihilation_check(gens, phi: CoherentParam) -> bool:

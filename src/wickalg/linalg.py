@@ -4,8 +4,10 @@ A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
 nonzeros of the right operand, and elimination runs on ``{col: Scalar}`` row
 dicts, so a pivot row reaches only the rows with an entry in its column.
-Floating point enters only through :meth:`Matrix.to_complex`, the view
-consumed by the spectral routines.
+A basis is a matrix of columns (:meth:`Matrix.kernel_basis`); an empty
+one has 0 columns and passes through ``kron``, products, ``adjoint`` and
+the 0×0 ``inverse`` like any other.  Floating point enters only through
+:meth:`Matrix.to_complex`, the view consumed by the spectral routines.
 """
 
 from __future__ import annotations
@@ -186,18 +188,22 @@ class Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def kernel_basis(self) -> list:
-        """Basis of the right null space, as a list of column Scalar lists."""
+    def kernel_basis(self) -> "Matrix":
+        """Basis of the right null space, as the columns of a ``cols × k``
+        Matrix (``k = 0`` for a trivial kernel).  Column j belongs to the j-th
+        free column f of the reduced row echelon form: 1 in row f and, in the
+        row of each pivot column, minus that pivot row's entry in column f."""
         a, pivots = self._reduced()
-        basis = []
-        for fc in sorted(set(range(self.cols)) - set(pivots)):
-            v = [ZERO] * self.cols
-            v[fc] = ONE
+        pset = set(pivots)
+        free = [c for c in range(self.cols) if c not in pset]
+        data = [[ZERO] * len(free) for _ in range(self.cols)]
+        for j, fc in enumerate(free):
+            data[fc][j] = ONE
             for prow, pcol in enumerate(pivots):
-                if fc in a[prow]:
-                    v[pcol] = -a[prow][fc]
-            basis.append(v)
-        return basis
+                x = a[prow].get(fc)
+                if x is not None:
+                    data[pcol][j] = -x
+        return Matrix._of(data, self.cols, len(free))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

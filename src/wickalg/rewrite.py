@@ -10,16 +10,22 @@ order.  Two engines compute it:
   from right to left;
 - a one-step rewriter with leftmost, rightmost or random redex choice
   (``wick_order(..., strategy=...)``), the independent reference.
+
+Membership in a degree-truncated two-sided ideal of the generator-only
+subalgebra is exact linear algebra: the span of the words u·g·v is built
+once per word length (once over all lengths if a generator is
+inhomogeneous), and targets lie in it iff they leave its rank unchanged.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import CoeffTensor, Polynomial, Word
 from .linalg import Matrix
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO
 
 __all__ = [
     "TermBudgetExceeded",
@@ -57,7 +63,7 @@ def _redex_positions(w: Word) -> list:
 def _check_indices(p: Polynomial, d: int) -> None:
     for w in p.terms:
         for c in w:
-            if abs(c) > d:
+            if not 1 <= abs(c) <= d:
                 raise ValueError(f"generator index {abs(c)} out of range 1..{d}")
 
 
@@ -127,7 +133,7 @@ class Rewriter:
         for w, c in p.terms.items():
             for (g, m), v in self.through(k, w).items():
                 _add(parts.setdefault(m, {}), g, c * v)
-        return {m: Polynomial(terms) for m, terms in parts.items() if terms}
+        return {m: Polynomial._of(terms) for m, terms in parts.items() if terms}
 
     def normal_form_word(self, w: Word) -> dict:
         """Normal form of a single word as a dict Word -> Scalar.
@@ -167,9 +173,7 @@ class Rewriter:
         for w, c in p.terms.items():
             for sw, sc in self.normal_form_word(w).items():
                 _add(acc, sw, c * sc)
-        res = Polynomial.__new__(Polynomial)
-        res.terms = acc
-        return res
+        return Polynomial._of(acc)
 
 
 def rewriter_for(T: CoeffTensor) -> Rewriter:
@@ -198,12 +202,7 @@ def _wick_order_strategy(
         c = pending.pop(w)
         positions = _redex_positions(w)
         if not positions:
-            s = done.get(w)
-            s = c if s is None else s + c
-            if s:
-                done[w] = s
-            elif w in done:
-                del done[w]
+            _add(done, w, c)
             continue
         if strategy == "leftmost":
             pos = positions[0]
@@ -215,25 +214,14 @@ def _wick_order_strategy(
             raise ValueError(f"unknown strategy {strategy!r}")
         i, j = -w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
-        branches = []
         if i == j:
-            branches.append((ONE, head + tail))
+            _add(pending, head + tail, c)
         for (k, l, tc) in T.row(i, j):
-            branches.append((tc, head + (l, -k) + tail))
-        for coeff, bw in branches:
-            v = c * coeff
-            s = pending.get(bw)
-            s = v if s is None else s + v
-            if s:
-                pending[bw] = s
-            elif bw in pending:
-                del pending[bw]
+            _add(pending, head + (l, -k) + tail, c * tc)
         steps += 1
         if len(pending) + len(done) > cap or steps > cap:
             raise TermBudgetExceeded(f"term count exceeded cap={cap}")
-    res = Polynomial.__new__(Polynomial)
-    res.terms = done
-    return res
+    return Polynomial._of(done)
 
 
 def wick_order(
@@ -270,13 +258,46 @@ def verify_identity(p: Polynomial, q: Polynomial, T: CoeffTensor, cap: int = DEF
 # ---------------------------------------------------------------------------
 
 
-def _gen_words(d: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for w in _gen_words(d, length - 1):
-        for i in range(1, d + 1):
-            yield w + (i,)
+def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
+    """True iff every generator-only target lies in the span of
+    {u·g·v : g in gens, u, v words in a_1..a_d, |u|+|v|+maxlen(g) ≤ max_deg}.
+
+    With homogeneous generators every u·g·v is homogeneous, so each word
+    length of the targets is a grade decided on its own; otherwise all
+    lengths form one grade.  The span of a grade is built once, and the
+    targets' parts of that grade lie in it iff adding them keeps its rank.
+    """
+    gens = [g for g in gens if g]
+    homogeneous = all(g.is_homogeneous() for g in gens)
+    parts: dict = {}
+    for p in targets:
+        comps: dict = {}
+        for w, c in p.terms.items():
+            comps.setdefault(len(w) if homogeneous else 0, {})[w] = c
+        for grade, comp in comps.items():
+            parts.setdefault(grade, []).append(comp)
+    letters = range(1, d + 1)
+    for grade, comps in parts.items():
+        span: dict = {}
+        for g in gens:
+            glen = g.max_word_len()
+            for n in range(max_deg - glen + 1):  # n = |u| + |v|
+                if homogeneous and n + glen != grade:
+                    continue
+                for a in range(n + 1):
+                    for u in product(letters, repeat=a):
+                        for v in product(letters, repeat=n - a):
+                            q = {u + w + v: c for w, c in g.terms.items()}
+                            span.setdefault(frozenset(q.items()), q)
+        vecs = [*span.values(), *comps]
+        index = {w: i for i, w in enumerate(dict.fromkeys(w for q in vecs for w in q))}
+        rows = [[ZERO] * len(index) for _ in vecs]
+        for row, q in zip(rows, vecs):
+            for w, c in q.items():
+                row[index[w]] = c
+        if Matrix(rows).rank() != Matrix(rows[:len(span)]).rank():
+            return False
+    return True
 
 
 def ideal_membership(
@@ -289,84 +310,14 @@ def ideal_membership(
     generator-only subalgebra generated by ``gens``.
 
     Decides whether p lies in the linear span of {u·g·v} with u, v words in
-    the Gen letters and total length ≤ max_deg, by exact linear algebra per
-    homogeneous word length.
+    the Gen letters and total length ≤ max_deg, by one exact rank test per
+    word length of p (one over all lengths if a generator is inhomogeneous).
     """
     gens = list(gens)
     if not p.is_generator_only() or any(not g.is_generator_only() for g in gens):
         raise ValueError("ideal_membership requires generator-only polynomials")
-    if p.is_zero:
-        return True
     if p.max_word_len() > max_deg:
         raise ValueError("p has monomials longer than max_deg")
     if d is None:
         d = max([p.max_index()] + [g.max_index() for g in gens])
-
-    # Split p into homogeneous length components when possible; inhomogeneous
-    # generators force a single combined solve.
-    all_homog = all(g.is_homogeneous() for g in gens)
-
-    def span_vectors(lengths: set) -> list:
-        vecs = []
-        for g in gens:
-            if g.is_zero:
-                continue
-            glen_min = min(len(w) for w in g.terms)
-            glen_max = max(len(w) for w in g.terms)
-            for total in sorted(lengths):
-                for a in range(0, total - glen_min + 1):
-                    b = total - glen_max - a
-                    if all_homog:
-                        if b < 0:
-                            continue
-                        bs = [b]
-                    else:
-                        bs = [bb for bb in range(0, total - glen_min - a + 1)]
-                    for b_ in bs:
-                        for u in _gen_words(d, a):
-                            pu = Polynomial.monomial(u)
-                            for v in _gen_words(d, b_):
-                                q = pu * g * Polynomial.monomial(v)
-                                if q and q.max_word_len() <= max_deg:
-                                    vecs.append(q)
-        # Deduplicate identical polynomials.
-        seen = set()
-        out = []
-        for q in vecs:
-            key = frozenset(q.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(q)
-        return out
-
-    if all_homog:
-        by_len: dict = {}
-        for w, c in p.terms.items():
-            by_len.setdefault(len(w), {})[w] = c
-        for length, comp in by_len.items():
-            vecs = span_vectors({length})
-            if not _component_in_span(comp, vecs):
-                return False
-        return True
-    lengths = set(range(0, max_deg + 1))
-    return _component_in_span(dict(p.terms), span_vectors(lengths))
-
-
-def _component_in_span(target_terms: dict, vecs: list) -> bool:
-    if not target_terms:
-        return True
-    if not vecs:
-        return False
-    basis = sorted({w for q in vecs for w in q.terms} | set(target_terms),
-                   key=lambda w: (len(w), w))
-    index = {w: r for r, w in enumerate(basis)}
-    rows = len(basis)
-    cols = len(vecs)
-    data = [[Scalar(0)] * cols for _ in range(rows)]
-    for cidx, q in enumerate(vecs):
-        for w, c in q.terms.items():
-            data[index[w]][cidx] = c
-    rhs = [Scalar(0)] * rows
-    for w, c in target_terms.items():
-        rhs[index[w]] = c
-    return Matrix(data).solve_consistent(rhs)
+    return _in_ideal_span([p], gens, max_deg, d)

@@ -148,7 +148,7 @@ def annihilator_apply(
     if not (1 <= i <= T.d):
         raise ValueError(f"generator index {i} out of range 1..{T.d}")
     parts = rewriter_for(T).split(i, x)
-    out = parts.pop(0, Polynomial.zero())
+    out = parts.pop(0) if 0 in parts else Polynomial.zero()
     for m, q in parts.items():
         if phi.component(m):
             out = out + q.scale(phi.component(m))

@@ -3,6 +3,7 @@
 import pytest
 
 from wickalg import (
+    CoeffTensor,
     CoherentParam,
     Matrix,
     Polynomial,
@@ -11,6 +12,7 @@ from wickalg import (
     coherent_annihilation_check,
     identity,
     ideal_generator_relations,
+    ideal_membership,
     make_preset,
     minus_one_eigenprojection,
     quadratic_ideal_check,
@@ -21,6 +23,7 @@ from wickalg import (
     word_to_index,
 )
 from wickalg.ideals import is_projection
+from wickalg.rewrite import rewriter_for
 
 
 def test_is_projection():
@@ -130,6 +133,22 @@ def test_wick_ideal_condition_check_negative():
     T = make_preset("qccr", 2, q="1/2").tensor
     # a1 a2 alone does not absorb annihilators in the q-commutation algebra.
     assert not wick_ideal_condition_check(T, [Polynomial.monomial((1, 2))], max_deg=3)
+
+
+def test_wick_ideal_condition_check_one_part_outside():
+    # a_k† a_k = 1 + q a_k a_k† and a_j† a_k = a_k a_j† (j ≠ k): for g = a_k a_k,
+    # a_k†·g = (1+q)·a_k + q²·a_k a_k·a_k† and a_j†·g = a_k a_k·a_j†.  Of the
+    # three parts only (1+q)·a_k lies outside the ideal, first (k=1) or
+    # last (k=2) in the order of the splits.
+    q = Scalar(rational(1, 2))
+    for k, j in ((1, 2), (2, 1)):
+        T = CoeffTensor(2, {(k, k, k, k): q, (j, k, j, k): Scalar(1)})
+        g = Polynomial.monomial((k, k))
+        rw = rewriter_for(T)
+        parts = [p for i in (1, 2) for p in rw.split(i, g).values()]
+        inside = [ideal_membership(p, [g], max_deg=3, d=2) for p in parts]
+        assert sorted(inside) == [False, True, True]
+        assert not wick_ideal_condition_check(T, [g], max_deg=3)
 
 
 def test_wick_ideal_condition_check_validation():

@@ -53,13 +53,25 @@ def test_rank_kernel_inverse():
     m = Matrix([[1, 2], [2, 4]])
     assert m.rank() == 1
     kb = m.kernel_basis()
-    assert len(kb) == 1
-    v = kb[0]
-    assert (m * Matrix([[x] for x in v])).is_zero()
+    assert kb.shape == (2, 1)
+    assert (m * kb).is_zero()
     inv = Matrix([[1, 1], [0, 1]]).inverse()
     assert inv == Matrix([[1, -1], [0, 1]])
     with pytest.raises(ValueError):
         m.inverse()
+
+
+def test_zero_column_matrices():
+    # A 0-column matrix (an empty basis) flows through the products that use
+    # a basis, down to the 0×0 inverse.
+    B = zeros(3, 0)
+    assert B.shape == (3, 0) and B.adjoint().shape == (0, 3)
+    assert kron(identity(2), B).shape == (6, 0)
+    assert kron(B, identity(2)).shape == (6, 0)
+    gram = B.adjoint() * B
+    assert gram.shape == (0, 0) and gram.inverse() == identity(0)
+    assert B * gram.inverse() * B.adjoint() == zeros(3, 3)
+    assert identity(3) * B == B and (B * zeros(0, 2)).is_zero()
 
 
 def test_solve():
@@ -100,9 +112,9 @@ def test_kron_mixed_product(a, b):
 
 @given(small_matrices(3, 3))
 def test_rank_plus_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == 3
-    for v in m.kernel_basis():
-        assert (m * Matrix([[x] for x in v])).is_zero()
+    kb = m.kernel_basis()
+    assert kb.shape[0] == 3 and m.rank() + kb.cols == 3
+    assert (m * kb).is_zero()
 
 
 @given(small_matrices(3, 3))
@@ -216,7 +228,9 @@ def test_elimination_matches_dense_reference(m, data):
             for prow, pcol in enumerate(pivots):
                 v[pcol] = _sub(_Z, rref[prow][fc])
             kernel.append(v)
-    assert [[_pair(x) for x in v] for v in m.kernel_basis()] == kernel
+    kb = m.kernel_basis()
+    assert kb.shape == (m.cols, len(kernel))
+    assert [[_pair(x) for x in v] for v in kb.transpose().data] == kernel
 
     x0 = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
     consistent_rhs = [row[0] for row in _ref_matmul(a, [[_pair(x)] for x in x0], 1)]

@@ -67,6 +67,11 @@ def test_index_out_of_range():
     T = CoeffTensor(2)
     with pytest.raises(ValueError):
         wick_order(Polynomial.monomial((3,)), T)
+    # Letter code 0 names no generator; both engines refuse it.
+    qccr = make_preset("qccr", 2, q="1/2").tensor
+    for strategy in (None, "leftmost"):
+        with pytest.raises(ValueError):
+            wick_order(Polynomial.monomial((-1, 0, 1)), qccr, strategy=strategy)
 
 
 def test_term_budget():
@@ -152,6 +157,28 @@ def test_ideal_membership_examples():
     assert not ideal_membership(Polynomial.monomial((1, 2)), [g], max_deg=2, d=2)
     assert not ideal_membership(a1, [g], max_deg=3, d=2)
     assert ideal_membership(Polynomial.zero(), [g], max_deg=2, d=2)
+
+
+def test_ideal_membership_inhomogeneous_generators():
+    # g = a1 a1 a2 + a1 mixes word lengths, so membership is decided over all
+    # lengths at once.
+    a1 = Polynomial.generator(1)
+    a2 = Polynomial.generator(2)
+    g = Polynomial.monomial((1, 1, 2)) + a1
+    h = Polynomial.monomial((2, 2))
+    assert ideal_membership(g.scale(Scalar(2, 1)), [g], max_deg=3, d=2)
+    assert not ideal_membership(a1, [g], max_deg=3, d=2)
+    assert not ideal_membership(Polynomial.monomial((1, 1, 2)), [g], max_deg=3, d=2)
+    # At degree 4 the span is {g, a_i·g, g·a_i}: a1·g − g·a1 is in it, the
+    # shared lower part a1 a1 alone is not.
+    assert ideal_membership(a1 * g - g * a1, [g], max_deg=4, d=2)
+    assert ideal_membership(a2 * g + g * a2.scale(3), [g], max_deg=4, d=2)
+    assert not ideal_membership(Polynomial.monomial((1, 1)), [g], max_deg=4, d=2)
+    # Together with the homogeneous generator a2 a2.
+    assert ideal_membership(g + a1 * h, [g, h], max_deg=3, d=2)
+    assert ideal_membership(h * a1 - g.scale(Scalar(0, 1)), [h, g], max_deg=3, d=2)
+    assert not ideal_membership(a1 + h, [g, h], max_deg=3, d=2)
+    assert not ideal_membership(a1 * h + a2, [g, h], max_deg=3, d=2)
 
 
 def test_ideal_membership_validation():
