@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .braid import braid_check, p_n_by_permutations, t_of_permutation
 from .catalog import PresetSpec, make_preset, preset_names
-from .diffcalc import d_and_twist, form_space_dim, wick_diff_star_algebra_exists
+from .diffcalc import d_and_twist, form_levels, form_space_dim, wick_diff_star_algebra_exists
 from .eigen import eigvalsh, operator_norm, singular_values
 from .exprparse import ParseError, parse_expression, print_polynomial
 from .ideals import (

@@ -13,10 +13,10 @@ import functools
 import sys
 from typing import NoReturn
 
-from .algebra import RelationSystem, hermiticity_check, word_str
+from .algebra import Polynomial, RelationSystem, hermiticity_check, word_str
 from .braid import p_n_by_permutations
 from .catalog import make_preset, preset_names
-from .diffcalc import form_space_dim, wick_diff_star_algebra_exists
+from .diffcalc import form_levels, wick_diff_star_algebra_exists
 from .exprparse import parse_expression, print_polynomial
 from .ideals import (
     minus_one_eigenprojection,
@@ -161,11 +161,8 @@ def _cmd_gram(args) -> int:
     labels = [word_str(w) for w in words]
     print(f"Gram matrix over all {len(words)} length-{n} words:")
     for r, lab in enumerate(labels):
-        row = "  ".join(
-            rational_str(c.re) if c.is_real else f"({rational_str(c.re)},{rational_str(c.im)})"
-            for c in g.data[r]
-        )
-        print(f"  {lab}: {row}")
+        entries = (print_polynomial(Polynomial.monomial((), c)) for c in g.data[r])
+        print(f"  {lab}: " + "  ".join(entries))
     report = Report(tool="gram", relation=_relation_meta(rs))
     report.add_check(
         "gram",
@@ -211,10 +208,11 @@ def _cmd_ideal_check(args) -> int:
     if hermiticity_check(rs.tensor):
         P = minus_one_eigenprojection(rs.tensor)
         qc = quadratic_ideal_check(rs.tensor, P)
-        print(f"-1 eigenprojection rank: {P.rank()}")
+        rank = P.rank()
+        print(f"-1 eigenprojection rank: {rank}")
         print(f"quadratic ideal conditions: linear={qc['linear']} "
               f"quadratic={qc['quadratic']}")
-        report.add_check("eigenprojection", rank=P.rank())
+        report.add_check("eigenprojection", rank=rank)
         report.add_check("quadratic_ideal", **qc)
     gens = rs.ideal_generators
     if gens:
@@ -234,10 +232,9 @@ def _cmd_forms(args) -> int:
     rs = _relation_system(args)
     report = Report(tool="forms", relation=_relation_meta(rs))
     dims = []
-    for p in range(0, args.nmax + 1):
-        dim = form_space_dim(rs.tensor, p, cap=args.cap)
-        dims.append(dim)
-        print(f"dim of constant-coefficient {p}-forms: {dim}")
+    for p, B in enumerate(form_levels(rs.tensor, args.nmax, cap=args.cap)):
+        dims.append(B.cols)
+        print(f"dim of constant-coefficient {p}-forms: {B.cols}")
     report.add_check("form_dims", dims=dims)
     if hermiticity_check(rs.tensor):
         rec = wick_diff_star_algebra_exists(rs.tensor)
@@ -268,9 +265,7 @@ def _cmd_kms(args) -> int:
             value = kms_evaluate(
                 parse_expression(args.expr, rs.d), Scalar(lam), rs.tensor
             )
-            print(f"kms value of {args.expr!r}: "
-                  f"{rational_str(value.re)}"
-                  + (f" + {rational_str(value.im)}i" if value.im else ""))
+            print(f"kms value of {args.expr!r}: {print_polynomial(Polynomial.monomial((), value))}")
             report.add_check("evaluate", expr=args.expr, value=scalar_to_json(value))
         except KmsNonUniquenessError as exc:
             print(f"kms value of {args.expr!r}: not unique ({exc})")
@@ -353,6 +348,8 @@ def main(argv=None) -> int:
     the library (bad input, a cap or budget exceeded, no convergence) or an
     unreadable file prints one stderr line and returns 2, never a traceback."""
     args = _parser().parse_args(argv)
+    if getattr(args, "nmax", 0) < 0:
+        _usage_error(f"--nmax must be >= 0, got {args.nmax}")
     try:
         return args.func(args)
     except (ValueError, TermBudgetExceeded, ArithmeticError, OSError) as exc:

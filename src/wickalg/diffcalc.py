@@ -10,6 +10,7 @@ from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
 
 __all__ = [
     "d_and_twist",
+    "form_levels",
     "form_space_dim",
     "wick_diff_star_algebra_exists",
 ]
@@ -42,23 +43,30 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
     return {"D": D, "Theta": Theta}
 
 
-def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
-    """Exact basis (as columns) of the constant-coefficient p-form space
-    ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)}."""
+def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield exact bases (as columns) of the constant-coefficient form spaces
+    Ω^0, …, Ω^{p_max}, Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)},
+    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})).  The levels after
+    an empty one are empty, and none of them builds an embed or a kernel.
+    p_max < 0 and d^p_max > ``cap`` are refused before any level is built."""
     d = T.d
-    if p < 0:
+    if p_max < 0:
         raise ValueError("p must be >= 0")
-    _check_cap(d, max(p, 1), cap)
-    if p == 0:
-        return identity(1)
+    _check_cap(d, max(p_max, 1), cap)
     it = identity(d * d) + t_matrix(T)
-    # Ω^m = (H ⊗ Ω^{m−1}) ∩ ker((I+T) on slots (1,2)): the columns of
-    # cand = I ⊗ B span H ⊗ Ω^{m−1}, and those of cand·K, K the kernel basis
-    # of the constraint restricted to them, span Ω^m.
-    B = identity(d)
-    for m in range(2, p + 1):
-        cand = kron(identity(d), B)
-        B = cand * (embed(it, 1, m, cap) * cand).kernel_basis()
+    B = identity(1)
+    for m in range(p_max + 1):
+        if m:  # the columns of I ⊗ B_{m−1} span H ⊗ Ω^{m−1}
+            B = kron(identity(d), B)
+        if m > 1 and B.cols:
+            B = B * (embed(it, 1, m, cap) * B).kernel_basis()
+        yield B
+
+
+def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
+    """Exact basis (as columns) of Ω^p, the last level of :func:`form_levels`."""
+    for B in form_levels(T, p, cap):
+        pass
     return B
 
 

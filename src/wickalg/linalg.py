@@ -60,6 +60,11 @@ def _clear(a: list, p: int, col: int, rows) -> None:
             _subtract(a[r], f, a[p])
 
 
+def _consistent(a: list, pivots: list) -> bool:
+    """True iff the augment columns of the echelon rows ``a`` lie in the span of the rest."""
+    return not any(a[len(pivots):])
+
+
 class Matrix:
     """A matrix of exact complex-rational scalars, stored densely."""
 
@@ -235,8 +240,8 @@ class Matrix:
         if len(rhs_col) != self.rows:
             raise ValueError("rhs length mismatch")
         a, pivots = self._reduced(augment=rhs_col)
-        if any(a[len(pivots):]):
-            return None  # inconsistent: a row with no pivot keeps an rhs entry
+        if not _consistent(a, pivots):
+            return None
         if require_unique and len(pivots) != self.cols:
             raise ValueError("system is underdetermined")
         x = [ZERO] * self.cols

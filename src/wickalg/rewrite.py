@@ -24,7 +24,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import Matrix
+from .linalg import Matrix, _consistent
 from .scalars import ONE, ZERO
 
 __all__ = [
@@ -265,7 +265,8 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
     With homogeneous generators every u·g·v is homogeneous, so each word
     length of the targets is a grade decided on its own; otherwise all
     lengths form one grade.  The span of a grade is built once, and the
-    targets' parts of that grade lie in it iff adding them keeps its rank.
+    targets' parts of that grade lie in it iff one echelon of the words ×
+    [span | targets] matrix leaves no entry in a row past its pivots.
     """
     gens = [g for g in gens if g]
     homogeneous = all(g.is_homogeneous() for g in gens)
@@ -289,13 +290,11 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
                         for v in product(letters, repeat=n - a):
                             q = {u + w + v: c for w, c in g.terms.items()}
                             span.setdefault(frozenset(q.items()), q)
-        vecs = [*span.values(), *comps]
-        index = {w: i for i, w in enumerate(dict.fromkeys(w for q in vecs for w in q))}
-        rows = [[ZERO] * len(index) for _ in vecs]
-        for row, q in zip(rows, vecs):
-            for w, c in q.items():
-                row[index[w]] = c
-        if Matrix(rows).rank() != Matrix(rows[:len(span)]).rank():
+        vecs = list(span.values())
+        words = dict.fromkeys(w for q in [*vecs, *comps] for w in q)
+        m = Matrix._of([[q.get(w, ZERO) for q in vecs] for w in words], len(words), len(vecs))
+        a, pivots = m._echelon(augment=[[q.get(w, ZERO) for q in comps] for w in words])
+        if not _consistent(a, pivots):
             return False
     return True
 
@@ -310,7 +309,7 @@ def ideal_membership(
     generator-only subalgebra generated by ``gens``.
 
     Decides whether p lies in the linear span of {u·g·v} with u, v words in
-    the Gen letters and total length ≤ max_deg, by one exact rank test per
+    the Gen letters and total length ≤ max_deg, by one exact elimination per
     word length of p (one over all lengths if a generator is inhomogeneous).
     """
     gens = list(gens)

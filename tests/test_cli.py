@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from wickalg import cli, kms, tensorops
+from wickalg import cli, kms, parse_expression, tensorops
 from wickalg.cli import main
+from wickalg.reports import scalar_from_json
 
 
 def run(capsys, *argv):
@@ -53,6 +54,32 @@ def test_gram_with_phi(capsys):
     code, out = run(capsys, "gram", "--preset", "qccr", "--param", "d=2",
                     "--param", "q=1/2", "--nmax", "1", "--phi", "1/2, 1/3")
     assert code == 0
+
+
+Q_IJ = ["--preset", "q_ij", "--param", "d=2", "--param", "q11=1/3", "--param", "q22=1/4",
+        "--param", "q12=1/2", "--param", "q12_im=1/3",
+        "--param", "q21=1/2", "--param", "q21_im=-1/3"]
+
+
+def test_complex_scalars_print_as_expressions(capsys, tmp_path):
+    # Complex Gram entries and KMS values print in the expression printer's
+    # coefficient form, so each reads back to the scalar of the JSON report.
+    report = tmp_path / "gram.json"
+    code, out = run(capsys, "gram", *Q_IJ, "--nmax", "2", "--phi", "1/2, i",
+                    "--json", str(report))
+    assert code == 0
+    rows = [line.split(": ", 1)[1].split("  ") for line in out.splitlines()[1:]]
+    printed = [[parse_expression(e, 2).constant_term for e in row] for row in rows]
+    matrix = json.loads(report.read_text())["checks"][0]["matrix"]
+    assert printed == [[scalar_from_json(c) for c in row] for row in matrix]
+    assert sum(1 for row in printed for c in row if c.im and c.re) == 12
+    report = tmp_path / "kms.json"
+    code, out = run(capsys, "kms", *Q_IJ, "--nmax", "2", "--json", str(report),
+                    "a1 a2 a1* a2*")
+    assert code == 0
+    text = out.splitlines()[-1].split(": ", 1)[1]
+    value = scalar_from_json(json.loads(report.read_text())["checks"][1]["value"])
+    assert value.im and parse_expression(text, 2).constant_term == value
 
 
 def test_positivity(capsys, tmp_path):
@@ -137,6 +164,12 @@ QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
     ["gram", *QCCR, "--nmax", "14", "--cap", "16"],
     ["order", "--preset", "qccr", "--param", "d=2", "--param", "q=1e10000000", "a1"],
     ["kms", *QCCR, "--lam", "1e-10000000"],
+    ["gram", *QCCR, "--nmax", "-1"],
+    ["forms", *QCCR, "--nmax", "-1"],
+    ["positivity", *QCCR, "--nmax", "-1"],
+    ["kms", *QCCR, "--nmax", "-1"],
+    ["braid", *QCCR, "--nmax", "-1"],
+    ["ideal-check", *QCCR, "--nmax", "-1"],
 ])
 def test_bad_input_fails_clean(capsys, argv):
     # Exit code 2 and one stderr line, whether argument handling

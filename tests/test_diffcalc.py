@@ -1,5 +1,6 @@
 """Twisted derivatives, constant-coefficient form spaces, star-calculus."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,10 +9,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import gen_polynomials, sample_tensors
 from wickalg import (
     CoherentParam,
+    DimensionCapExceeded,
+    Matrix,
     Polynomial,
     Scalar,
     annihilator_apply,
     d_and_twist,
+    diffcalc,
+    embed,
+    form_levels,
     form_space_dim,
     identity,
     kron,
@@ -132,6 +138,61 @@ def test_form_basis_lies_in_every_kernel():
     for r in range(1, p):
         M = kron(identity(d ** (r - 1)), kron(it, identity(d ** (p - r - 1))))
         assert (M * B).is_zero()
+
+
+# Presets with their dimension laws dim Ω^p for p = 0..5.
+FORM_LAWS = [
+    (make_preset("twisted_ccr", 3, mu="1/3").tensor, [comb(3, p) for p in range(6)]),
+    (make_preset("twisted_car", 2, mu="1/2").tensor, [comb(p + 1, p) for p in range(6)]),
+    (make_preset("degenerate", 2).tensor, [2**p for p in range(6)]),
+    (make_preset("tlw", 2, q="-1/2").tensor, [1, 2, 1, 0, 0, 0]),
+    (QCCR, [1, 2, 0, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("T, dims", FORM_LAWS)
+def test_form_levels_lie_in_every_kernel(T, dims):
+    d = T.d
+    it = identity(d * d) + t_matrix(T)
+    levels = list(form_levels(T, 5))
+    assert [B.cols for B in levels] == dims
+    for p, B in enumerate(levels):
+        assert B.rows == d**p
+        for r in range(1, p):
+            assert (embed(it, r, p) * B).is_zero()
+        assert B == form_space_basis(T, p)
+
+
+def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
+    # twisted_ccr at d=3 has dims 1, 3, 3, 1, 0, 0: levels 2, 3 and 4 take one
+    # embed and one kernel each, and the empty level 5 takes neither.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diffcalc, "embed", counted("embed", diffcalc.embed))
+    monkeypatch.setattr(Matrix, "kernel_basis", counted("kernel", Matrix.kernel_basis))
+    T = make_preset("twisted_ccr", 3, mu="1/3").tensor
+    assert [B.cols for B in form_levels(T, 5)] == [1, 3, 3, 1, 0, 0]
+    assert calls == {"embed": 3, "kernel": 3}
+
+
+def test_form_levels_refused_before_anything_is_built(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(diffcalc, "t_matrix", fail)
+    monkeypatch.setattr(diffcalc, "embed", fail)
+    with pytest.raises(ValueError, match=">= 0"):
+        next(form_levels(QCCR, -1))
+    with pytest.raises(DimensionCapExceeded):
+        next(form_levels(QCCR, 13))  # 2^13 > the default cap 4096
+    with pytest.raises(DimensionCapExceeded):
+        next(form_levels(QCCR, 4, cap=8))
 
 
 def test_star_algebra_existence():

@@ -1,6 +1,7 @@
 """Normal ordering: correctness, confluence, involution, ideal membership."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import gen_polynomials, polynomials, sample_tensors
 from wickalg import (
     CoeffTensor,
+    Matrix,
     Polynomial,
     Scalar,
     ideal_membership,
@@ -18,6 +20,7 @@ from wickalg import (
     wick_order,
 )
 from wickalg.rewrite import TermBudgetExceeded
+from wickalg.scalars import ZERO
 
 TENSORS = sample_tensors()
 
@@ -199,3 +202,89 @@ def test_ideal_membership_closed_under_multiplication(u, v):
     g = Polynomial.monomial((1, 1)) - Polynomial.monomial((2, 2))
     p = u * g * v
     assert ideal_membership(p, [g], max_deg=4, d=2)
+
+
+def _two_rank_membership(p, gens, max_deg, d):
+    """Reference decision: p lies in the span of {u·g·v} iff, grade by grade,
+    appending p's part to the span vectors keeps their rank."""
+    gens = [g for g in gens if g]
+    homogeneous = all(g.is_homogeneous() for g in gens)
+    grades: dict = {}
+    for w, c in p.terms.items():
+        grades.setdefault(len(w) if homogeneous else 0, {})[w] = c
+    for grade, target in grades.items():
+        vecs = []
+        for g in gens:
+            glen = g.max_word_len()
+            for n in range(max_deg - glen + 1):
+                if homogeneous and n + glen != grade:
+                    continue
+                for a in range(n + 1):
+                    for u in product(range(1, d + 1), repeat=a):
+                        for v in product(range(1, d + 1), repeat=n - a):
+                            vecs.append({u + w + v: c for w, c in g.terms.items()})
+        words = sorted({w for q in vecs + [target] for w in q})
+        rows = [[q.get(w, ZERO) for w in words] for q in vecs + [target]]
+        if Matrix(rows).rank() != Matrix(rows[:-1]).rank():
+            return False
+    return True
+
+
+def _random_poly(rng, lengths, terms, d=2):
+    """A nonzero polynomial of at most ``terms`` words with the given lengths."""
+    return Polynomial({
+        tuple(rng.randint(1, d) for _ in range(rng.choice(lengths))):
+            Scalar(rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+                   rational(rng.choice([0, 0, 1]), 2))
+        for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ideal_membership_matches_two_rank_reference(seed):
+    # Members (sums of u·g·v), non-members (random words) and mixtures, for
+    # homogeneous, inhomogeneous and mixed generator lists at d=2.
+    rng = random.Random(seed)
+    answers = []
+    for gens in ([_random_poly(rng, [2], 2)],
+                 [_random_poly(rng, [2], 2), _random_poly(rng, [1], 1)],
+                 [_random_poly(rng, [1, 2], 2)],
+                 [_random_poly(rng, [2], 2), _random_poly(rng, [1, 3], 2)]):
+        gens = [g for g in gens if g]
+        max_deg = max(g.max_word_len() for g in gens) + rng.randint(0, 1)
+        for _ in range(6):
+            member = Polynomial.zero()
+            for g in gens:
+                room = max_deg - g.max_word_len()
+                a = rng.randint(0, room)
+                u = _random_poly(rng, [a], 1)
+                v = _random_poly(rng, [rng.randint(0, room - a)], 1)
+                member = member + u * g * v
+            stray = _random_poly(rng, range(max_deg + 1), rng.randint(1, 2))
+            for p in (member, stray, member + stray):
+                got = ideal_membership(p, gens, max_deg, d=2)
+                assert got == _two_rank_membership(p, gens, max_deg, 2)
+                answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_ideal_membership_one_echelon_per_grade(monkeypatch):
+    calls = []
+    echelon = Matrix._echelon
+
+    def counted(self, augment=None):
+        calls.append(self.shape)
+        return echelon(self, augment)
+
+    monkeypatch.setattr(Matrix, "_echelon", counted)
+    a1 = Polynomial.generator(1)
+    a2 = Polynomial.generator(2)
+    g = Polynomial.monomial((1, 2)) - Polynomial.monomial((2, 1))
+    # Homogeneous g: the parts of word length 2 and 3 are two grades.
+    assert ideal_membership(g + a1 * g - g * a2, [g], max_deg=3, d=2)
+    assert len(calls) == 2
+    # An inhomogeneous generator puts every length in one grade.
+    calls.clear()
+    h = g + a1
+    assert ideal_membership(h.scale(3) + a2 * h, [h], max_deg=3, d=2)
+    assert len(calls) == 1
