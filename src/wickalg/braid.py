@@ -9,10 +9,7 @@ from __future__ import annotations
 from itertools import permutations as _permutations
 from math import factorial
 
-import numpy as np
-
 from .algebra import CoeffTensor
-from .eigen import eigvalsh
 from .linalg import Matrix, _product, _sparse_rows, identity
 from .scalars import ZERO
 from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, braid_check, embed, t_matrix
@@ -128,23 +125,27 @@ def p_n_by_permutations(
     return Matrix._of([[row.get(c) or ZERO for c in range(dim)] for row in acc], dim, dim)
 
 
-def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
-    """Float block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n, refused past ``cap``
-    before anything is built."""
+def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
+    """The exact block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n, refused past
+    ``cap`` before anything is built."""
     if factorial(n) * T.d**n > cap:
         raise DimensionCapExceeded(f"n!·d^n = {factorial(n) * T.d**n} exceeds the dense cap {cap}")
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
-    t_of = {perm: m.to_complex() for perm, m in _weak_order_products(T, n, cap).items()}
+    t_of = _weak_order_products(T, n, cap)
     perms = list(_permutations(range(1, n + 1)))
-    return np.block([[t_of[compose(inverse(pi), sigma)] for sigma in perms] for pi in perms])
+    data = [sum(rows, []) for pi in perms
+            for rows in zip(*(t_of[compose(inverse(pi), sigma)].data for sigma in perms))]
+    return Matrix._of(data, len(data), len(data))
 
 
-def permutation_kernel_psd(T: CoeffTensor, n: int, tol: float = 1e-9) -> bool:
-    """Numeric PSD test of the (π,σ) ↦ T(π⁻¹σ) block kernel (n ≤ 3)."""
+def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
+    """Float view of the block kernel K[(π,σ)] = T(π⁻¹σ)."""
+    return _permutation_kernel(T, n, cap).to_complex()
+
+
+def permutation_kernel_psd(T: CoeffTensor, n: int) -> bool:
+    """Exact PSD test of the block kernel (n ≤ 3); a non-Hermitian one raises ValueError."""
     if n > 3:
         raise ValueError("kernel PSD test is limited to n <= 3")
-    K = permutation_kernel_matrix(T, n)
-    ev = eigvalsh(K)
-    scale = max(1.0, float(abs(ev[-1])) if ev.size else 1.0)
-    return bool(ev.size == 0 or ev[0] >= -tol * scale)
+    return _permutation_kernel(T, n, DEFAULT_DIM_CAP).psd_rank()[0]

@@ -165,33 +165,43 @@ class Matrix:
         of ``augment`` in the columns after ``self.cols``, as ``{col: Scalar}``
         dicts.  The pivot of each column is the first row at or below the
         current one with an entry there; it is scaled to 1 and the rows below
-        it are cleared.  Returns (rows, pivot columns)."""
+        it are cleared.  Returns (rows, pivot columns, psd as in :meth:`psd_rank`)."""
         a = _sparse_rows(self.data if augment is None else
                          [row + aug for row, aug in zip(self.data, augment)])
-        pivots = []
+        pivots, psd = [], True
         for col in range(self.cols):
             p = len(pivots)
             sel = next((r for r in range(p, self.rows) if col in a[r]), None)
             if sel is None:
                 continue
+            psd = psd and not any(a[p:sel]) and a[sel][col].re > 0
             a[sel], a[p] = a[p], a[sel]
             inv = ONE / a[p][col]
             if inv != ONE:
                 a[p] = {c: inv * x for c, x in a[p].items()}
             _clear(a, p, col, range(p + 1, self.rows))
             pivots.append(col)
-        return a, pivots
+        return a, pivots, psd
 
     def _reduced(self, augment: Optional[List[List[Scalar]]] = None):
         """The reduced row echelon form: :meth:`_echelon`, then each pivot
         column cleared above its pivot, last pivot first."""
-        a, pivots = self._echelon(augment)
+        a, pivots, _ = self._echelon(augment)
         for p in range(len(pivots) - 1, 0, -1):
             _clear(a, p, pivots[p], range(p))
         return a, pivots
 
     def rank(self) -> int:
         return len(self._echelon()[1])
+
+    def psd_rank(self) -> tuple:
+        """(is_psd, rank) of a Hermitian matrix from one :meth:`_echelon`: PSD iff
+        every pivot is positive and sits in the first nonempty row, so that each is
+        a (real) diagonal entry of a Hermitian Schur complement."""
+        if not self.is_hermitian():
+            raise ValueError("psd_rank requires an exactly Hermitian matrix")
+        _, pivots, psd = self._echelon()
+        return psd, len(pivots)
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``

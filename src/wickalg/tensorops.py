@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
 from .eigen import eigvalsh
@@ -22,7 +22,6 @@ __all__ = [
     "DimensionCapExceeded",
     "SpectralSummary",
     "DEFAULT_DIM_CAP",
-    "PSD_TOL",
     "word_to_index",
     "index_to_word",
     "t_matrix",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 4096
-PSD_TOL = 1e-9
 
 
 class DimensionCapExceeded(ValueError):
@@ -149,17 +147,15 @@ class SpectralSummary:
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
-    """Spectrum (float, in-project Jacobi) and exact rank of a self-adjoint X."""
-    if not X.is_hermitian():
-        raise ValueError("spectral_summary requires an exactly self-adjoint matrix")
-    rank = X.rank()
+    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from one :meth:`Matrix.psd_rank`;
+    the float spectrum (in-project Jacobi) is for information and decides nothing."""
+    is_psd, rank = X.psd_rank()
     ev = eigvalsh(X)
     if ev.size == 0:
         return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0, True, [])
     t_plus = float(ev[-1])
     t_minus = float(ev[0])
     norm = max(abs(t_plus), abs(t_minus))
-    is_psd = t_minus >= -PSD_TOL * max(1.0, norm)
     return SpectralSummary(norm, t_plus, t_minus, t_minus, rank, is_psd, [float(x) for x in ev])
 
 
@@ -167,7 +163,9 @@ def positivity_report(
     T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP
 ) -> Report:
     """Which sufficient positivity criteria apply, operator bounds, and the
-    direct PSD/rank status of P_n up to n_max."""
+    PSD/rank status of P_n up to n_max.  Each yes/no is exact: ½I ± T ⪰ 0, T ⪰ 0,
+    braid with I ± T ⪰ 0, and each bound is present iff I ± T (resp. I − T) ≻ 0.
+    Norms, bound values and ``eig_min`` are floats for information only."""
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
     levels = gram_levels(T, n_max, cap)
@@ -185,18 +183,21 @@ def positivity_report(
         rank=ts.rank,
         is_psd=ts.is_psd,
     )
+    eye, two_t = identity(tm.rows), tm.scale(2)
+    plus, minus = (eye + tm).psd_rank(), (eye - tm).psd_rank()
+    definite = plus == minus == (True, tm.rows)  # I ± T ≻ 0, implied by ½I ± T ⪰ 0
     criteria = {
-        "norm_le_half": ts.norm <= 0.5 + PSD_TOL,
+        "norm_le_half": definite and (eye + two_t).psd_rank()[0] and (eye - two_t).psd_rank()[0],
         "t_positive": ts.is_psd,
-        "braid_and_norm_le_one": bool(braided and ts.norm <= 1.0 + PSD_TOL),
+        "braid_and_norm_le_one": braided and plus[0] and minus[0],
     }
     report.add_check("sufficient_criteria", **criteria,
                      any_fires=any(criteria.values()))
     bounds = {}
-    if ts.norm < 1.0:
-        bounds["operator_bound"] = 1.0 / (1.0 - ts.norm)
-    if ts.t_plus < 1.0:
-        bounds["collective_bound"] = 1.0 / (1.0 - ts.t_plus)
+    if definite:  # inf where the float norm rounded up to 1
+        bounds["operator_bound"] = 1.0 / (1.0 - ts.norm) if ts.norm < 1.0 else inf
+    if minus == (True, tm.rows):
+        bounds["collective_bound"] = 1.0 / (1.0 - ts.t_plus) if ts.t_plus < 1.0 else inf
     report.add_check("bounds", **bounds)
 
     p3_psd = True
@@ -246,9 +247,9 @@ def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix, cap: int) 
     )
 
 
-def cuntz_stability_predicate(T: CoeffTensor, tol: float = PSD_TOL) -> bool:
+def cuntz_stability_predicate(T: CoeffTensor, tol: float = 1e-9) -> bool:
     """True iff max{|t₊|,|t₋|}² < 1 − t₊ + t₋ on the spectrum of the
-    two-slot operator (float evaluation with tolerance ``tol``)."""
+    two-slot operator: the one float predicate, read off t₊, t₋ with margin ``tol``."""
     if not hermiticity_check(T):
         raise ValueError("cuntz_stability_predicate requires a hermitian tensor")
     s = spectral_summary(t_matrix(T))

@@ -3,7 +3,9 @@
 ``perfbench/`` looks wickalg names up at run time: the tracer wraps functions
 and methods by name, and the worker reads module attributes for its
 environment line.  Deleting or renaming one of them breaks the benchmark
-run, so this test runs those lookups and fails first.
+run, so this test runs those lookups and fails first.  The benchmark's own
+self-test runs here too: its checkers read report fields, so a change to a
+field they check fails the test suite instead of the benchmark run.
 """
 
 import os
@@ -31,3 +33,12 @@ def test_perfbench_finds_every_name_it_uses():
     res = subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_perfbench_selftest_passes():
+    # The checkers read report fields (``is_psd`` of each level, the
+    # criteria, ranks), so a change to one of them fails here first.  The
+    # self-test removes its own scratch directory under .perfbench/.
+    res = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout[-2000:] + res.stderr[-2000:]

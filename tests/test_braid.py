@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import wickalg.braid as braid
 from wickalg import (
+    CoeffTensor,
     DimensionCapExceeded,
     Scalar,
     braid_check,
@@ -150,7 +151,7 @@ def test_permutation_kernel_refused_before_anything_is_built(monkeypatch):
         raise AssertionError("built before the n!·d^n cap check")
 
     for target, name in ((braid, "braid_check"), (braid, "_weak_order_products"),
-                         (braid.np, "zeros"), (braid.np, "block")):
+                         (braid.Matrix, "_of"), (braid.Matrix, "to_complex")):
         monkeypatch.setattr(target, name, built)
     T = BRAIDED[0]  # d = 2
     with pytest.raises(DimensionCapExceeded, match="3840"):
@@ -179,6 +180,19 @@ def test_permutation_kernel_psd():
     assert permutation_kernel_psd(BRAIDED[2], 3)  # twisted_car
     with pytest.raises(ValueError):
         permutation_kernel_psd(BRAIDED[0], 4)
+
+
+@pytest.mark.parametrize("q", ["1000000000001/1000000000000", "-1000000000001/1000000000000"])
+def test_permutation_kernel_psd_just_past_norm_one(q):
+    T = make_preset("qccr", 2, q=q).tensor
+    assert not permutation_kernel_psd(T, 2) and not permutation_kernel_psd(T, 3)
+
+
+def test_permutation_kernel_psd_requires_hermitian():
+    T = CoeffTensor(1, {(1, 1, 1, 1): Scalar(0, 1)})  # T = i·id: braided, not hermitian
+    assert braid_check(T)
+    with pytest.raises(ValueError):
+        permutation_kernel_psd(T, 2)
 
 
 def test_p_n_by_permutations_requires_braid():

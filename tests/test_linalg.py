@@ -1,6 +1,8 @@
 """Exact dense linear algebra."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -282,3 +284,67 @@ def test_arithmetic_matches_dense_reference(m, data):
         [_mul(a[ra][ca], k[rb][cb]) for ca in range(m.cols) for cb in range(small.cols)]
         for ra in range(m.rows) for rb in range(small.rows)
     ]
+
+
+def _det(m, rows, cols):
+    """Determinant of the rows × cols submatrix of ``m`` by cofactor expansion."""
+    if not rows:
+        return ONE
+    total = ZERO
+    for k, c in enumerate(cols):
+        x = m[rows[0], c]
+        if x:
+            minor = _det(m, rows[1:], cols[:k] + cols[k + 1:])
+            total = total + x * minor if k % 2 == 0 else total - x * minor
+    return total
+
+
+def _random_hermitian(rng, n):
+    """B·B* for a random complex n×k B (k ≤ n, some rows zero), half the time
+    plus a small Hermitian perturbation, then some rows and columns zeroed
+    and the basis permuted."""
+    k = rng.randint(0, n)
+    b = [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(k)] for _ in range(n)]
+    for r in rng.sample(range(n), rng.randint(0, n // 2)):
+        b[r] = [ZERO] * k
+    a = (Matrix(b) * Matrix(b).adjoint()).data
+    if rng.random() < 0.5:
+        i, j = rng.randrange(n), rng.randrange(n)
+        a[i][i] = a[i][i] + Fraction(rng.choice([-1, 1]), rng.choice([1, 3, 10**6]))
+        if i != j:
+            e = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+            a[i][j], a[j][i] = a[i][j] + e, a[j][i] + e.conjugate()
+    for r in rng.sample(range(n), rng.randint(0, 1)):
+        a[r] = [ZERO] * n
+        for row in a:
+            row[r] = ZERO
+    perm = rng.sample(range(n), n)
+    return Matrix([[a[p][q] for q in perm] for p in perm])
+
+
+def test_psd_rank_matches_principal_minors():
+    # Sylvester: a Hermitian matrix is PSD iff every principal minor is ≥ 0,
+    # and its rank is the largest order of a nonzero principal minor.
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(400):
+        m = _random_hermitian(rng, 1 + trial % 6)
+        minors = {idx: _det(m, idx, idx) for s in range(m.rows + 1)
+                  for idx in combinations(range(m.rows), s)}
+        assert all(x.is_real for x in minors.values())
+        is_psd = all(x.re >= 0 for x in minors.values())
+        rank = max(len(idx) for idx, x in minors.items() if x)
+        assert m.psd_rank() == (is_psd, rank) == (is_psd, m.rank()), (trial, m.data)
+        seen.add((is_psd, rank < m.rows, any(not any(row) for row in m.data)))
+    assert len(seen) >= 6  # PSD and not, full rank and not, with and without zero rows
+
+
+def test_psd_rank_examples():
+    assert Matrix([[0, 0], [0, 1]]).psd_rank() == (True, 1)
+    assert Matrix([[0, 1], [1, 0]]).psd_rank() == (False, 2)
+    assert Matrix([[0, 1], [1, 1]]).psd_rank() == (False, 2)
+    assert Matrix([[1, Scalar(0, 1)], [Scalar(0, -1), 1]]).psd_rank() == (True, 1)
+    assert Matrix([[1, 2], [2, 1]]).psd_rank() == (False, 2)
+    assert zeros(0, 0).psd_rank() == (True, 0)
+    with pytest.raises(ValueError):
+        Matrix([[1, 1], [0, 1]]).psd_rank()

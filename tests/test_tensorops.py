@@ -238,6 +238,46 @@ def test_positivity_report_pinned(case):
     assert wit == (None if witness is None else {"name": "p3_diagonal_witness", **witness})
 
 
+# qccr d=2 with ‖T‖ = |q| a hair past 1 or 1/2: the float spectra sit within
+# 10⁻¹¹ of the boundary, and only the exact pivots see which side it is on.
+Q_PAST_ONE = "1000000000001/1000000000000"
+
+
+@pytest.mark.parametrize("q", [Q_PAST_ONE, "-" + Q_PAST_ONE])
+def test_positivity_report_just_past_norm_one(q):
+    rep = positivity_report(make_preset("qccr", 2, q=q).tensor, 3)
+    assert not _check(rep, "p_2")["is_psd"] and not _check(rep, "p_3")["is_psd"]
+    assert not _check(rep, "sufficient_criteria")["any_fires"]
+    assert _check(rep, "bounds") == {"name": "bounds"}
+    if q == Q_PAST_ONE:
+        wit = _check(rep, "p3_diagonal_witness")
+        assert wit["value"] == "-1000000000000000000000000/2000000000001"
+        assert wit["basis_word"] == [1, 2, 1] and wit["negative"]
+
+
+def test_positivity_report_just_past_norm_half():
+    crit = _check(positivity_report(
+        make_preset("qccr", 2, q="500000000001/1000000000000").tensor, 2), "sufficient_criteria")
+    assert not crit["norm_le_half"] and crit["braid_and_norm_le_one"]
+
+
+def test_positivity_report_at_norm_one():
+    rep = positivity_report(make_preset("qccr", 2, q="1").tensor, 4)
+    assert all(_check(rep, f"p_{n}")["is_psd"] for n in (2, 3, 4))
+    assert _check(rep, "sufficient_criteria")["braid_and_norm_le_one"]
+    bounds = _check(rep, "bounds")
+    assert "operator_bound" not in bounds and "collective_bound" not in bounds
+
+
+def test_positivity_report_bound_past_float_resolution():
+    # ‖T‖ = 1 − 10⁻²⁰ < 1 exactly, but the float spectrum reads 1.0
+    q = "99999999999999999999/100000000000000000000"
+    rep = positivity_report(make_preset("qccr", 2, q=q).tensor, 2)
+    assert _check(rep, "t_spectrum")["norm"] == 1.0
+    bounds = _check(rep, "bounds")
+    assert bounds["operator_bound"] == bounds["collective_bound"] == float("inf")
+
+
 def test_positivity_report_requires_hermitian():
     with pytest.raises(ValueError):
         positivity_report(CoeffTensor(2, {(1, 2, 1, 2): Scalar(1)}), 2)
