@@ -106,15 +106,28 @@ def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
     return known
 
 
+def _check_permutation_cap(d: int, n: int, cap: int) -> None:
+    """Refuse a permutation sum at level n whose n! dense d^n × d^n matrices
+    T(π) hold more entries than one ``cap`` × ``cap`` matrix, or with d^n past
+    ``cap``; both counts grow with n, so a check at n covers every level below."""
+    _check_cap(d, n, cap)
+    entries = factorial(n) * d ** (2 * n)
+    if entries > cap * cap:
+        raise DimensionCapExceeded(
+            f"n!·d^(2n) = {entries} entries of the T(π) exceed cap² = {cap * cap}; "
+            "raise the cap explicitly")
+
+
 def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
     """Σ over all n! permutations of T(π), each T(π) formed once along the
-    weak order and added into one ``{col: Scalar}`` dict per row."""
+    weak order and added into one ``{col: Scalar}`` dict per row; refused by
+    :func:`_check_permutation_cap` before anything is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = T.d**n
-    _check_cap(T.d, n, cap)
+    _check_permutation_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
     acc = [{} for _ in range(dim)]

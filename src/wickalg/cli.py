@@ -14,7 +14,7 @@ import sys
 from typing import NoReturn
 
 from .algebra import Polynomial, RelationSystem, hermiticity_check, word_str
-from .braid import p_n_by_permutations
+from .braid import _check_permutation_cap, p_n_by_permutations
 from .catalog import make_preset, preset_names
 from .diffcalc import form_levels, wick_diff_star_algebra_exists
 from .exprparse import parse_expression, print_polynomial
@@ -187,13 +187,15 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_braid(args) -> int:
     rs = _relation_system(args)
+    if args.nmax >= 2:  # refuse the whole --nmax before any level is built or printed
+        _check_permutation_cap(rs.d, args.nmax, args.cap)
     braided = braid_check(rs.tensor)
     print(f"braid relation: {'holds' if braided else 'fails'}")
     report = Report(tool="braid", relation=_relation_meta(rs))
     report.add_check("braid", holds=braided)
     if braided and args.nmax >= 2:
         levels = gram_levels(rs.tensor, args.nmax, args.cap)
-        next(levels)  # P_1 = I; taking it refuses an oversized --nmax first
+        next(levels)  # P_1 = I
         for n, pn in enumerate(levels, 2):
             same = p_n_by_permutations(rs.tensor, n, cap=args.cap) == pn
             print(f"permutation sum equals level-{n} Gram operator: {same}")

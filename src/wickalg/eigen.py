@@ -43,23 +43,25 @@ def _jacobi_kernel(a: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Diagonalize the Hermitian complex matrix ``a`` in place, rotating the
     disjoint pairs of each round at once; returns the unsorted real diagonal.
     Raises ``ArithmeticError`` when ``max_sweeps`` sweeps leave the
-    off-diagonal mass above the stop level."""
-    stop = 1e-28 * (float(np.sum(np.abs(a) ** 2)) + 1.0)
-    pair_stop = stop / a.shape[0] ** 2
+    off-diagonal mass above the stop level.  Masses are taken in units of
+    max|a|, so that squaring an entry as large as 1e300 cannot overflow."""
+    unit = float(np.max(np.abs(a))) or 1.0
+    stop = 1e-28 * (float(np.sum((np.abs(a) / unit) ** 2)) + 1.0 / unit / unit)
+    pair_stop = unit * (stop ** 0.5 / a.shape[0])  # |a[p, q]| at or below it is left alone
     for sweep in range(max_sweeps + 1):
-        off = float(np.sum(np.abs(np.triu(a, 1)) ** 2))
+        off = float(np.sum((np.abs(np.triu(a, 1)) / unit) ** 2))
         if off <= stop:
             break
         if sweep == max_sweeps:
             raise ArithmeticError(
                 f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off ** 0.5:.3g})"
+                f"(off-diagonal norm {unit * off ** 0.5:.3g})"
             )
         if not sweep:  # a diagonal input needs no schedule
             rounds = _round_robin(a)
         for p, q in rounds:
             absg = np.abs(a[p, q])
-            live = absg * absg > pair_stop
+            live = absg > pair_stop
             if not np.count_nonzero(live):
                 continue
             p, q, absg = p[live], q[live], absg[live]

@@ -40,10 +40,11 @@ def _product(arows, bnz: list, cols: int) -> list:
     return out
 
 
-def _subtract(row: dict, f: Scalar, prow: dict) -> None:
-    """row -= f·prow in place, dropping entries that cancel."""
+def _subtract(row: dict, f: Scalar, pitems) -> None:
+    """row -= f·prow in place, given the ``(col, Scalar)`` items of prow,
+    dropping entries that cancel."""
     nf = -f
-    for c, y in prow.items():
+    for c, y in pitems:
         x = row.get(c)
         v = nf * y if x is None else x + nf * y
         if v:
@@ -57,7 +58,19 @@ def _clear(a: list, p: int, col: int, rows) -> None:
     for r in rows:
         f = a[r].get(col)
         if f is not None:
-            _subtract(a[r], f, a[p])
+            _subtract(a[r], f, a[p].items())
+
+
+def _hermitian_block(u: list, k: int) -> "Matrix":
+    """The Hermitian matrix whose upper triangle is held by the rows ``u[k:]``
+    of :meth:`Matrix.psd_rank`, with row and column k renumbered 0."""
+    m = len(u) - k
+    data = [[ZERO] * m for _ in range(m)]
+    for r, row in enumerate(u[k:]):
+        for c, x in row.items():
+            data[r][c - k] = x
+            data[c - k][r] = x.conjugate()
+    return Matrix._of(data, m, m)
 
 
 def _consistent(a: list, pivots: list) -> bool:
@@ -165,28 +178,27 @@ class Matrix:
         of ``augment`` in the columns after ``self.cols``, as ``{col: Scalar}``
         dicts.  The pivot of each column is the first row at or below the
         current one with an entry there; it is scaled to 1 and the rows below
-        it are cleared.  Returns (rows, pivot columns, psd as in :meth:`psd_rank`)."""
+        it are cleared.  Returns (rows, pivot columns)."""
         a = _sparse_rows(self.data if augment is None else
                          [row + aug for row, aug in zip(self.data, augment)])
-        pivots, psd = [], True
+        pivots = []
         for col in range(self.cols):
             p = len(pivots)
             sel = next((r for r in range(p, self.rows) if col in a[r]), None)
             if sel is None:
                 continue
-            psd = psd and not any(a[p:sel]) and a[sel][col].re > 0
             a[sel], a[p] = a[p], a[sel]
             inv = ONE / a[p][col]
             if inv != ONE:
                 a[p] = {c: inv * x for c, x in a[p].items()}
             _clear(a, p, col, range(p + 1, self.rows))
             pivots.append(col)
-        return a, pivots, psd
+        return a, pivots
 
     def _reduced(self, augment: Optional[List[List[Scalar]]] = None):
         """The reduced row echelon form: :meth:`_echelon`, then each pivot
         column cleared above its pivot, last pivot first."""
-        a, pivots, _ = self._echelon(augment)
+        a, pivots = self._echelon(augment)
         for p in range(len(pivots) - 1, 0, -1):
             _clear(a, p, pivots[p], range(p))
         return a, pivots
@@ -195,13 +207,33 @@ class Matrix:
         return len(self._echelon()[1])
 
     def psd_rank(self) -> tuple:
-        """(is_psd, rank) of a Hermitian matrix from one :meth:`_echelon`: PSD iff
-        every pivot is positive and sits in the first nonempty row, so that each is
-        a (real) diagonal entry of a Hermitian Schur complement."""
+        """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
+        upper triangle, kept as ``{col: Scalar}`` rows of the columns at or
+        right of the diagonal.  The diagonal pivots are taken in order and never
+        scaled: a pivot d > 0 in row k updates only the upper triangle of the
+        Schur complement, row j by conj(x)/d times the part of row k at or right
+        of column j, x = U[k][j]; a zero diagonal with an empty row is skipped.
+        A pivot d < 0, or a zero diagonal whose row is not empty (a 2×2 minor
+        −|x|²), shows the matrix is not PSD; the rank of the Schur complement
+        left at that point is then taken by :meth:`_echelon` on it in full."""
         if not self.is_hermitian():
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
-        _, pivots, psd = self._echelon()
-        return psd, len(pivots)
+        u = [{c: x for c, x in enumerate(row[r:], r) if x is not ZERO and x}
+             for r, row in enumerate(self.data)]
+        rank = 0
+        for k, row in enumerate(u):
+            d = row.get(k)
+            if d is None and not row:
+                continue
+            if d is None or d.re < 0:
+                return False, rank + _hermitian_block(u, k).rank()
+            rank += 1
+            inv = ONE / d
+            items = sorted(row.items())  # items[0] is the pivot (k, d)
+            for i in range(1, len(items)):
+                j, x = items[i]
+                _subtract(u[j], x.conjugate() * inv, items[i:])
+        return True, rank
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``

@@ -293,7 +293,7 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
         vecs = list(span.values())
         words = dict.fromkeys(w for q in [*vecs, *comps] for w in q)
         m = Matrix._of([[q.get(w, ZERO) for q in vecs] for w in words], len(words), len(vecs))
-        a, pivots, _ = m._echelon(augment=[[q.get(w, ZERO) for q in comps] for w in words])
+        a, pivots = m._echelon(augment=[[q.get(w, ZERO) for q in comps] for w in words])
         if not _consistent(a, pivots):
             return False
     return True

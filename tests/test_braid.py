@@ -162,6 +162,24 @@ def test_permutation_kernel_refused_before_anything_is_built(monkeypatch):
     assert permutation_kernel_matrix(T, 3, cap=48).shape == (48, 48)  # 3!·2^3, at the cap
 
 
+def test_permutation_sum_refused_before_anything_is_built(monkeypatch):
+    # The walk holds all n! dense d^n × d^n matrices T(π): refused past the
+    # entries of one cap × cap matrix, though d^n itself is under the cap.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the n!·d^(2n) cap check")
+
+    for target, name in ((braid, "braid_check"), (braid, "_weak_order_products"),
+                         (braid.Matrix, "_of")):
+        monkeypatch.setattr(target, name, built)
+    T = BRAIDED[0]  # d = 2
+    with pytest.raises(DimensionCapExceeded, match="82575360"):
+        p_n_by_permutations(T, 7)  # 7!·2^14 past 4096², though 2^7 ≤ 4096
+    with pytest.raises(DimensionCapExceeded, match="384"):
+        p_n_by_permutations(T, 3, cap=19)  # 3!·2^6 = 384 > 19²
+    monkeypatch.undo()
+    assert p_n_by_permutations(T, 3, cap=20) == p_n(T, 3, cap=20)  # 384 ≤ 20²
+
+
 def test_quasi_multiplicativity_when_lengths_add():
     # T(pi sigma) = T(pi) T(sigma) whenever l(pi sigma) = l(pi) + l(sigma).
     T = BRAIDED[1]

@@ -1,6 +1,9 @@
 """Command-line interface: every subcommand, exit codes, JSON mirrors."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +225,32 @@ def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+
+
+def test_braid_refuses_the_whole_nmax_up_front(capsys, monkeypatch):
+    # 7!·2^14 entries of the T(π) exceed 4096², though 2^7 is under the cap:
+    # refused before the braid check, any level, or any line on stdout.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the permutation cap check")
+
+    for name in ("braid_check", "gram_levels", "p_n_by_permutations"):
+        monkeypatch.setattr(cli, name, built)
+    code = main(["braid", *QCCR, "--nmax", "7"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+
+
+def test_python_dash_m_wickalg():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-B", "-m", "wickalg", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0 and "positivity" in res.stdout
+    res = subprocess.run([sys.executable, "-B", "-m", "wickalg", "positivity", *QCCR,
+                          "--nmax", "-1"], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2
+    assert res.stderr.startswith("wickalg: error: ") and res.stderr.count("\n") == 1
 
 
 def test_parser_reused_without_sharing_param_lists(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Jacobi eigensolver against numpy references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,16 @@ def test_exact_rational_spectrum_recovered():
     ])
     ev = eigvalsh(m)
     assert np.allclose(ev, [0.5, 1.5, 1.5, 1.5])
+
+
+@pytest.mark.parametrize("s", [1e160, 1e300])
+def test_huge_entries_keep_their_spectrum(s):
+    # |entry|² overflows past about 1e154: the stop level and the pair test
+    # must not, or the kernel stops at sweep 0 on the unrotated diagonal.
+    rng = np.random.default_rng(7)
+    big = random_hermitian(3, rng) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a in ([[0, s], [s, 0]], [[0, -s], [-s, 0]]):
+            assert np.allclose(eigvalsh(a), [-s, s], rtol=1e-12, atol=0)
+        assert np.allclose(eigvalsh(big), np.linalg.eigvalsh(big), rtol=1e-12, atol=0)

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import scalars
-from wickalg import Matrix, Scalar, identity, kron, rational
+from wickalg import Matrix, Scalar, identity, kron, make_preset, p_n, rational
 from wickalg.linalg import zeros
 from wickalg.scalars import ONE, ZERO
 
@@ -337,6 +338,92 @@ def test_psd_rank_matches_principal_minors():
         assert m.psd_rank() == (is_psd, rank) == (is_psd, m.rank()), (trial, m.data)
         seen.add((is_psd, rank < m.rows, any(not any(row) for row in m.data)))
     assert len(seen) >= 6  # PSD and not, full rank and not, with and without zero rows
+
+
+def _ldl_hermitian(rng, n, last):
+    """L·D·L* for a random complex unit lower triangular L and D = diag(positive,
+    …, positive, last): its diagonal pivots in natural order are D's entries."""
+    lower = [[ONE if r == c else Scalar(rng.randint(-1, 1), rng.randint(-1, 1)) if c < r
+              else ZERO for c in range(n)] for r in range(n)]
+    diag = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n - 1)] + [last]
+    ell = Matrix(lower)
+    return ell * Matrix([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]) * ell.adjoint()
+
+
+def _lone_corner(rng, n):
+    """A PSD B·B* (B of n × k, k ≥ n/2) with row and column r < n − 1 cleared,
+    then a nonzero entry put in row r's last column (and its conjugate in
+    column r): the LDL* meets a zero diagonal whose row is nonzero only in its
+    last column."""
+    k = rng.randint(n // 2, n)
+    b = [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(k)] for _ in range(n)]
+    a = (Matrix(b) * Matrix(b).adjoint()).data
+    r = rng.randrange(n - 1)
+    a[r] = [ZERO] * n
+    for row in a:
+        row[r] = ZERO
+    x = Scalar(rng.choice([-1, 1]), rng.randint(-1, 1))
+    a[r][n - 1], a[n - 1][r] = x, x.conjugate()
+    return Matrix(a)
+
+
+def test_psd_rank_oracle_larger_matrices():
+    # Sizes 7-40: rank against Matrix.rank, and PSD against the signs of
+    # numpy's eigenvalues wherever the spectrum is clear of the 1e-9 band
+    # (relative to max |λ|): the eigenvalues inside it are exactly as many
+    # as the kernel's zeros, so every nonzero one lies outside.
+    rng = random.Random(20261019)
+    seen, clear = set(), 0
+    for trial in range(48):
+        n = rng.randint(7, 40)
+        kind = ("B·B*", "L·D·L*", "lone corner")[trial % 3]
+        if kind == "B·B*":
+            m = _random_hermitian(rng, n)
+        elif kind == "L·D·L*":
+            last = rng.choice([Fraction(-1), Fraction(-1, 10**6), Fraction(0), Fraction(1, 7)])
+            m = _ldl_hermitian(rng, n, last)
+            assert m.psd_rank() == (last >= 0, n - (last == 0))
+        else:
+            m = _lone_corner(rng, n)
+            assert not m.psd_rank()[0]
+        is_psd, rank = m.psd_rank()
+        assert rank == m.rank(), (trial, n)
+        ev = np.linalg.eigvalsh(m.to_complex())
+        small = np.abs(ev) < 1e-9 * max(1.0, float(np.abs(ev).max()))
+        if np.count_nonzero(small) == n - rank:
+            clear += 1
+            assert is_psd == bool(np.all(ev[~small] > 0)), (trial, n)
+        seen.add((kind, is_psd, rank < n))
+        seen.add(("complex", any(x.im for row in m.data for x in row)))
+        seen.add(("zero row", any(not any(row) for row in m.data)))
+    assert clear >= 36
+    assert {("complex", True), ("zero row", True), ("zero row", False),
+            ("B·B*", True, True), ("B·B*", False, True),
+            ("L·D·L*", True, False), ("L·D·L*", True, True), ("L·D·L*", False, False),
+            ("lone corner", False, False), ("lone corner", False, True)} <= seen
+
+
+@pytest.mark.parametrize("family, d, params, n", [
+    ("qccr", 2, {"q": "1/2"}, 6),
+    ("tlw", 3, {"q": "1/3"}, 4),
+    ("q_ij", 2, {"q11": "1/2", "q12": "1/3", "q12_im": "1/4",
+                 "q21": "1/3", "q21_im": "-1/4", "q22": "-1/3"}, 5),
+])
+def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n):
+    # The LDL* updates only the upper triangle and never scales a pivot row.
+    m = p_n(make_preset(family, d, **params).tensor, n)
+    mul, calls = Scalar.__mul__, []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    assert m.psd_rank() == (True, m.rows)
+    ldl = len(calls)
+    calls.clear()
+    assert len(m._echelon()[1]) == m.rows
+    assert ldl <= 0.6 * len(calls)
 
 
 def test_psd_rank_examples():
