@@ -75,10 +75,11 @@ def t_of_permutation(
     T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
     """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π; well defined only
-    under the braid relation, which is checked first."""
+    under the braid relation, which is checked after d^len(π) ≤ ``cap``."""
+    n = len(perm)
+    _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")
-    n = len(perm)
     tm = t_matrix(T)
     out = identity(T.d**n)
     for i in reduced_word(perm):

@@ -111,47 +111,29 @@ def _phi(args, d: int):
     return CoherentParam(tuple(comps))
 
 
-def _emit(report: Report, args) -> None:
-    if args.json:
-        save_report(report, args.json)
+# -- subcommand bodies: (args, relation system) -> (exit code, report) ---------
 
 
-def _relation_meta(rs: RelationSystem) -> dict:
-    return {
-        "name": rs.name,
-        "d": rs.d,
-        "params": {k: rational_str(v) for k, v in rs.params.items()},
-    }
-
-
-# -- subcommand bodies ---------------------------------------------------------
-
-
-def _cmd_order(args) -> int:
-    rs = _relation_system(args)
+def _cmd_order(args, rs: RelationSystem) -> tuple:
     p = parse_expression(args.expr, rs.d)
     q = wick_order(p, rs.tensor)
     print(print_polynomial(q))
-    report = Report(tool="order", relation=_relation_meta(rs))
+    report = Report(tool="order")
     report.add_check("order", input=args.expr, output=print_polynomial(q))
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def _cmd_identity(args) -> int:
-    rs = _relation_system(args)
+def _cmd_identity(args, rs: RelationSystem) -> tuple:
     lhs = parse_expression(args.lhs, rs.d)
     rhs = parse_expression(args.rhs, rs.d)
     equal = verify_identity(lhs, rhs, rs.tensor)
     print("equal" if equal else "different")
-    report = Report(tool="identity", relation=_relation_meta(rs))
+    report = Report(tool="identity")
     report.add_check("identity", lhs=args.lhs, rhs=args.rhs, equal=equal)
-    _emit(report, args)
-    return 0 if equal else 1
+    return (0 if equal else 1), report
 
 
-def _cmd_gram(args) -> int:
-    rs = _relation_system(args)
+def _cmd_gram(args, rs: RelationSystem) -> tuple:
     d = rs.d
     n = args.nmax
     _check_cap(d, n, args.cap)
@@ -163,35 +145,30 @@ def _cmd_gram(args) -> int:
     for r, lab in enumerate(labels):
         entries = (print_polynomial(Polynomial.monomial((), c)) for c in g.data[r])
         print(f"  {lab}: " + "  ".join(entries))
-    report = Report(tool="gram", relation=_relation_meta(rs))
+    report = Report(tool="gram")
     report.add_check(
         "gram",
         n=n,
         words=labels,
         matrix=[[scalar_to_json(c) for c in row] for row in g.data],
     )
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def _cmd_positivity(args) -> int:
-    rs = _relation_system(args)
+def _cmd_positivity(args, rs: RelationSystem) -> tuple:
     report = positivity_report(rs.tensor, args.nmax, cap=args.cap)
-    report.relation = _relation_meta(rs)
     for check in report.checks:
         fields = ", ".join(f"{k}={v}" for k, v in check.items() if k != "name")
         print(f"{check['name']}: {fields}")
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def _cmd_braid(args) -> int:
-    rs = _relation_system(args)
+def _cmd_braid(args, rs: RelationSystem) -> tuple:
     if args.nmax >= 2:  # refuse the whole --nmax before any level is built or printed
         _check_permutation_cap(rs.d, args.nmax, args.cap)
     braided = braid_check(rs.tensor)
     print(f"braid relation: {'holds' if braided else 'fails'}")
-    report = Report(tool="braid", relation=_relation_meta(rs))
+    report = Report(tool="braid")
     report.add_check("braid", holds=braided)
     if braided and args.nmax >= 2:
         levels = gram_levels(rs.tensor, args.nmax, args.cap)
@@ -200,13 +177,11 @@ def _cmd_braid(args) -> int:
             same = p_n_by_permutations(rs.tensor, n, cap=args.cap) == pn
             print(f"permutation sum equals level-{n} Gram operator: {same}")
             report.add_check("permutation_sum", n=n, equals_p_n=same)
-    _emit(report, args)
-    return 0 if braided else 1
+    return (0 if braided else 1), report
 
 
-def _cmd_ideal_check(args) -> int:
-    rs = _relation_system(args)
-    report = Report(tool="ideal-check", relation=_relation_meta(rs))
+def _cmd_ideal_check(args, rs: RelationSystem) -> tuple:
+    report = Report(tool="ideal-check")
     if hermiticity_check(rs.tensor):
         P = minus_one_eigenprojection(rs.tensor)
         qc = quadratic_ideal_check(rs.tensor, P)
@@ -226,13 +201,11 @@ def _cmd_ideal_check(args) -> int:
                          max_deg=max_deg, holds=ok)
     else:
         print("no declared ideal generators")
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def _cmd_forms(args) -> int:
-    rs = _relation_system(args)
-    report = Report(tool="forms", relation=_relation_meta(rs))
+def _cmd_forms(args, rs: RelationSystem) -> tuple:
+    report = Report(tool="forms")
     dims = []
     for p, B in enumerate(form_levels(rs.tensor, args.nmax, cap=args.cap)):
         dims.append(B.cols)
@@ -248,14 +221,12 @@ def _cmd_forms(args) -> int:
             invertible=rec["invertible"],
             braid=rec["braid"],
         )
-    _emit(report, args)
-    return 0
+    return 0, report
 
 
-def _cmd_kms(args) -> int:
-    rs = _relation_system(args)
+def _cmd_kms(args, rs: RelationSystem) -> tuple:
     lam = _option_value("--lam", args.lam, rational)
-    report = Report(tool="kms", relation=_relation_meta(rs))
+    report = Report(tool="kms")
     series = kms_series(rs.tensor, Scalar(lam), args.nmax, cap=args.cap)
     print(f"ranks of level Gram operators: {series['ranks']}")
     sums = [rational_str(s.re) for s in series["partial_sums"]]
@@ -265,24 +236,21 @@ def _cmd_kms(args) -> int:
     if args.expr:
         try:
             value = kms_evaluate(
-                parse_expression(args.expr, rs.d), Scalar(lam), rs.tensor
+                parse_expression(args.expr, rs.d), Scalar(lam), rs.tensor, cap=args.cap
             )
             print(f"kms value of {args.expr!r}: {print_polynomial(Polynomial.monomial((), value))}")
             report.add_check("evaluate", expr=args.expr, value=scalar_to_json(value))
         except KmsNonUniquenessError as exc:
             print(f"kms value of {args.expr!r}: not unique ({exc})")
             report.add_check("evaluate", expr=args.expr, unique=False)
-            _emit(report, args)
-            return 1
-    _emit(report, args)
-    return 0
+            return 1, report
+    return 0, report
 
 
-def _cmd_preset(args) -> int:
-    rs = _relation_system(args)
+def _cmd_preset(args, rs: RelationSystem) -> tuple:
     save_relations(rs, args.out)
     print(f"wrote preset {rs.name!r} (d={rs.d}) to {args.out}")
-    return 0
+    return 0, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,14 +314,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Usage errors exit 2 (SystemExit); an error from
+    """Run one subcommand on the relation source and write its report to
+    ``--json`` if asked.  Usage errors exit 2 (SystemExit); an error from
     the library (bad input, a cap or budget exceeded, no convergence) or an
     unreadable file prints one stderr line and returns 2, never a traceback."""
     args = _parser().parse_args(argv)
     if getattr(args, "nmax", 0) < 0:
         _usage_error(f"--nmax must be >= 0, got {args.nmax}")
     try:
-        return args.func(args)
+        rs = _relation_system(args)
+        code, report = args.func(args, rs)
+        if report is not None and args.json:
+            report.relation = {"name": rs.name, "d": rs.d,
+                               "params": {k: rational_str(v) for k, v in rs.params.items()}}
+            save_report(report, args.json)
+        return code
     except (ValueError, TermBudgetExceeded, ArithmeticError, OSError) as exc:
         print(f"wickalg: error: {exc}", file=sys.stderr)
         return 2

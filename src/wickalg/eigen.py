@@ -84,15 +84,18 @@ USING_NUMBA = False
 
 
 def _as_complex_array(mat) -> np.ndarray:
-    if hasattr(mat, "to_complex"):
-        return mat.to_complex()
-    return np.asarray(mat, dtype=np.complex128)
+    """The float view of ``mat``; an inf or nan entry raises ``ValueError``."""
+    a = mat.to_complex() if hasattr(mat, "to_complex") else np.asarray(mat, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return a
 
 
 def eigvalsh(mat) -> np.ndarray:
     """Eigenvalues (ascending, real) of a Hermitian matrix.
 
-    Accepts an exact :class:`~wickalg.linalg.Matrix` or any array-like.
+    Accepts an exact :class:`~wickalg.linalg.Matrix` or any array-like; a
+    non-square, non-Hermitian or non-finite one raises ``ValueError``.
     """
     a = _as_complex_array(mat).copy()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -109,12 +112,14 @@ def eigvalsh(mat) -> np.ndarray:
 
 
 def singular_values(mat) -> np.ndarray:
-    """Singular values (descending) via the eigenvalues of A†A."""
+    """Singular values (descending) via the eigenvalues of A†A, with A taken
+    in units of max|a| so that forming A†A neither overflows nor underflows
+    at that scale."""
     a = _as_complex_array(mat)
-    gram = a.conj().T @ a
-    ev = eigvalsh(gram)
-    ev = np.clip(ev, 0.0, None)
-    return np.sqrt(ev)[::-1]
+    unit = float(np.max(np.abs(a), initial=0.0)) or 1.0
+    a = a / unit
+    ev = eigvalsh(a.conj().T @ a)
+    return unit * np.sqrt(np.clip(ev, 0.0, None))[::-1]
 
 
 def operator_norm(mat) -> float:

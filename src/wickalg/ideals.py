@@ -45,7 +45,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     linear:    (I + T)·P = 0                       on H⊗H
     quadratic: (I⊗(I−P))·(T⊗I)(I⊗T)·(P⊗I) = 0     on H^{⊗3}
 
-    Both exact.  Returns {"linear": bool, "quadratic": bool}.
+    Both exact, refused past the default cap.  Returns
+    {"linear": bool, "quadratic": bool}.
     """
     d = T.d
     if P.rows != d * d:
@@ -55,9 +56,7 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     tm = t_matrix(T)
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()
-    cap = d**3
-    lhs = (embed(eye2 - P, 2, 3, cap) * embed(tm, 1, 3, cap)
-           * embed(tm, 2, 3, cap) * embed(P, 1, 3, cap))
+    lhs = embed(eye2 - P, 2, 3) * embed(tm, 1, 3) * embed(tm, 2, 3) * embed(P, 1, 3)
     quadratic = lhs.is_zero()
     return {"linear": linear, "quadratic": quadratic}
 

@@ -5,6 +5,9 @@ A normal word of bidegree (n, m) is a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}†.
 KMS exchange moves the n generator letters past the trace, giving
 κ_λ(X) = λⁿ·κ_λ(X̃) with X̃ the exchanged word; Wick ordering X̃ and
 splitting off lower bidegrees yields one exact linear system per bidegree.
+The (n, m) system has d^(n+m) unknowns, so it is refused, before it or any
+lower bidegree is built, when d^(n+m) exceeds the same dense cap that bounds
+the level Gram operators.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import identity
 from .rewrite import wick_order
 from .scalars import ONE, ZERO, Scalar
-from .tensorops import DEFAULT_DIM_CAP, gram_levels
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, gram_levels
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
 
@@ -52,10 +55,12 @@ def _bidegree(w) -> tuple:
 
 class KmsEvaluator:
     """Evaluates the gauge-KMS functional κ_λ on Wick-ordered polynomials,
-    solving each bidegree block once and caching the values."""
+    solving each bidegree block once and caching the values.  A bidegree
+    (n, m) with d^(n+m) past ``cap`` is refused before anything is built."""
 
-    def __init__(self, T: CoeffTensor, lam):
+    def __init__(self, T: CoeffTensor, lam, cap: int = DEFAULT_DIM_CAP):
         self.T = T
+        self.cap = cap
         self.lam = Scalar.coerce(lam)
         if self.lam.im:
             raise ValueError("lambda must be real")
@@ -75,6 +80,7 @@ class KmsEvaluator:
     def _ensure(self, n: int, m: int) -> None:
         if (n, m) in self._solved:
             return
+        _check_cap(self.T.d, n + m, self.cap)
         if n > 0 and m > 0:
             self._ensure(n - 1, m - 1)
         words = self._bidegree_words(n, m)
@@ -109,19 +115,13 @@ class KmsEvaluator:
         self._ensure(n, m)
         return self.known[w]
 
-    def evaluate(self, X: Polynomial, max_bidegree: int = 8) -> Scalar:
-        Xn = wick_order(X, self.T)
-        for w in Xn.terms:
-            if len(w) > max_bidegree:
-                raise ValueError(
-                    f"monomial bidegree total {len(w)} exceeds cap {max_bidegree}"
-                )
+    def evaluate(self, X: Polynomial) -> Scalar:
         total = ZERO
-        for w, c in Xn.terms.items():
+        for w, c in wick_order(X, self.T).terms.items():
             total = total + c * self.value_of_word(w)
         return total
 
 
-def kms_evaluate(X: Polynomial, lam, T: CoeffTensor, max_bidegree: int = 8) -> Scalar:
+def kms_evaluate(X: Polynomial, lam, T: CoeffTensor, cap: int = DEFAULT_DIM_CAP) -> Scalar:
     """κ_λ(X) with κ_λ(1)=1, computed by induction on the bidegree."""
-    return KmsEvaluator(T, lam).evaluate(X, max_bidegree)
+    return KmsEvaluator(T, lam, cap).evaluate(X)

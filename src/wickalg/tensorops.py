@@ -100,11 +100,10 @@ def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
 
 
 def braid_check(T: CoeffTensor) -> bool:
-    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}."""
+    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}, refused past the default cap."""
     tm = t_matrix(T)
-    cap = max(DEFAULT_DIM_CAP, T.d**3)
-    t1 = embed(tm, 1, 3, cap)
-    t2 = embed(tm, 2, 3, cap)
+    t1 = embed(tm, 1, 3)
+    t2 = embed(tm, 2, 3)
     return t1 * t2 * t1 == t2 * t1 * t2
 
 
@@ -209,19 +208,20 @@ def positivity_report(
             p3_psd = s.is_psd
 
     if n_max >= 3 and not p3_psd:
-        _add_diagonal_witness(report, T, tm, cap)
+        _add_diagonal_witness(report, T, tm)
 
     report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
-def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix, cap: int) -> None:
+def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
     """When P_3 fails PSD, report the most negative diagonal entry of
     (I+T₂)⁻¹ + T₁ on H^{⊗3}, an exact certificate against the monotone
-    chain P_3 ≥ 1⊗P_2.  P_3 was built under the same cap, so H^{⊗3} fits."""
+    chain P_3 ≥ 1⊗P_2.  The braid check already built H^{⊗3} under the
+    default cap, so it fits."""
     d = T.d
-    t1 = embed(tm, 1, 3, cap)
-    t2 = embed(tm, 2, 3, cap)
+    t1 = embed(tm, 1, 3)
+    t2 = embed(tm, 2, 3)
     eye = identity(d**3)
     try:
         inv = (eye + t2).inverse()

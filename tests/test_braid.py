@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wickalg.braid as braid
+import wickalg.tensorops as tensorops
 from wickalg import (
     CoeffTensor,
     DimensionCapExceeded,
@@ -88,6 +89,30 @@ def test_reduced_word_reconstructs_permutation(perm):
 def test_t_of_permutation_requires_braid():
     with pytest.raises(ValueError):
         t_of_permutation(make_preset("tlw", 2, q="1/3").tensor, (2, 1))
+
+
+def test_t_of_permutation_refused_before_anything_is_built(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built before the d^n cap check")
+
+    for name in ("braid_check", "identity", "embed", "t_matrix"):
+        monkeypatch.setattr(braid, name, built)
+    with pytest.raises(DimensionCapExceeded, match="16384"):
+        t_of_permutation(BRAIDED[0], tuple(range(1, 15)))  # 2^14 past the default cap 4096
+    with pytest.raises(DimensionCapExceeded, match="8"):
+        t_of_permutation(BRAIDED[0], (2, 1, 3), cap=7)  # 2^3 = 8
+
+
+def test_braid_check_refused_past_the_default_cap(monkeypatch):
+    # H^{⊗3} at d = 17 has 4913 > 4096 rows, whatever cap a caller uses elsewhere.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the d^3 cap check")
+
+    T = make_preset("qccr", 17, q="1/2").tensor
+    for name in ("kron", "identity"):
+        monkeypatch.setattr(tensorops, name, built)
+    with pytest.raises(DimensionCapExceeded, match="4913"):
+        braid_check(T)
 
 
 def test_t_of_permutation_examples():

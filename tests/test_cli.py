@@ -227,6 +227,39 @@ def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
 
 
+Q20 = ["--preset", "qccr", "--param", "d=20", "--param", "q=1/2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["positivity", *Q20, "--nmax", "1"],  # the braid check on H^{⊗3}: 20^3 = 8000
+    ["forms", *Q20, "--nmax", "1"],
+    ["braid", *Q20, "--nmax", "1"],
+    ["ideal-check", *Q20, "--nmax", "1"],  # the quadratic condition on H^{⊗3}
+    ["kms", "--preset", "qccr", "--param", "d=3", "--param", "q=1/2", "--nmax", "1",
+     "a1 a1 a1 a1 a1* a1* a1* a1*"],  # the (4,4) system: 3^8 = 6561 unknowns
+    ["kms", *Q20, "--nmax", "1", "a1 a2 a2* a1*"],  # (2,2): 20^4 = 160000
+])
+def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
+    # Every dense H^{⊗k} and every KMS system goes through the d^k cap: no
+    # kron or identity past the default cap 4096 is asked for.
+    def guarded(build, size):
+        def call(*args):
+            if size(*args) > tensorops.DEFAULT_DIM_CAP:
+                raise AssertionError(f"built {size(*args)} rows")
+            return build(*args)
+        return call
+
+    monkeypatch.setattr(tensorops, "kron",
+                        guarded(tensorops.kron, lambda a, b: a.rows * b.rows))
+    for module in (tensorops, kms):
+        monkeypatch.setattr(module, "identity", guarded(module.identity, lambda n: n))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+    assert "exceeds the dense cap 4096" in err
+
+
 def test_braid_refuses_the_whole_nmax_up_front(capsys, monkeypatch):
     # 7!·2^14 entries of the T(π) exceed 4096², though 2^7 is under the cap:
     # refused before the braid check, any level, or any line on stdout.

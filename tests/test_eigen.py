@@ -127,3 +127,27 @@ def test_huge_entries_keep_their_spectrum(s):
         for a in ([[0, s], [s, 0]], [[0, -s], [-s, 0]]):
             assert np.allclose(eigvalsh(a), [-s, s], rtol=1e-12, atol=0)
         assert np.allclose(eigvalsh(big), np.linalg.eigvalsh(big), rtol=1e-12, atol=0)
+
+
+def test_non_finite_entries_refused():
+    # refused at once, not after 60 sweeps of nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in ([[0, np.inf], [np.inf, 0]], [[np.nan, 0], [0, 1]],
+                    [[1, 0], [0, complex(0, -np.inf)]]):
+            for f in (eigvalsh, singular_values):
+                with pytest.raises(ValueError, match="non-finite"):
+                    f(bad)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160, 1e300])
+def test_singular_values_of_huge_and_tiny_entries(s):
+    # A*A would overflow (or underflow) at this scale; A in units of max|a| does not.
+    rng = np.random.default_rng(8)
+    b = rng.normal(size=(4, 3)) * s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.allclose(singular_values([[0, s], [s, 0]]), [s, s], rtol=1e-12, atol=0)
+        assert np.allclose(singular_values(b), np.linalg.svd(b, compute_uv=False),
+                           rtol=1e-10, atol=0)
+        assert operator_norm([[0, s], [0, 0]]) == pytest.approx(s, rel=1e-12)

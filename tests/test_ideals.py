@@ -2,9 +2,11 @@
 
 import pytest
 
+import wickalg.tensorops as tensorops
 from wickalg import (
     CoeffTensor,
     CoherentParam,
+    DimensionCapExceeded,
     Matrix,
     Polynomial,
     Scalar,
@@ -77,6 +79,19 @@ def test_quadratic_ideal_check_validation():
         quadratic_ideal_check(T, Matrix([[1, 1], [0, 0]]))
     with pytest.raises(ValueError):
         quadratic_ideal_check(T, identity(2))  # wrong size
+
+
+def test_quadratic_ideal_check_refused_past_the_default_cap(monkeypatch):
+    # The quadratic condition lives on H^{⊗3}: 17^3 = 4913 > 4096 rows.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the d^3 cap check")
+
+    T = make_preset("qccr", 17, q="1/2").tensor
+    P = identity(17**2)
+    for name in ("kron", "identity"):
+        monkeypatch.setattr(tensorops, name, built)
+    with pytest.raises(DimensionCapExceeded, match="4913"):
+        quadratic_ideal_check(T, P)
 
 
 def test_braided_hermitian_presets_pass_quadratic_check():

@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
+import wickalg.kms as kms
 from wickalg import (
     CoeffTensor,
     CoherentParam,
+    DimensionCapExceeded,
     KmsEvaluator,
     KmsNonUniquenessError,
     Polynomial,
@@ -135,8 +137,26 @@ def test_singular_fugacities_raise():
 
 def test_bidegree_cap():
     with pytest.raises(ValueError):
-        kms_evaluate(Polynomial.monomial((1,) * 5 + (-1,) * 5), LAM, TCAR,
-                     max_bidegree=8)
+        kms_evaluate(Polynomial.monomial((1,) * 5 + (-1,) * 5), LAM, TCAR, cap=1023)
+
+
+def test_bidegree_system_refused_before_anything_is_built(monkeypatch):
+    # The (n, m) system has d^(n+m) unknowns: (5,5) at d = 2 has 2^10 = 1024,
+    # one past cap 1023, and neither it nor a lower bidegree is built.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the d^(n+m) cap check")
+
+    monkeypatch.setattr(kms, "identity", built)
+    monkeypatch.setattr(KmsEvaluator, "_bidegree_words", built)
+    ev = KmsEvaluator(TCAR, LAM, cap=1023)
+    with pytest.raises(DimensionCapExceeded, match="1024"):
+        ev.evaluate(Polynomial.monomial((1,) * 5 + (-1,) * 5))
+    assert ev._solved == {(0, 0)}
+    monkeypatch.undo()
+    X = Polynomial.monomial((1, 2, -2, -1))  # (2,2): 2^4 = 16 unknowns
+    with pytest.raises(DimensionCapExceeded, match="16"):
+        KmsEvaluator(TCAR, LAM, cap=15).evaluate(X)
+    assert KmsEvaluator(TCAR, LAM, cap=16).evaluate(X) == kms_evaluate(X, LAM, TCAR)
 
 
 def test_complex_lambda_rejected():
