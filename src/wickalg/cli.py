@@ -206,13 +206,13 @@ def _cmd_ideal_check(args, rs: RelationSystem) -> tuple:
 
 def _cmd_forms(args, rs: RelationSystem) -> tuple:
     report = Report(tool="forms")
-    dims = []
-    for p, B in enumerate(form_levels(rs.tensor, args.nmax, cap=args.cap)):
-        dims.append(B.cols)
-        print(f"dim of constant-coefficient {p}-forms: {B.cols}")
+    dims = [B.cols for B in form_levels(rs.tensor, args.nmax, cap=args.cap)]
+    # the braid check may refuse H^{⊗3}: decided before any line is printed
+    rec = wick_diff_star_algebra_exists(rs.tensor) if hermiticity_check(rs.tensor) else None
+    for p, dim in enumerate(dims):
+        print(f"dim of constant-coefficient {p}-forms: {dim}")
     report.add_check("form_dims", dims=dims)
-    if hermiticity_check(rs.tensor):
-        rec = wick_diff_star_algebra_exists(rs.tensor)
+    if rec is not None:
         print(f"differential *-algebra exists: {rec['exists']} "
               f"(invertible={rec['invertible']}, braid={rec['braid']})")
         report.add_check(
@@ -228,22 +228,27 @@ def _cmd_kms(args, rs: RelationSystem) -> tuple:
     lam = _option_value("--lam", args.lam, rational)
     report = Report(tool="kms")
     series = kms_series(rs.tensor, Scalar(lam), args.nmax, cap=args.cap)
+    value = unique = None
+    if args.expr:  # evaluated, or refused, before any line is printed
+        try:
+            value = kms_evaluate(
+                parse_expression(args.expr, rs.d), Scalar(lam), rs.tensor, cap=args.cap
+            )
+            unique = True
+        except KmsNonUniquenessError as exc:
+            value, unique = exc, False
     print(f"ranks of level Gram operators: {series['ranks']}")
     sums = [rational_str(s.re) for s in series["partial_sums"]]
     print(f"partial sums of the lambda-rank series: {sums}")
     report.add_check("series", lam=rational_str(lam),
                      ranks=series["ranks"], partial_sums=sums)
-    if args.expr:
-        try:
-            value = kms_evaluate(
-                parse_expression(args.expr, rs.d), Scalar(lam), rs.tensor, cap=args.cap
-            )
-            print(f"kms value of {args.expr!r}: {print_polynomial(Polynomial.monomial((), value))}")
-            report.add_check("evaluate", expr=args.expr, value=scalar_to_json(value))
-        except KmsNonUniquenessError as exc:
-            print(f"kms value of {args.expr!r}: not unique ({exc})")
-            report.add_check("evaluate", expr=args.expr, unique=False)
-            return 1, report
+    if unique:
+        print(f"kms value of {args.expr!r}: {print_polynomial(Polynomial.monomial((), value))}")
+        report.add_check("evaluate", expr=args.expr, value=scalar_to_json(value))
+    elif unique is False:
+        print(f"kms value of {args.expr!r}: not unique ({value})")
+        report.add_check("evaluate", expr=args.expr, unique=False)
+        return 1, report
     return 0, report
 
 

@@ -1,85 +1,135 @@
-"""Hermitian eigenvalues via parallel Jacobi rotations.
+"""Hermitian eigenvalues one support component at a time.
 
 The spectral routines in this package never call an external eigensolver;
-this module holds their one complex-Hermitian Jacobi kernel.  A sweep visits
-the connected components of the matrix's support in round-robin rounds of
-disjoint pairs (Brent and Luk, SIAM J. Sci. Stat. Comput. 6, 1985), and each
-round is rotated in one numpy step.  When the sweeps run out before the
-off-diagonal part is negligible, ``eigvalsh`` raises ``ArithmeticError``.
+this module holds their one kernel.  It splits the matrix into the connected
+components of its support.  A 1×1 component is its own eigenvalue and a 2×2
+one has a closed form.  A larger block is reduced to a real symmetric
+tridiagonal matrix by Householder reflections, whose eigenvalues come from
+implicit-shift QL (Wilkinson and Reinsch, *Handbook for Automatic
+Computation II*, 1971: the scheme of LAPACK's ``zhetrd`` and ``dsterf``).
+When QL runs out of iterations on an eigenvalue, ``eigvalsh`` raises
+``ArithmeticError``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["eigvalsh", "singular_values", "operator_norm", "USING_NUMBA"]
 
-_MAX_SWEEPS = 60
+_MAX_QL_ITERATIONS = 30  # implicit QL steps allowed per eigenvalue
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def _round_robin(a: np.ndarray) -> list:
-    """The rounds of one parallel Jacobi sweep as ``(P, Q)`` index arrays: round
-    r joins round r of the circle-method pairing of each connected component
-    of the support of ``a`` (union-find over its upper triangle)."""
+def _components(a: np.ndarray) -> list:
+    """The connected components of the support of ``a`` as sorted index lists
+    (union-find over its upper triangle)."""
     blocks = {i: [i] for i in range(a.shape[0])}  # root -> members
     root = list(range(a.shape[0]))
-    for i, j in np.argwhere(np.triu(a, 1)).tolist():
+    rows, cols = np.nonzero(a)
+    upper = rows < cols
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
         if root[i] != root[j]:
             moved = blocks.pop(root[j])
             blocks[root[i]] += moved
             for k in moved:
                 root[k] = root[i]
-    rounds = {}
-    for block in blocks.values():
-        block += [None] * (len(block) % 2)  # an odd block leaves one index out a round
-        for r in range(len(block) - 1):
-            pairs = zip(block[:len(block) // 2], block[::-1])
-            rounds.setdefault(r, []).extend(pq for pq in pairs if None not in pq)
-            block.insert(1, block.pop())
-    return [tuple(map(np.array, zip(*pairs))) for pairs in rounds.values() if pairs]
+    return [sorted(block) for block in blocks.values()]
 
 
-def _jacobi_kernel(a: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Diagonalize the Hermitian complex matrix ``a`` in place, rotating the
-    disjoint pairs of each round at once; returns the unsorted real diagonal.
-    Raises ``ArithmeticError`` when ``max_sweeps`` sweeps leave the
-    off-diagonal mass above the stop level.  Masses are taken in units of
-    max|a|, so that squaring an entry as large as 1e300 cannot overflow."""
-    unit = float(np.max(np.abs(a))) or 1.0
-    stop = 1e-28 * (float(np.sum((np.abs(a) / unit) ** 2)) + 1.0 / unit / unit)
-    pair_stop = unit * (stop ** 0.5 / a.shape[0])  # |a[p, q]| at or below it is left alone
-    for sweep in range(max_sweeps + 1):
-        off = float(np.sum((np.abs(np.triu(a, 1)) / unit) ** 2))
-        if off <= stop:
-            break
-        if sweep == max_sweeps:
-            raise ArithmeticError(
-                f"Jacobi did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {unit * off ** 0.5:.3g})"
-            )
-        if not sweep:  # a diagonal input needs no schedule
-            rounds = _round_robin(a)
-        for p, q in rounds:
-            absg = np.abs(a[p, q])
-            live = absg > pair_stop
-            if not np.count_nonzero(live):
-                continue
-            p, q, absg = p[live], q[live], absg[live]
-            phase = a[p, q] / absg
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * absg)
-            t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(tau * tau + 1.0)), tau)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rp, rq = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * rp - (s * phase)[:, None] * rq
-            a[q, :] = s[:, None] * rp + (c * phase)[:, None] * rq
-            cp, cq = a[:, p], a[:, q]
-            a[:, p] = c * cp - s * np.conj(phase) * cq
-            a[:, q] = s * cp + c * np.conj(phase) * cq
-    return np.real(np.diagonal(a)).copy()
+def _tridiagonal(a: np.ndarray) -> tuple:
+    """Diagonal and off-diagonal (as float lists) of a real symmetric
+    tridiagonal matrix unitarily similar to the Hermitian ``a`` (b ≥ 3), whose
+    entries are at most 1 in modulus.  Step k reflects column k below the
+    subdiagonal onto it; the off-diagonal keeps the moduli, which a diagonal
+    unitary similarity leaves the spectrum of."""
+    a = a.copy()
+    b = a.shape[0]
+    off = []
+    for k in range(b - 2):
+        x = a[k + 1:, k]
+        norm = math.sqrt(float(np.vdot(x, x).real))
+        off.append(norm)
+        alpha = x[0]
+        h = norm * (norm + abs(alpha))  # v*v / 2 for v = x + phase(alpha)·|x|·e1
+        if not h or not x[1:].any():  # already tridiagonal in this column
+            continue
+        v = x.copy()
+        v[0] += norm * (alpha / abs(alpha) if alpha else 1.0)
+        rest = a[k + 1:, k + 1:]
+        p = rest @ v / h
+        w = p - (float(np.vdot(v, p).real) / (2.0 * h)) * v
+        rest -= np.outer(v, w.conj())
+        rest -= np.outer(w, v.conj())
+    off.append(abs(a.item(b - 1, b - 2)))
+    return np.real(np.diagonal(a)).tolist(), off
 
 
-# The Jacobi kernel is never JIT-compiled; kept because benchmark reports read it.
+def _ql(d: list, e: list) -> list:
+    """Eigenvalues (unsorted) of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e``, by implicit QL with Wilkinson
+    shifts, in place on plain floats.  Raises ``ArithmeticError`` when an
+    eigenvalue takes more than ``_MAX_QL_ITERATIONS`` steps."""
+    n = len(d)
+    e = e + [0.0]
+    hypot, eps = math.hypot, _EPS
+    for l in range(n):
+        for it in range(_MAX_QL_ITERATIONS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if it == _MAX_QL_ITERATIONS:
+                raise ArithmeticError(
+                    f"implicit QL did not converge in {_MAX_QL_ITERATIONS} iterations "
+                    f"on eigenvalue {l + 1} of {n}"
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if not r:  # the chase split the block: deflate and search again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
+
+
+def _block_eigenvalues(a: np.ndarray, block: list) -> list:
+    """Eigenvalues of the Hermitian block of ``a`` on the indices ``block``.
+    A larger block is taken in units of the power of two just above its
+    max|a| so that no norm or square overflows."""
+    if len(block) == 1:
+        return [a.item(block[0], block[0]).real]
+    if len(block) == 2:
+        i, j = block
+        x, z, y = a.item(i, i).real, a.item(j, j).real, abs(a.item(i, j))
+        m, r = x / 2 + z / 2, math.hypot(x / 2 - z / 2, y)
+        return [m - r, m + r]
+    b = a[np.ix_(block, block)]
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(b))))[1])
+    return [unit * ev for ev in _ql(*_tridiagonal(b / unit))]
+
+
+# No kernel here is JIT-compiled; kept because benchmark reports read it.
 USING_NUMBA = False
 
 
@@ -97,18 +147,22 @@ def eigvalsh(mat) -> np.ndarray:
     Accepts an exact :class:`~wickalg.linalg.Matrix` or any array-like; a
     non-square, non-Hermitian or non-finite one raises ``ValueError``.
     """
-    a = _as_complex_array(mat).copy()
+    a = _as_complex_array(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if a.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    herm_defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    herm_defect = np.max(np.abs(a - a.conj().T))
     scale = max(1.0, float(np.max(np.abs(a))))
     if herm_defect > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian")
     a = (a + a.conj().T) / 2.0
-    diag = _jacobi_kernel(a, _MAX_SWEEPS)
-    return np.sort(diag)
+    if not a.imag.any():
+        a = a.real
+    ev = []
+    for block in _components(a):
+        ev += _block_eigenvalues(a, block)
+    return np.sort(np.array(ev))
 
 
 def singular_values(mat) -> np.ndarray:

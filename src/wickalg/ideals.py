@@ -8,7 +8,7 @@ from .algebra import CoeffTensor, hermiticity_check
 from .linalg import Matrix, identity
 from .rewrite import _check_generator_words, _in_ideal_span, rewriter_for
 from .states import CoherentParam, _normal_value
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, embed, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, embed, t_matrix
 
 __all__ = [
     "minus_one_eigenprojection",
@@ -53,6 +53,7 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
         raise ValueError("P must act on H⊗H")
     if not is_projection(P):
         raise ValueError("P is not an orthogonal projection")
+    _check_h3_cap(d, "quadratic-ideal check")
     tm = t_matrix(T)
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()

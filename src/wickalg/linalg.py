@@ -297,7 +297,7 @@ class Matrix:
         out = np.zeros((self.rows, self.cols), dtype=np.complex128)
         for r, row in enumerate(self.data):
             for c, x in enumerate(row):
-                if x:
+                if x is not ZERO and x:
                     out[r, c] = x.to_complex()
         return out
 

@@ -64,6 +64,20 @@ def _check_cap(d: int, n: int, cap: int) -> None:
         )
 
 
+# The H^{⊗3} checks (braid, quadratic ideal, P_3 witness) build d³-row
+# matrices under DEFAULT_DIM_CAP whatever cap their caller was given.
+_H3_MAX_D = int(DEFAULT_DIM_CAP ** (1 / 3) + 1e-9)
+
+
+def _check_h3_cap(d: int, check: str) -> None:
+    if d**3 > DEFAULT_DIM_CAP:
+        raise DimensionCapExceeded(
+            f"the {check} builds H^{{⊗3}}: d^3 = {d**3} exceeds the dense cap "
+            f"{DEFAULT_DIM_CAP}, which is fixed for the H^{{⊗3}} checks, so they need "
+            f"d <= {_H3_MAX_D}"
+        )
+
+
 def t_matrix(T: CoeffTensor) -> Matrix:
     """The operator on H⊗H with ⟨ij| · |kl⟩ = T_{ik}^{lj}."""
     d = T.d
@@ -101,6 +115,7 @@ def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
 
 def braid_check(T: CoeffTensor) -> bool:
     """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}, refused past the default cap."""
+    _check_h3_cap(T.d, "braid check")
     tm = t_matrix(T)
     t1 = embed(tm, 1, 3)
     t2 = embed(tm, 2, 3)
@@ -147,7 +162,8 @@ class SpectralSummary:
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
     """Exact ``is_psd`` and ``rank`` of a self-adjoint X from one :meth:`Matrix.psd_rank`;
-    the float spectrum (in-project Jacobi) is for information and decides nothing."""
+    the float spectrum (:func:`~wickalg.eigen.eigvalsh`) is for information
+    and decides nothing."""
     is_psd, rank = X.psd_rank()
     ev = eigvalsh(X)
     if ev.size == 0:

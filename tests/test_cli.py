@@ -254,10 +254,26 @@ def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
     for module in (tensorops, kms):
         monkeypatch.setattr(module, "identity", guarded(module.identity, lambda n: n))
     code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""  # refused before any line on stdout
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
     assert "exceeds the dense cap 4096" in err
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["positivity", *Q20, "--nmax", "1", "--cap", "10000"], "the braid check"),
+    (["forms", *Q20, "--nmax", "1", "--cap", "10000"], "the braid check"),
+    (["braid", *Q20, "--nmax", "1", "--cap", "10000"], "the braid check"),
+    (["ideal-check", *Q20, "--nmax", "1"], "the quadratic-ideal check"),
+])
+def test_h3_refusal_names_its_fixed_limit(capsys, argv, check):
+    # --cap does not raise the H^{⊗3} checks' cap: the one line says which
+    # build refused and that they stop at d = 16, not "raise the cap".
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"wickalg: error: {check} builds H^{{⊗3}}")
+    assert "d^3 = 8000" in err and "d <= 16" in err and "raise the cap" not in err
 
 
 def test_braid_refuses_the_whole_nmax_up_front(capsys, monkeypatch):

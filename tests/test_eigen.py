@@ -1,4 +1,4 @@
-"""Jacobi eigensolver against numpy references."""
+"""The Householder + implicit QL eigensolver against numpy references."""
 
 import warnings
 
@@ -16,14 +16,18 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2.0
 
 
-def hidden_blocks(sizes, rng):
-    """A random Hermitian block-diagonal matrix, rows and columns shuffled."""
+def hidden_blocks(sizes, rng, blocks=None):
+    """A random Hermitian block-diagonal matrix, rows and columns shuffled;
+    the shuffled index set of each block is appended to ``blocks``."""
     a = np.zeros((sum(sizes),) * 2, dtype=np.complex128)
     at = 0
     for m in sizes:
         a[at:at + m, at:at + m] = random_hermitian(m, rng)
         at += m
     perm = rng.permutation(a.shape[0])
+    if blocks is not None:  # shuffled index i holds index perm[i]
+        owner = np.repeat(np.arange(len(sizes)), sizes)[perm]
+        blocks += [np.flatnonzero(owner == k).tolist() for k in range(len(sizes))]
     return a[np.ix_(perm, perm)]
 
 
@@ -38,25 +42,51 @@ def test_matches_numpy(n):
 def test_hidden_blocks_match_numpy():
     rng = np.random.default_rng(11)
     for _ in range(3):
-        a = hidden_blocks([1, 2, 3, 4, 1, 5, 2, 7], rng)
-        rounds = eigen._round_robin(a)
-        # a sweep pairs within the blocks only: 8 - 1 rounds for the 7-block
-        assert len(rounds) == 7
-        pairs = [frozenset(pq) for p, q in rounds for pq in zip(p.tolist(), q.tolist())]
-        assert all(len(set(p.tolist() + q.tolist())) == 2 * p.size for p, q in rounds)
-        support = {frozenset(pq) for pq in zip(*np.nonzero(np.triu(a, 1)))}
-        assert len(pairs) == len(set(pairs)) == len(support) and set(pairs) == support
+        blocks = []
+        a = hidden_blocks([1, 2, 3, 4, 1, 5, 2, 7], rng, blocks)
+        # the component finder returns exactly the hidden blocks, no more, no fewer
+        assert sorted(eigen._components(a)) == sorted(blocks)
         assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
+
+
+Q_IJ_COMPLEX = {"q11": "1/3", "q22": "-1/4", "q12": "1/2", "q12_im": "1/3",
+                "q21": "1/2", "q21_im": "-1/3"}
 
 
 @pytest.mark.parametrize("family, d, params, n", [
     ("qccr", 2, {"q": "1/2"}, 6),
     ("tlw", 3, {"q": "1/3"}, 4),
     ("aklt", None, {"lam": "1"}, 4),
+    ("twisted_car", 3, {"mu": "1/2"}, 4),
+    ("q_ij", 2, Q_IJ_COMPLEX, 6),
+    ("usym", 2, {"q": "1/3", "lam": "1/5"}, 5),
 ])
 def test_gram_levels_match_numpy(family, d, params, n):
     a = p_n(make_preset(family, d, **params).tensor, n).to_complex()
     assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
+
+
+def test_qccr_p8_matches_numpy():
+    # dim 256 in blocks of C(8, k) words, up to 70
+    a = p_n(make_preset("qccr", 2, q="1/2").tensor, 8).to_complex()
+    ev, ref = eigvalsh(a), np.linalg.eigvalsh(a)
+    assert np.allclose(ev, ref, atol=1e-12 * max(1.0, np.abs(ref).max()), rtol=0)
+
+
+def test_complex_q_ij_blocks_match_numpy():
+    # The blocks of P_4 for a complex q_ij at d=3 are letter contents of up to
+    # 12 words with complex entries: reduced by complex reflections, then QL
+    # on the moduli of the off-diagonal.
+    params = dict(Q_IJ_COMPLEX, q33="1/5", q13="-1/3", q13_im="1/4", q31="-1/3",
+                  q31_im="-1/4", q23="1/7", q23_im="-1/2", q32="1/7", q32_im="1/2")
+    a = p_n(make_preset("q_ij", 3, **params).tensor, 4).to_complex()
+    assert np.abs(a.imag).max() > 0.1
+    assert max(len(b) for b in eigen._components(a)) == 12
+    ev, ref = eigvalsh(a), np.linalg.eigvalsh(a)
+    assert np.allclose(ev, ref, atol=1e-12 * max(1.0, np.abs(ref).max()), rtol=0)
+    rng = np.random.default_rng(12)
+    b = hidden_blocks([3, 9, 2, 6], rng)
+    assert np.allclose(eigvalsh(b), np.linalg.eigvalsh(b), atol=1e-12, rtol=0)
 
 
 def test_exact_matrix_input():
@@ -73,11 +103,16 @@ def test_rejects_non_hermitian_and_non_square():
         eigvalsh(np.zeros((2, 3)))
 
 
-def test_degenerate_and_trivial_spectra():
+def test_degenerate_and_trivial_spectra(monkeypatch):
+    def iterated(*args):
+        raise AssertionError("a diagonal input reached the iterative step")
+
+    monkeypatch.setattr(eigen, "_tridiagonal", iterated)
+    monkeypatch.setattr(eigen, "_ql", iterated)
     assert np.allclose(eigvalsh(np.eye(5)), np.ones(5))
     assert np.allclose(eigvalsh(np.zeros((4, 4))), np.zeros(4))
     diag = np.diag([3.0, -1.0, 0.5, 2.0])
-    assert eigen._round_robin(diag) == []
+    assert eigen._components(diag) == [[0], [1], [2], [3]]
     assert np.array_equal(eigvalsh(diag), [-1.0, 0.5, 2.0, 3.0])
     assert eigvalsh(np.zeros((0, 0))).size == 0
 
@@ -96,10 +131,10 @@ def test_unconverged_sweeps_raise(monkeypatch):
     rng = np.random.default_rng(6)
     # one block, and two: a block split must not hide a failure to converge
     for a in (random_hermitian(6, rng), hidden_blocks([6, 5], rng)):
-        monkeypatch.setattr(eigen, "_MAX_SWEEPS", 1)
-        with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+        monkeypatch.setattr(eigen, "_MAX_QL_ITERATIONS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 iterations"):
             eigvalsh(a)
-        monkeypatch.setattr(eigen, "_MAX_SWEEPS", 60)
+        monkeypatch.setattr(eigen, "_MAX_QL_ITERATIONS", 30)
         assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
 
 
@@ -118,8 +153,8 @@ def test_exact_rational_spectrum_recovered():
 
 @pytest.mark.parametrize("s", [1e160, 1e300])
 def test_huge_entries_keep_their_spectrum(s):
-    # |entry|² overflows past about 1e154: the stop level and the pair test
-    # must not, or the kernel stops at sweep 0 on the unrotated diagonal.
+    # |entry|² overflows past about 1e154: the kernel's norms and squares
+    # must not, or the spectrum comes out inf or nan.
     rng = np.random.default_rng(7)
     big = random_hermitian(3, rng) * 1e200
     with warnings.catch_warnings():
