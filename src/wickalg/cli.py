@@ -185,7 +185,7 @@ def _cmd_ideal_check(args, rs: RelationSystem) -> tuple:
     if hermiticity_check(rs.tensor):
         P = minus_one_eigenprojection(rs.tensor)
         qc = quadratic_ideal_check(rs.tensor, P)
-        rank = P.rank()
+        rank = P.psd_rank()[1]  # P is an orthogonal projection
         print(f"-1 eigenprojection rank: {rank}")
         print(f"quadratic ideal conditions: linear={qc['linear']} "
               f"quadratic={qc['quadratic']}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
 from .linalg import identity
 from .rewrite import wick_order
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, rational_str
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, gram_levels
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
@@ -27,7 +27,8 @@ class KmsNonUniquenessError(ValueError):
 
 
 def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> dict:
-    """Exact ranks of the level Gram operators and partial sums Σ λⁿ·rank.
+    """Exact ranks of the level Gram operators, each from the Hermitian
+    elimination :meth:`~wickalg.linalg.Matrix.psd_rank`, and partial sums Σ λⁿ·rank.
 
     Returns {"ranks": [rank P_0, …, rank P_{n_max}],
              "partial_sums": [Scalar, …]} (both lists of length n_max+1).
@@ -37,7 +38,7 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
         raise ValueError("lambda must be a nonnegative real rational")
     if not hermiticity_check(T):
         raise ValueError("kms_series requires a hermitian tensor")
-    ranks = [1] + [p.rank() for p in gram_levels(T, n_max, cap)]
+    ranks = [1] + [p.psd_rank()[1] for p in gram_levels(T, n_max, cap)]
     partial_sums = []
     acc = ZERO
     lam_pow = ONE
@@ -101,7 +102,7 @@ class KmsEvaluator:
             sol = S.solve(rhs)
         except ValueError as exc:
             raise KmsNonUniquenessError(
-                f"bidegree ({n},{m}) system is singular at lambda={self.lam!r}"
+                f"bidegree ({n},{m}) system is singular at lambda={rational_str(self.lam.re)}"
             ) from exc
         for a, w in enumerate(words):
             self.known[w] = sol[a]

@@ -12,7 +12,7 @@ the 0×0 ``inverse`` like any other.  Floating point enters only through
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,21 +61,35 @@ def _clear(a: list, p: int, col: int, rows) -> None:
             _subtract(a[r], f, a[p].items())
 
 
-def _hermitian_block(u: list, k: int) -> "Matrix":
-    """The Hermitian matrix whose upper triangle is held by the rows ``u[k:]``
-    of :meth:`Matrix.psd_rank`, with row and column k renumbered 0."""
-    m = len(u) - k
-    data = [[ZERO] * m for _ in range(m)]
-    for r, row in enumerate(u[k:]):
-        for c, x in row.items():
-            data[r][c - k] = x
-            data[c - k][r] = x.conjugate()
-    return Matrix._of(data, m, m)
+def _echelon(a: list, cols: int):
+    """Row echelon form, in place, of the ``{col: Scalar}`` rows ``a`` on the
+    columns ``0 … cols−1``; augment columns ``≥ cols`` ride along unpivoted.
+    The pivot of each column is the first row at or below the current one
+    with an entry there; it is scaled to 1 and the rows below it are cleared.
+    Returns (rows, pivot columns).  The augment columns lie in the span of
+    the rest iff no row past the pivots keeps an entry."""
+    pivots = []
+    for col in range(cols):
+        p = len(pivots)
+        sel = next((r for r in range(p, len(a)) if col in a[r]), None)
+        if sel is None:
+            continue
+        a[sel], a[p] = a[p], a[sel]
+        inv = ONE / a[p][col]
+        if inv != ONE:
+            a[p] = {c: inv * x for c, x in a[p].items()}
+        _clear(a, p, col, range(p + 1, len(a)))
+        pivots.append(col)
+    return a, pivots
 
 
-def _consistent(a: list, pivots: list) -> bool:
-    """True iff the augment columns of the echelon rows ``a`` lie in the span of the rest."""
-    return not any(a[len(pivots):])
+def _reduced(a: list, cols: int):
+    """The reduced row echelon form: :func:`_echelon`, then each pivot
+    column cleared above its pivot, last pivot first."""
+    a, pivots = _echelon(a, cols)
+    for p in range(len(pivots) - 1, 0, -1):
+        _clear(a, p, pivots[p], range(p))
+    return a, pivots
 
 
 class Matrix:
@@ -167,44 +181,24 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self.data == self.adjoint().data
+        """Each entry on or above the diagonal equals the conjugate of its
+        mirror; an entry that is its own mirror object and real is skipped."""
+        if self.rows != self.cols:
+            return False
+        data = self.data
+        for r, row in enumerate(data):
+            for c in range(r, self.cols):
+                x, y = row[c], data[c][r]
+                if (x is not y or x.im) and x != y.conjugate():
+                    return False
+        return True
 
     def diagonal(self) -> list:
         return [self.data[r][r] for r in range(min(self.rows, self.cols))]
 
     # -- elimination-based queries ---------------------------------------------
-    def _echelon(self, augment: Optional[List[List[Scalar]]] = None):
-        """Row echelon form of copies of the rows, each extended by its row
-        of ``augment`` in the columns after ``self.cols``, as ``{col: Scalar}``
-        dicts.  The pivot of each column is the first row at or below the
-        current one with an entry there; it is scaled to 1 and the rows below
-        it are cleared.  Returns (rows, pivot columns)."""
-        a = _sparse_rows(self.data if augment is None else
-                         [row + aug for row, aug in zip(self.data, augment)])
-        pivots = []
-        for col in range(self.cols):
-            p = len(pivots)
-            sel = next((r for r in range(p, self.rows) if col in a[r]), None)
-            if sel is None:
-                continue
-            a[sel], a[p] = a[p], a[sel]
-            inv = ONE / a[p][col]
-            if inv != ONE:
-                a[p] = {c: inv * x for c, x in a[p].items()}
-            _clear(a, p, col, range(p + 1, self.rows))
-            pivots.append(col)
-        return a, pivots
-
-    def _reduced(self, augment: Optional[List[List[Scalar]]] = None):
-        """The reduced row echelon form: :meth:`_echelon`, then each pivot
-        column cleared above its pivot, last pivot first."""
-        a, pivots = self._echelon(augment)
-        for p in range(len(pivots) - 1, 0, -1):
-            _clear(a, p, pivots[p], range(p))
-        return a, pivots
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(_echelon(_sparse_rows(self.data), self.cols)[1])
 
     def psd_rank(self) -> tuple:
         """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
@@ -215,7 +209,8 @@ class Matrix:
         of column j, x = U[k][j]; a zero diagonal with an empty row is skipped.
         A pivot d < 0, or a zero diagonal whose row is not empty (a 2×2 minor
         −|x|²), shows the matrix is not PSD; the rank of the Schur complement
-        left at that point is then taken by :meth:`_echelon` on it in full."""
+        left at that point is then taken by :func:`_echelon` on its full rows,
+        each upper-triangle entry mirrored by its conjugate."""
         if not self.is_hermitian():
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
         u = [{c: x for c, x in enumerate(row[r:], r) if x is not ZERO and x}
@@ -226,7 +221,12 @@ class Matrix:
             if d is None and not row:
                 continue
             if d is None or d.re < 0:
-                return False, rank + _hermitian_block(u, k).rank()
+                rows = [{} for _ in range(len(u) - k)]
+                for r, urow in enumerate(u[k:]):
+                    for c, x in urow.items():
+                        rows[r][c - k] = x
+                        rows[c - k][r] = x.conjugate()
+                return False, rank + len(_echelon(rows, len(rows))[1])
             rank += 1
             inv = ONE / d
             items = sorted(row.items())  # items[0] is the pivot (k, d)
@@ -240,7 +240,7 @@ class Matrix:
         Matrix (``k = 0`` for a trivial kernel).  Column j belongs to the j-th
         free column f of the reduced row echelon form: 1 in row f and, in the
         row of each pivot column, minus that pivot row's entry in column f."""
-        a, pivots = self._reduced()
+        a, pivots = _reduced(_sparse_rows(self.data), self.cols)
         pset = set(pivots)
         free = [c for c in range(self.cols) if c not in pset]
         data = [[ZERO] * len(free) for _ in range(self.cols)]
@@ -256,7 +256,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.cols
-        a, pivots = self._reduced(augment=identity(n).data)
+        a = [{**row, n + r: ONE} for r, row in enumerate(_sparse_rows(self.data))]
+        a, pivots = _reduced(a, n)
         if len(pivots) != n:
             raise ValueError("matrix is singular")
         return Matrix._of([[row.get(n + c, ZERO) for c in range(n)] for row in a], n, n)
@@ -278,12 +279,12 @@ class Matrix:
         return self._solve_impl(rhs, require_unique=False)
 
     def _solve_impl(self, rhs: Sequence, require_unique: bool):
-        rhs_col = [[Scalar.coerce(x)] for x in rhs]
-        if len(rhs_col) != self.rows:
+        rhs = [Scalar.coerce(x) for x in rhs]
+        if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        a, pivots = self._reduced(augment=rhs_col)
-        if not _consistent(a, pivots):
-            return None
+        a, pivots = _reduced(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]), self.cols)
+        if any(a[len(pivots):]):
+            return None  # inconsistent
         if require_unique and len(pivots) != self.cols:
             raise ValueError("system is underdetermined")
         x = [ZERO] * self.cols

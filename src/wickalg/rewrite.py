@@ -24,8 +24,8 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import Matrix, _consistent
-from .scalars import ONE, ZERO
+from .linalg import _echelon
+from .scalars import ONE
 
 __all__ = [
     "TermBudgetExceeded",
@@ -108,21 +108,39 @@ class Rewriter:
             a_k†·1 = a_k†,
             a_k†·a_j a_h = δ_kj·a_h + Σ_{k',l} T_{kj}^{k'l} a_l·(a_{k'}†·a_h).
 
-        The returned dict is the memo entry; do not modify it.
+        The returned dict is the memo entry; do not modify it.  A missing
+        entry is filled without recursion, so a word of any length passes:
+        an explicit stack holds the pairs (k', suffix of g) still to fill,
+        and a pair is filled once every pair it needs is in the memo.  That
+        fills the entries the recursion would, and no others.
         """
-        key = (k, g)
-        out = self._cache.get(key)
+        cache = self._cache
+        out = cache.get((k, g))
         if out is not None:
             return out
-        if not g:
-            out = {((), k): ONE}
-        else:
-            j, rest = g[0], g[1:]
-            out = {(rest, 0): ONE} if j == k else {}
-            for (kk, l, c) in self.T.row(k, j):
-                for (h, m), v in self.through(kk, rest).items():
-                    _add(out, ((l,) + h, m), c * v)
-        self._cache[key] = out
+        row = self.T.row
+        todo = [(k, g)]
+        while todo:
+            key = todo[-1]
+            k2, h = key
+            if h:
+                j, rest = h[0], h[1:]
+                r = row(k2, j)
+                for kk, _, _ in r:
+                    if (kk, rest) not in cache:
+                        todo.append((kk, rest))
+                if todo[-1] is not key:
+                    continue  # fill the missing suffix entries first
+                out = {(rest, 0): ONE} if j == k2 else {}
+                for kk, l, c in r:
+                    for (hh, m), v in cache[(kk, rest)].items():
+                        _add(out, ((l,) + hh, m), c * v)
+            else:
+                out = {((), k2): ONE}
+            cache[key] = out
+            todo.pop()
+            while todo and todo[-1] in cache:  # a pair pushed twice
+                todo.pop()
         return out
 
     def split(self, k: int, p: Polynomial) -> dict:
@@ -265,8 +283,9 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
     With homogeneous generators every u·g·v is homogeneous, so each word
     length of the targets is a grade decided on its own; otherwise all
     lengths form one grade.  The span of a grade is built once, and the
-    targets' parts of that grade lie in it iff one echelon of the words ×
-    [span | targets] matrix leaves no entry in a row past its pivots.
+    targets' parts of that grade lie in it iff one echelon of its word rows,
+    the span vectors' columns followed by the targets' as augment columns,
+    leaves no entry in a row past its pivots.
     """
     gens = [g for g in gens if g]
     homogeneous = all(g.is_homogeneous() for g in gens)
@@ -290,11 +309,12 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
                         for v in product(letters, repeat=n - a):
                             q = {u + w + v: c for w, c in g.terms.items()}
                             span.setdefault(frozenset(q.items()), q)
-        vecs = list(span.values())
-        words = dict.fromkeys(w for q in [*vecs, *comps] for w in q)
-        m = Matrix._of([[q.get(w, ZERO) for q in vecs] for w in words], len(words), len(vecs))
-        a, pivots = m._echelon(augment=[[q.get(w, ZERO) for q in comps] for w in words])
-        if not _consistent(a, pivots):
+        rows: dict = {}  # word -> {col: Scalar}, the span vectors then the targets
+        for col, q in enumerate([*span.values(), *comps]):
+            for w, c in q.items():
+                rows.setdefault(w, {})[col] = c
+        a, pivots = _echelon(list(rows.values()), len(span))
+        if any(a[len(pivots):]):
             return False
     return True
 

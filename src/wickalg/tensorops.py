@@ -64,8 +64,8 @@ def _check_cap(d: int, n: int, cap: int) -> None:
         )
 
 
-# The H^{⊗3} checks (braid, quadratic ideal, P_3 witness) build d³-row
-# matrices under DEFAULT_DIM_CAP whatever cap their caller was given.
+# The H^{⊗3} checks (braid, quadratic ideal) build d³-row matrices under
+# DEFAULT_DIM_CAP whatever cap their caller was given.
 _H3_MAX_D = int(DEFAULT_DIM_CAP ** (1 / 3) + 1e-9)
 
 
@@ -230,21 +230,25 @@ def positivity_report(
     return report
 
 
-def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
-    """When P_3 fails PSD, report the most negative diagonal entry of
-    (I+T₂)⁻¹ + T₁ on H^{⊗3}, an exact certificate against the monotone
-    chain P_3 ≥ 1⊗P_2.  The braid check already built H^{⊗3} under the
-    default cap, so it fits."""
-    d = T.d
-    t1 = embed(tm, 1, 3)
-    t2 = embed(tm, 2, 3)
-    eye = identity(d**3)
+def _witness_diagonal(tm: Matrix, d: int):
+    """The diagonal of (I+T₂)⁻¹ + T₁ on H^{⊗3} in word order, or None when
+    I+T is singular.  (I+T₂)⁻¹ = I⊗(I+T)⁻¹ and T₁ = T⊗I, so the entry of
+    the word ijk is (I+T)⁻¹ at jk plus T at ij: it takes d²×d² pieces only."""
     try:
-        inv = (eye + t2).inverse()
+        inv = (identity(d * d) + tm).inverse()
     except ValueError:
+        return None
+    return [inv.data[w % (d * d)][w % (d * d)] + tm.data[w // d][w // d]
+            for w in range(d**3)]
+
+
+def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
+    """When P_3 fails PSD, report the most negative real diagonal entry of
+    (I+T₂)⁻¹ + T₁ on H^{⊗3}, an exact certificate against the monotone
+    chain P_3 ≥ 1⊗P_2."""
+    diag = _witness_diagonal(tm, T.d)
+    if diag is None:
         return
-    witness_op = inv + t1
-    diag = witness_op.diagonal()
     best_idx, best = None, None
     for idx, c in enumerate(diag):
         if not c.is_real:
@@ -253,7 +257,7 @@ def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
             best, best_idx = c.re, idx
     if best is None:
         return
-    word = index_to_word(best_idx, d, 3)
+    word = index_to_word(best_idx, T.d, 3)
     report.add_check(
         "p3_diagonal_witness",
         value=rational_str(best),
@@ -268,7 +272,6 @@ def cuntz_stability_predicate(T: CoeffTensor, tol: float = 1e-9) -> bool:
     two-slot operator: the one float predicate, read off t₊, t₋ with margin ``tol``."""
     if not hermiticity_check(T):
         raise ValueError("cuntz_stability_predicate requires a hermitian tensor")
-    s = spectral_summary(t_matrix(T))
-    lhs = max(abs(s.t_plus), abs(s.t_minus)) ** 2
-    rhs = 1.0 - s.t_plus + s.t_minus
-    return lhs < rhs - tol
+    ev = eigvalsh(t_matrix(T))
+    t_plus, t_minus = float(ev[-1]), float(ev[0])
+    return max(abs(t_plus), abs(t_minus)) ** 2 < 1.0 - t_plus + t_minus - tol

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wickalg import cli, kms, parse_expression, tensorops
+from wickalg import Matrix, cli, kms, parse_expression, tensorops
 from wickalg.cli import main
 from wickalg.reports import scalar_from_json
 
@@ -113,6 +113,18 @@ def test_ideal_check(capsys):
     assert "form a Wick ideal" in out and "True" in out
 
 
+def test_ideal_check_takes_no_general_rank(capsys, monkeypatch):
+    # The −1-eigenprojection is ranked by the Hermitian psd_rank.
+    def refuse(self):
+        raise AssertionError("Matrix.rank called")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    code, out = run(capsys, "ideal-check", "--preset", "twisted_car",
+                    "--param", "d=3", "--param", "mu=1/3")
+    assert code == 0
+    assert "-1 eigenprojection rank: 6" in out
+
+
 def test_forms(capsys):
     code, out = run(capsys, "forms", "--preset", "twisted_car",
                     "--param", "d=2", "--param", "mu=1/2", "--nmax", "3")
@@ -133,6 +145,18 @@ def test_kms(capsys):
                     "--param", "q=1/2", "--lam", "2", "--nmax", "2", "a1 a1*")
     assert code == 1
     assert "not unique" in out
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["qccr", "--param", "d=2", "--param", "q=1/2", "--lam", "1", "a1"],
+     "kms value of 'a1': not unique (bidegree (1,0) system is singular at lambda=1)"),
+    (["snu2", "--param", "nu=-2", "--lam", "1/2", "--nmax", "2", "a1 a1*"],
+     "kms value of 'a1 a1*': not unique (bidegree (1,1) system is singular at lambda=1/2)"),
+])
+def test_kms_non_unique_prints_lambda_as_rational(capsys, argv, last_line):
+    code, out = run(capsys, "kms", "--preset", *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == last_line
 
 
 def test_preset_then_relations_file(capsys, tmp_path):

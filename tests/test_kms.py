@@ -12,9 +12,11 @@ from wickalg import (
     DimensionCapExceeded,
     KmsEvaluator,
     KmsNonUniquenessError,
+    Matrix,
     Polynomial,
     Scalar,
     annihilator_apply,
+    gram_levels,
     index_to_word,
     kms_evaluate,
     kms_series,
@@ -45,6 +47,29 @@ def test_kms_series_level_zero():
     out = kms_series(TCAR, LAM, 0)
     assert out["ranks"] == [1]
     assert out["partial_sums"] == [Scalar(1)]
+
+
+# Presets whose level Gram operators are not PSD, so psd_rank finishes their
+# ranks by the echelon of an indefinite Schur complement.
+INDEFINITE = [("tlw", 2, {"q": "-1"}, 5), ("snu2", None, {"nu": "-2"}, 5),
+              ("aklt", None, {"lam": "2"}, 4)]
+
+
+@pytest.mark.parametrize("family, d, params, n_max", INDEFINITE)
+def test_kms_series_ranks_on_indefinite_levels(family, d, params, n_max):
+    T = make_preset(family, d, **params).tensor
+    levels = list(gram_levels(T, n_max))
+    assert not all(p.psd_rank()[0] for p in levels)
+    assert any(p.rank() < p.rows for p in levels)
+    assert kms_series(T, LAM, n_max)["ranks"] == [1] + [p.rank() for p in levels]
+
+
+def test_kms_series_takes_no_general_rank(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Matrix.rank called")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    assert kms_series(make_preset("tlw", 2, q="-1").tensor, LAM, 4)["ranks"] == [1, 2, 4, 6, 9]
 
 
 def test_kms_series_validation():

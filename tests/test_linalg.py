@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import scalars
 from wickalg import Matrix, Scalar, identity, kron, make_preset, p_n, rational
-from wickalg.linalg import zeros
+from wickalg.linalg import _echelon, _sparse_rows, zeros
 from wickalg.scalars import ONE, ZERO
 
 
@@ -50,6 +50,25 @@ def test_adjoint_and_hermitian():
     assert m.adjoint() == m
     assert Matrix([[0, 1], [0, 0]]).transpose() == Matrix([[0, 0], [1, 0]])
     assert not Matrix([[0, 1], [0, 0]]).is_hermitian()
+
+
+def test_is_hermitian_reads_every_upper_entry_and_its_mirror():
+    i = Scalar(0, 1)
+    m = Matrix([[1, 2, i], [2, 3, 4], [-i, 4, 5]])
+    assert m.is_hermitian()
+    bad_diagonal = m.copy()
+    bad_diagonal.data[1][1] = Scalar(3, 1)
+    shared = m.copy()
+    shared.data[0][2] = shared.data[2][0] = i  # one object, its own mirror, not real
+    cases = [bad_diagonal, shared]
+    for r, c in [(1, 0), (2, 0), (2, 1)]:
+        lower = m.copy()
+        lower.data[r][c] = lower.data[r][c] + 1  # one lower entry off its mirror
+        cases.append(lower)
+    for bad in cases:
+        assert not bad.is_hermitian()
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            bad.psd_rank()
 
 
 def test_rank_kernel_inverse():
@@ -422,7 +441,7 @@ def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n
     assert m.psd_rank() == (True, m.rows)
     ldl = len(calls)
     calls.clear()
-    assert len(m._echelon()[1]) == m.rows
+    assert len(_echelon(_sparse_rows(m.data), m.cols)[1]) == m.rows
     assert ldl <= 0.6 * len(calls)
 
 

@@ -19,8 +19,9 @@ from wickalg import (
     verify_identity,
     wick_order,
 )
+from wickalg import rewrite
 from wickalg.rewrite import TermBudgetExceeded
-from wickalg.scalars import ZERO
+from wickalg.scalars import ONE, ZERO
 
 TENSORS = sample_tensors()
 
@@ -270,13 +271,13 @@ def test_ideal_membership_matches_two_rank_reference(seed):
 
 def test_ideal_membership_one_echelon_per_grade(monkeypatch):
     calls = []
-    echelon = Matrix._echelon
+    echelon = rewrite._echelon
 
-    def counted(self, augment=None):
-        calls.append(self.shape)
-        return echelon(self, augment)
+    def counted(rows, cols):
+        calls.append((len(rows), cols))
+        return echelon(rows, cols)
 
-    monkeypatch.setattr(Matrix, "_echelon", counted)
+    monkeypatch.setattr(rewrite, "_echelon", counted)
     a1 = Polynomial.generator(1)
     a2 = Polynomial.generator(2)
     g = Polynomial.monomial((1, 2)) - Polynomial.monomial((2, 1))
@@ -288,3 +289,39 @@ def test_ideal_membership_one_echelon_per_grade(monkeypatch):
     h = g + a1
     assert ideal_membership(h.scale(3) + a2 * h, [h], max_deg=3, d=2)
     assert len(calls) == 1
+
+
+def test_long_word_normal_orders():
+    # a1* a1^n = [n]_q a1^(n−1) + qⁿ a1ⁿ a1* at d=1, for a word three times
+    # longer than the default recursion limit.
+    n, q = 3000, Scalar(rational(1, 2))
+    T = make_preset("qccr", 1, q="1/2").tensor
+    nf = wick_order(Polynomial.monomial((-1,) + (1,) * n), T)
+    assert nf.terms == {(1,) * (n - 1): sum((q**i for i in range(n)), ZERO),
+                        (1,) * n + (-1,): q**n}
+
+
+def _recursive_through(rw, k, g):
+    """a_k†·a_g by the defining recursion of ``Rewriter.through``, memoized in
+    ``rw._cache`` the same way."""
+    if (k, g) not in rw._cache:
+        out = {((), k): ONE}
+        if g:
+            out = {(g[1:], 0): ONE} if g[0] == k else {}
+            for kk, l, c in rw.T.row(k, g[0]):
+                for (h, m), v in _recursive_through(rw, kk, g[1:]).items():
+                    rewrite._add(out, ((l,) + h, m), c * v)
+        rw._cache[(k, g)] = out
+    return rw._cache[(k, g)]
+
+
+@pytest.mark.parametrize("ti", range(len(TENSORS)))
+def test_through_fills_the_memo_of_the_recursion(ti):
+    # Same entries, same values, none extra: a hit stops the descent.
+    T, rng = TENSORS[ti], random.Random(ti)
+    fast, ref = rewrite.Rewriter(T), rewrite.Rewriter(T)
+    for _ in range(30):
+        k = rng.randint(1, T.d)
+        g = tuple(rng.randint(1, T.d) for _ in range(rng.randint(0, 6)))
+        assert fast.through(k, g) == _recursive_through(ref, k, g)
+        assert fast._cache == ref._cache

@@ -2,6 +2,7 @@
 
 import pytest
 
+from wickalg import tensorops
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -160,6 +161,30 @@ def test_positivity_report_negative_case_with_witness():
     wit = _check(rep, "p3_diagonal_witness")
     assert wit["value"] == "-3/130" and wit["negative"]
     assert wit["basis_word"] == [1, 2, 2]
+
+
+@pytest.mark.parametrize("family, d, params", [
+    ("bp_ce", 2, {"lam": "12", "eps": "-1/10"}),
+    ("qccr", 2, {"q": "1/2"}),
+    ("tlw", 3, {"q": "1/3"}),
+    ("aklt", None, {"lam": "2"}),
+    ("q_ij", 2, {"q11": "1/2", "q12": "1/3", "q12_im": "1/4",
+                 "q21": "1/3", "q21_im": "-1/4", "q22": "-1/3"}),
+    ("twisted_car", 3, {"mu": "1/2"}),
+    ("snu2", None, {"nu": "1/2"}),
+    ("usym", 2, {"q": "1/2", "lam": "1/3"}),
+])
+def test_witness_diagonal_matches_h3(family, d, params):
+    # The P_3 witness from d²×d² pieces against (I+T₂)⁻¹ + T₁ built on H^{⊗3};
+    # both are None where I+T is singular (aklt, twisted_car).
+    T = make_preset(family, d, **params).tensor
+    tm, d = t_matrix(T), T.d
+    try:
+        oracle = ((identity(d**3) + embed(tm, 2, 3)).inverse() + embed(tm, 1, 3)).diagonal()
+    except ValueError:
+        oracle = None
+    assert tensorops._witness_diagonal(tm, d) == oracle
+    assert (oracle is None) == (family in ("aklt", "twisted_car"))
 
 
 # Reports pinned before the spectra came from the parallel Jacobi kernel: the
