@@ -157,7 +157,6 @@ class SpectralSummary:
     eig_min: float
     rank: int
     is_psd: bool
-    eigenvalues: list
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
@@ -167,11 +166,11 @@ def spectral_summary(X: Matrix) -> SpectralSummary:
     is_psd, rank = X.psd_rank()
     ev = eigvalsh(X)
     if ev.size == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0, True, [])
+        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0, True)
     t_plus = float(ev[-1])
     t_minus = float(ev[0])
     norm = max(abs(t_plus), abs(t_minus))
-    return SpectralSummary(norm, t_plus, t_minus, t_minus, rank, is_psd, [float(x) for x in ev])
+    return SpectralSummary(norm, t_plus, t_minus, t_minus, rank, is_psd)
 
 
 def positivity_report(

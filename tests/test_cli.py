@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from wickalg import Matrix, cli, kms, parse_expression, tensorops
+from wickalg import Matrix, cli, eigen, kms, parse_expression, tensorops
 from wickalg.cli import main
 from wickalg.reports import scalar_from_json
 
@@ -282,6 +283,20 @@ def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
     assert code == 2 and out == ""  # refused before any line on stdout
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
     assert "exceeds the dense cap 4096" in err
+
+
+def test_unconverged_spectrum_fails_clean(capsys, monkeypatch):
+    # LAPACK's failure to converge is one stderr line and exit 2, not a traceback
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(eigen.np.linalg, "eigvalsh", unconverged)
+    code = main(["positivity", "--preset", "qccr", "--param", "d=2",
+                 "--param", "q=1/2", "--nmax", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+    assert "did not converge" in err
 
 
 @pytest.mark.parametrize("argv, check", [

@@ -1,4 +1,5 @@
-"""The Householder + implicit QL eigensolver against numpy references."""
+"""The LAPACK-backed eigensolver: its input checks, its error path, numpy
+references, and exact trace identities of the Gram operators P_n."""
 
 import warnings
 
@@ -7,7 +8,8 @@ import pytest
 
 import wickalg.eigen as eigen
 from wickalg import (
-    Matrix, Scalar, eigvalsh, make_preset, operator_norm, p_n, rational, singular_values,
+    Matrix, Scalar, eigvalsh, gram_levels, make_preset, operator_norm, p_n, rational,
+    singular_values,
 )
 
 
@@ -16,18 +18,14 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2.0
 
 
-def hidden_blocks(sizes, rng, blocks=None):
-    """A random Hermitian block-diagonal matrix, rows and columns shuffled;
-    the shuffled index set of each block is appended to ``blocks``."""
+def hidden_blocks(sizes, rng):
+    """A random Hermitian block-diagonal matrix, rows and columns shuffled."""
     a = np.zeros((sum(sizes),) * 2, dtype=np.complex128)
     at = 0
     for m in sizes:
         a[at:at + m, at:at + m] = random_hermitian(m, rng)
         at += m
     perm = rng.permutation(a.shape[0])
-    if blocks is not None:  # shuffled index i holds index perm[i]
-        owner = np.repeat(np.arange(len(sizes)), sizes)[perm]
-        blocks += [np.flatnonzero(owner == k).tolist() for k in range(len(sizes))]
     return a[np.ix_(perm, perm)]
 
 
@@ -42,25 +40,25 @@ def test_matches_numpy(n):
 def test_hidden_blocks_match_numpy():
     rng = np.random.default_rng(11)
     for _ in range(3):
-        blocks = []
-        a = hidden_blocks([1, 2, 3, 4, 1, 5, 2, 7], rng, blocks)
-        # the component finder returns exactly the hidden blocks, no more, no fewer
-        assert sorted(eigen._components(a)) == sorted(blocks)
+        a = hidden_blocks([1, 2, 3, 4, 1, 5, 2, 7], rng)
         assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
 
 
 Q_IJ_COMPLEX = {"q11": "1/3", "q22": "-1/4", "q12": "1/2", "q12_im": "1/3",
                 "q21": "1/2", "q21_im": "-1/3"}
-
-
-@pytest.mark.parametrize("family, d, params, n", [
+Q_IJ3_COMPLEX = dict(Q_IJ_COMPLEX, q33="1/5", q13="-1/3", q13_im="1/4", q31="-1/3",
+                     q31_im="-1/4", q23="1/7", q23_im="-1/2", q32="1/7", q32_im="1/2")
+GRAM_LEVELS = [
     ("qccr", 2, {"q": "1/2"}, 6),
     ("tlw", 3, {"q": "1/3"}, 4),
     ("aklt", None, {"lam": "1"}, 4),
     ("twisted_car", 3, {"mu": "1/2"}, 4),
     ("q_ij", 2, Q_IJ_COMPLEX, 6),
     ("usym", 2, {"q": "1/3", "lam": "1/5"}, 5),
-])
+]
+
+
+@pytest.mark.parametrize("family, d, params, n", GRAM_LEVELS)
 def test_gram_levels_match_numpy(family, d, params, n):
     a = p_n(make_preset(family, d, **params).tensor, n).to_complex()
     assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10, rtol=0)
@@ -75,18 +73,35 @@ def test_qccr_p8_matches_numpy():
 
 def test_complex_q_ij_blocks_match_numpy():
     # The blocks of P_4 for a complex q_ij at d=3 are letter contents of up to
-    # 12 words with complex entries: reduced by complex reflections, then QL
-    # on the moduli of the off-diagonal.
-    params = dict(Q_IJ_COMPLEX, q33="1/5", q13="-1/3", q13_im="1/4", q31="-1/3",
-                  q31_im="-1/4", q23="1/7", q23_im="-1/2", q32="1/7", q32_im="1/2")
-    a = p_n(make_preset("q_ij", 3, **params).tensor, 4).to_complex()
+    # 12 words with complex entries, so LAPACK takes the complex path.
+    a = p_n(make_preset("q_ij", 3, **Q_IJ3_COMPLEX).tensor, 4).to_complex()
     assert np.abs(a.imag).max() > 0.1
-    assert max(len(b) for b in eigen._components(a)) == 12
     ev, ref = eigvalsh(a), np.linalg.eigvalsh(a)
     assert np.allclose(ev, ref, atol=1e-12 * max(1.0, np.abs(ref).max()), rtol=0)
     rng = np.random.default_rng(12)
     b = hidden_blocks([3, 9, 2, 6], rng)
     assert np.allclose(eigvalsh(b), np.linalg.eigvalsh(b), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("family, d, params, n", GRAM_LEVELS + [
+    ("qccr", 2, {"q": "1/2"}, 8),
+    ("q_ij", 3, Q_IJ3_COMPLEX, 4),
+])
+def test_gram_spectra_match_exact_traces(family, d, params, n):
+    # An oracle independent of LAPACK: Σλ = tr P and Σλ² = tr P² = Σ|p_ij|²,
+    # both exact over Scalar, and on a PSD level the count of eigenvalues
+    # clear of zero is the exact rank from psd_rank.
+    for level, p in enumerate(gram_levels(make_preset(family, d, **params).tensor, n), 1):
+        ev = eigvalsh(p)
+        top = max(1.0, float(np.abs(ev).max()))
+        trace = sum((p.data[i][i] for i in range(p.rows)), Scalar(0))
+        squares = sum(x.abs2() for row in p.data for x in row)
+        assert trace.is_real
+        assert abs(ev.sum() - float(trace.re)) <= 1e-10 * top**2, level
+        assert abs((ev**2).sum() - float(squares)) <= 1e-10 * top**2, level
+        is_psd, rank = p.psd_rank()
+        if is_psd:
+            assert int((ev > 1e-9 * top).sum()) == rank, level
 
 
 def test_exact_matrix_input():
@@ -103,16 +118,10 @@ def test_rejects_non_hermitian_and_non_square():
         eigvalsh(np.zeros((2, 3)))
 
 
-def test_degenerate_and_trivial_spectra(monkeypatch):
-    def iterated(*args):
-        raise AssertionError("a diagonal input reached the iterative step")
-
-    monkeypatch.setattr(eigen, "_tridiagonal", iterated)
-    monkeypatch.setattr(eigen, "_ql", iterated)
+def test_degenerate_and_trivial_spectra():
     assert np.allclose(eigvalsh(np.eye(5)), np.ones(5))
     assert np.allclose(eigvalsh(np.zeros((4, 4))), np.zeros(4))
     diag = np.diag([3.0, -1.0, 0.5, 2.0])
-    assert eigen._components(diag) == [[0], [1], [2], [3]]
     assert np.array_equal(eigvalsh(diag), [-1.0, 0.5, 2.0, 3.0])
     assert eigvalsh(np.zeros((0, 0))).size == 0
 
@@ -128,14 +137,16 @@ def test_singular_values_and_norm():
 
 
 def test_unconverged_sweeps_raise(monkeypatch):
-    rng = np.random.default_rng(6)
-    # one block, and two: a block split must not hide a failure to converge
-    for a in (random_hermitian(6, rng), hidden_blocks([6, 5], rng)):
-        monkeypatch.setattr(eigen, "_MAX_QL_ITERATIONS", 1)
-        with pytest.raises(ArithmeticError, match="did not converge in 1 iterations"):
-            eigvalsh(a)
-        monkeypatch.setattr(eigen, "_MAX_QL_ITERATIONS", 30)
-        assert np.allclose(eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-10)
+    # LAPACK's LinAlgError comes out as ArithmeticError, for an array and for
+    # an exact Matrix alike.
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    a = random_hermitian(6, np.random.default_rng(6))
+    monkeypatch.setattr(eigen.np.linalg, "eigvalsh", unconverged)
+    for m in (a, Matrix([[2, 1], [1, 2]])):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            eigvalsh(m)
 
 
 def test_exact_rational_spectrum_recovered():
