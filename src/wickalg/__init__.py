@@ -8,7 +8,6 @@ differential calculus, and a preset catalog of relation families.
 
 from .algebra import (
     CoeffTensor,
-    Letter,
     Polynomial,
     RelationSystem,
     adjoint_word,
@@ -16,12 +15,11 @@ from .algebra import (
     degree,
     gen,
     hermiticity_check,
-    letters_of,
     word,
     word_str,
 )
 from .braid import braid_check, p_n_by_permutations, t_of_permutation
-from .catalog import PresetSpec, make_preset, preset_names
+from .catalog import make_preset, preset_names
 from .diffcalc import d_and_twist, form_levels, form_space_dim, wick_diff_star_algebra_exists
 from .eigen import eigvalsh, operator_norm, singular_values
 from .exprparse import ParseError, parse_expression, print_polynomial

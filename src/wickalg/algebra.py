@@ -2,26 +2,21 @@
 
 Words are encoded internally as tuples of signed integers: ``+i`` is the
 generator letter ``a_i`` and ``-i`` is the adjoint letter ``a_i†``.  The empty
-tuple is the unit monomial.  :class:`Letter` is the friendly public view of a
-single letter.
+tuple is the unit monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .scalars import ONE, Scalar
 
 __all__ = [
-    "GEN",
-    "DAG",
-    "Letter",
     "Word",
     "gen",
     "dag",
     "word",
-    "letters_of",
     "degree",
     "adjoint_word",
     "word_str",
@@ -31,24 +26,8 @@ __all__ = [
     "hermiticity_check",
 ]
 
-GEN = "Gen"
-DAG = "Dag"
-
 #: Encoded word type: tuple of signed generator indices.
 Word = tuple
-
-
-class Letter(NamedTuple):
-    kind: str  # GEN or DAG
-    index: int  # 1-based generator index
-
-    @property
-    def code(self) -> int:
-        return self.index if self.kind == GEN else -self.index
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        return Letter(GEN, code) if code > 0 else Letter(DAG, -code)
 
 
 def gen(i: int) -> int:
@@ -66,12 +45,8 @@ def dag(i: int) -> int:
 
 
 def word(*codes: int) -> Word:
-    """Build an encoded word from letter codes (or Letter instances)."""
-    return tuple(c.code if isinstance(c, Letter) else int(c) for c in codes)
-
-
-def letters_of(w: Word) -> tuple[Letter, ...]:
-    return tuple(Letter.from_code(c) for c in w)
+    """Build an encoded word from letter codes."""
+    return tuple(int(c) for c in codes)
 
 
 def degree(w: Word) -> int:

@@ -7,19 +7,10 @@ ideal generators where applicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import CoeffTensor, Polynomial, RelationSystem
 from .scalars import Scalar, rational
 
-__all__ = ["PresetSpec", "make_preset", "preset_names"]
-
-
-@dataclass(frozen=True)
-class PresetSpec:
-    family: str
-    d: int
-    params: dict = field(default_factory=dict)
+__all__ = ["make_preset", "preset_names"]
 
 
 def _require_open_unit(name: str, v) -> None:
@@ -264,14 +255,13 @@ def preset_names() -> list:
     return sorted(_FAMILIES)
 
 
-def make_preset(spec, d: int = None, **params) -> RelationSystem:
+def make_preset(family: str, d: int = None, **params) -> RelationSystem:
     """Build a preset relation system.
 
-    Accepts either a :class:`PresetSpec` or ``make_preset(name, d, key=value…)``
-    with rational parameter values (ints, Fractions, or strings like "1/3"
-    or "0.5", read by :func:`~wickalg.scalars.rational`).  A parameter the
-    family does not know raises ``ValueError``; a missing one takes its
-    default:
+    Called as ``make_preset(family, d, key=value…)`` with rational parameter
+    values (ints, Fractions, or strings like "1/3" or "0.5", read by
+    :func:`~wickalg.scalars.rational`).  A parameter the family does not
+    know raises ``ValueError``; a missing one takes its default:
 
     - ``qccr``, ``tlw``: ``q = 0`` (the free case);
     - ``twisted_ccr``, ``twisted_car``: ``mu`` (alias ``q``), required, 0 < mu < 1;
@@ -283,10 +273,6 @@ def make_preset(spec, d: int = None, **params) -> RelationSystem:
     - ``bs_ce`` (d = 2): ``tau = 0``;
     - ``bp_ce`` (d = 2 unless given): ``lam = 0`` (alias ``lambda``), ``eps = 0``.
     """
-    if isinstance(spec, PresetSpec):
-        family, d, params = spec.family, spec.d, dict(spec.params)
-    else:
-        family = spec
     try:
         builder, needs_d, names = _FAMILIES[family]
     except KeyError:

@@ -6,10 +6,13 @@ functional ω_φ a normal word a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}† evalu
 Π_k conj(φ_{i_k}) · Π_ℓ φ_{j_ℓ}; the all-zero φ is the Fock state.
 
 Inner products and Gram matrices never rewrite a product: ⟨F, G⟩ = ω_φ(F†G)
-is carried by the annihilators λ_φ(a_i†), read off the tensor's memo of how
-a_i† passes a generator word (:meth:`rewrite.Rewriter.through`), applied to
-G one letter of F at a time, and the product formula on the generator-only
-result.  :func:`coherent_functional` is Wick order, then the product formula.
+is carried by the annihilators λ_φ(a_i†), applied to G one letter of F at a
+time, and the product formula on the generator-only result.  Each
+annihilator is one contraction of the tensor's memo of how a_i† passes a
+generator word (:meth:`rewrite.Rewriter.through`): a term c·a_v·a_m† of
+a_i†·a_u becomes c·φ_m·a_v, a contracted term (m = 0) stays c·a_v, and a
+term with φ_m = 0 is never formed.  :func:`coherent_functional` is Wick
+order, then the product formula.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix
-from .rewrite import _check_generator_words, rewriter_for, wick_order
+from .rewrite import _add, _check_generator_words, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -51,10 +54,6 @@ class CoherentParam:
 
     def component(self, i: int) -> Scalar:
         return self.phi[i - 1]
-
-    @property
-    def is_fock(self) -> bool:
-        return all(not x for x in self.phi)
 
 
 def _check_phi(phi: CoherentParam, T: CoeffTensor) -> None:
@@ -89,16 +88,26 @@ def coherent_functional(p: Polynomial, phi: CoherentParam, T: CoeffTensor) -> Sc
 
 
 def _annihilator_chains(words, x: Polynomial, phi: CoherentParam, T: CoeffTensor) -> dict:
-    """{w: λ_φ(a_w†)x} for every prefix w of ``words``.
+    """{w: λ_φ(a_w†)x} for every prefix w of ``words``; the caller has
+    checked φ, the letters of ``words`` and that x is generator-only.
 
     a_w† = a_{w_n}†⋯a_{w_1}†, so w_1 acts first and each prefix is its
     parent plus one annihilator; words that share a prefix share its chain.
     """
+    through = rewriter_for(T).through
+    phis = (None,) + phi.phi  # phis[m] = φ_m for m ≥ 1
     chain = {(): x}
     for w in words:
         for k in range(1, len(w) + 1):
             if w[:k] not in chain:
-                chain[w[:k]] = annihilator_apply(w[k - 1], chain[w[:k - 1]], phi, T)
+                acc: dict = {}
+                for u, c in chain[w[:k - 1]].terms.items():
+                    for (v, m), t in through(w[k - 1], u).items():
+                        if not m:
+                            _add(acc, v, c * t)
+                        elif phis[m]:
+                            _add(acc, v, c * t * phis[m])
+                chain[w[:k]] = Polynomial._of(acc)
     return chain
 
 
@@ -110,7 +119,7 @@ def inner_product(
     _check_generator_words([*F.terms, *G.terms], T.d)
     chain = _annihilator_chains(F.terms, G, phi, T)
     prefix = {}
-    total = Scalar(0)
+    total = ZERO
     for w, c in F.terms.items():
         total = total + c.conjugate() * _normal_value(chain[w], phi, prefix)
     return total
@@ -126,13 +135,13 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     words = [tuple(w) for w in words]
     _check_generator_words(words, T.d)
     n = len(words)
-    data = [[Scalar(0)] * n for _ in range(n)]
+    data = [[ZERO] * n for _ in range(n)]
     prefix = {}
     for b, wb in enumerate(words):
         chain = _annihilator_chains(words, Polynomial.monomial(wb), phi, T)
         for a, wa in enumerate(words):
             data[a][b] = _normal_value(chain[wa], phi, prefix)
-    return Matrix(data)
+    return Matrix._of(data, n, n)
 
 
 def annihilator_apply(
@@ -147,9 +156,5 @@ def annihilator_apply(
     _check_phi(phi, T)
     if not (1 <= i <= T.d):
         raise ValueError(f"generator index {i} out of range 1..{T.d}")
-    parts = rewriter_for(T).split(i, x)
-    out = parts.pop(0) if 0 in parts else Polynomial.zero()
-    for m, q in parts.items():
-        if phi.component(m):
-            out = out + q.scale(phi.component(m))
-    return out
+    _check_generator_words(x.terms, T.d)
+    return _annihilator_chains([(i,)], x, phi, T)[(i,)]

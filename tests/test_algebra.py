@@ -17,7 +17,6 @@ from wickalg import (
     word,
     word_str,
 )
-from wickalg.algebra import DAG, GEN, Letter, letters_of
 
 
 def test_letter_codes():
@@ -26,15 +25,11 @@ def test_letter_codes():
         gen(0)
     with pytest.raises(ValueError):
         dag(-1)
-    assert Letter.from_code(2) == Letter(GEN, 2)
-    assert Letter.from_code(-2) == Letter(DAG, 2)
-    assert Letter(DAG, 5).code == -5
 
 
 def test_word_helpers():
     w = word(1, -2, 3)
     assert w == (1, -2, 3)
-    assert letters_of(w) == (Letter(GEN, 1), Letter(DAG, 2), Letter(GEN, 3))
     assert degree(w) == 1
     assert degree(()) == 0
     assert adjoint_word(w) == (-3, 2, -1)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wickalg import (
-    PresetSpec,
     Scalar,
     eigvalsh,
     hermiticity_check,
@@ -43,12 +42,6 @@ def test_representatives_are_hermitian(name, d, params):
     assert rs.name == name
     for g in rs.ideal_generators:
         assert g.is_generator_only()
-
-
-def test_preset_spec_construction():
-    rs = make_preset(PresetSpec("qccr", 2, {"q": rational(1, 2)}))
-    assert rs.tensor.get(1, 2, 1, 2) == Scalar(rational(1, 2))
-    assert rs.d == 2
 
 
 def test_qccr_spectrum_is_scaled_flip():

@@ -18,6 +18,7 @@ from wickalg import (
     rational,
     wick_order,
 )
+from wickalg.rewrite import Rewriter
 from wickalg.states import _normal_value
 
 TENSORS = sample_tensors()
@@ -26,8 +27,6 @@ TENSORS = sample_tensors()
 def test_coherent_param():
     phi = CoherentParam((1, Scalar(0, 1)))
     assert phi.d == 2 and phi.component(2) == Scalar(0, 1)
-    assert not phi.is_fock
-    assert CoherentParam.zero(3).is_fock
     with pytest.raises(ValueError):
         coherent_functional(Polynomial.unit(), CoherentParam.zero(3), TENSORS[1])
 
@@ -186,3 +185,49 @@ def test_annihilator_consistent_with_rewriting(x, i, ti):
         a = coherent_functional(left * lhs, fock, T)
         b = coherent_functional(left * direct, fock, T)
         assert a == b
+
+
+def _trailing_dag_to_phi(p: Polynomial, phi: CoherentParam) -> Polynomial:
+    """Each normal word g·a_m† of p becomes φ_m·g; words without a† stay."""
+    out = Polynomial.zero()
+    for w, c in p.terms.items():
+        if w and w[-1] < 0:
+            out = out + Polynomial.monomial(w[:-1], c * phi.component(-w[-1]))
+        else:
+            out = out + Polynomial.monomial(w, c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gen_polynomials(2, max_len=3, max_terms=3),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=len(CROSS_TENSORS) - 1),
+    st.sampled_from(PHIS + [CoherentParam((0, Scalar(rational(2, 3), rational(-1, 5))))]),
+)
+def test_annihilator_apply_matches_one_step_rewriter(x, i, ti, phi):
+    # λ_φ(a_i†)x is the one-step rewriter's normal form of a_i†·x with each
+    # trailing a_m† replaced by φ_m, as a polynomial, not only under ω_φ.
+    T = CROSS_TENSORS[ti]
+    normal = wick_order(Polynomial.adjoint_generator(i) * x, T, strategy="leftmost")
+    assert all(c > 0 for w in normal.terms for c in w[:-1])  # at most a trailing a†
+    assert annihilator_apply(i, x, phi, T) == _trailing_dag_to_phi(normal, phi)
+
+
+def test_states_do_not_split(monkeypatch):
+    # Gram entries, inner products and annihilators contract the memo of
+    # Rewriter.through directly; Rewriter.split serves other callers.
+    def refuse(self, k, p):
+        raise AssertionError("Rewriter.split called")
+
+    monkeypatch.setattr(Rewriter, "split", refuse)
+    T = CROSS_TENSORS[-1]
+    f = Polynomial.generator(1) * Polynomial.generator(2) + Polynomial.generator(2)
+    g = Polynomial.generator(2) * Polynomial.generator(1)
+    for phi in PHIS:
+        ref = _normal_value(wick_order(f.adjoint() * g, T, strategy="leftmost"), phi)
+        assert inner_product(f, g, phi, T) == ref
+        normal = wick_order(Polynomial.adjoint_generator(1) * g, T, strategy="leftmost")
+        assert annihilator_apply(1, g, phi, T) == _trailing_dag_to_phi(normal, phi)
+    words = [index_to_word(k, 2, 2) for k in range(4)]
+    assert gram_matrix(words, CoherentParam.zero(2), T).data == p_n(T, 2).data
