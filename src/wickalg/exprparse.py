@@ -4,19 +4,24 @@ Grammar (EBNF)::
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor+
-    factor := scalar | atom | '(' expr ')'
-    atom   := 'a' INT ['*']
-    scalar := RAT | RAT? 'i' | '(' RAT (('+'|'-') RAT 'i')? ')'
-    RAT    := INT ['/' INT]
+    factor := SCALAR | ATOM | '(' expr ')'
+    ATOM   := 'a' DIGITS ['*']
+    SCALAR := DIGITS ['/' DIGITS] ['i'] | 'i'
+    DIGITS := [0-9]+
 
+ATOM and SCALAR are single tokens, read by one pattern: nothing may stand
+inside them but whitespace around the ``/`` of a fraction, and digits are
+ASCII.  A complex scalar is a parenthesised sum such as ``(1-2i)``.
 Whitespace separates factors; juxtaposition is multiplication; the ``*``
 suffix on a generator is the involution.  Parentheses nest at most
 ``MAX_DEPTH`` deep, so the recursive descent stays within Python's recursion
-limit.  The printer emits a canonical form that re-parses to the identical
-polynomial.
-"""
+limit.  Every refusal is a :class:`ParseError` with the position it arose at.
+The printer emits a canonical form that re-parses to the identical
+polynomial."""
 
 from __future__ import annotations
+
+import re
 
 from .algebra import Polynomial, word_str
 from .scalars import Scalar, rational, rational_str
@@ -32,39 +37,44 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_TOKEN = re.compile(
+    r"\s*(?P<tok>a(?P<gen>[0-9]+)(?P<star>\*?)"
+    r"|(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?(?P<im>i?)"
+    r"|(?P<i>i)|(?P<op>[-+()])|(?:a(?=[^\x00-\x7f]))?(?P<bad>\S))"
+)  # an "a" before a non-ASCII character is refused at that character
+
+
+def _int(m, group: str) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"literal of {len(m[group])} digits is too long", m.start(group)) from None
+
+
 def _tokenize(text: str) -> list:
+    """Tokens (kind, value, pos): ("atom", N or −N for aN*, pos), ("scalar",
+    Scalar, pos) for a whole literal, an operator, and ("end", None, len(text))."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "a" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            star = j < n and text[j] == "*"
-            tokens.append(("atom", int(text[i + 1:j]), star, i))
-            i = j + (1 if star else 0)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j]), None, i))
-            i = j
-            continue
-        if ch == "i":
-            tokens.append(("i", None, None, i))
-            i += 1
-            continue
-        if ch in "+-/()":
-            tokens.append((ch, None, None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, None, n))
+    for m in _TOKEN.finditer(text):  # (?P<bad>\S) leaves only trailing space unmatched
+        pos = m.start("tok")
+        if m["gen"]:
+            k = _int(m, "gen")
+            tokens.append(("atom", -k if m["star"] else k, pos))
+        elif m["num"]:
+            value = _int(m, "num")
+            if m["den"]:
+                den = _int(m, "den")
+                if not den:
+                    raise ParseError("division by zero", m.start("den"))
+                value = rational(value, den)
+            tokens.append(("scalar", Scalar(0, value) if m["im"] else Scalar(value), pos))
+        elif m["i"]:
+            tokens.append(("scalar", Scalar(0, 1), pos))
+        elif m["op"]:
+            tokens.append((m["op"], None, pos))
+        else:
+            raise ParseError(f"unexpected character {m['bad']!r}", m.start("bad"))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -86,7 +96,7 @@ class _Parser:
     def expect(self, kind: str):
         t = self.next()
         if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[0]!r}", t[3])
+            raise ParseError(f"expected {kind!r}, found {t[0]!r}", t[2])
         return t
 
     def parse_expr(self) -> Polynomial:
@@ -103,49 +113,27 @@ class _Parser:
 
     def parse_term(self) -> Polynomial:
         acc = self.parse_factor()
-        while self.peek()[0] in ("num", "i", "atom", "("):
+        while self.peek()[0] in ("scalar", "atom", "("):
             acc = acc * self.parse_factor()
         return acc
 
     def parse_factor(self) -> Polynomial:
-        kind, val, star, pos = self.peek()
+        kind, val, pos = self.next()
         if kind == "atom":
-            self.next()
-            if not (1 <= val <= self.d):
-                raise ParseError(f"generator index {val} out of range 1..{self.d}", pos)
-            return Polynomial.monomial((-val,) if star else (val,))
-        if kind in ("num", "i"):
-            return Polynomial.monomial((), self.parse_scalar())
+            if not (1 <= abs(val) <= self.d):
+                raise ParseError(f"generator index {abs(val)} out of range 1..{self.d}", pos)
+            return Polynomial.monomial((val,))
+        if kind == "scalar":
+            return Polynomial.monomial((), val)
         if kind == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            self.next()
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.expect(")")
             return inner
         raise ParseError(f"expected a factor, found {kind!r}", pos)
-
-    def parse_rat(self):
-        num = self.expect("num")[1]
-        if self.peek()[0] != "/":
-            return rational(num)
-        self.next()
-        den = self.expect("num")
-        if den[1] == 0:
-            raise ParseError("division by zero", den[3])
-        return rational(num, den[1])
-
-    def parse_scalar(self) -> Scalar:
-        if self.peek()[0] == "i":
-            self.next()
-            return Scalar(0, 1)
-        value = self.parse_rat()
-        if self.peek()[0] == "i":
-            self.next()
-            return Scalar(0, value)
-        return Scalar(value)
 
 
 def parse_expression(text: str, d: int) -> Polynomial:
@@ -154,7 +142,7 @@ def parse_expression(text: str, d: int) -> Polynomial:
     result = p.parse_expr()
     end = p.next()
     if end[0] != "end":
-        raise ParseError(f"trailing input {end[0]!r}", end[3])
+        raise ParseError(f"trailing input {end[0]!r}", end[2])
     return result
 
 

@@ -5,8 +5,9 @@ condition, and coherent-annihilation checks."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, hermiticity_check
+from .diffcalc import d_and_twist
 from .linalg import Matrix, identity
-from .rewrite import _check_generator_words, _in_ideal_span, rewriter_for
+from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, embed, t_matrix
 
@@ -87,7 +88,8 @@ def wick_ideal_condition_check(
 ) -> bool:
     """True iff the two-sided ideal generated by ``gens`` in the
     generator-only subalgebra absorbs left multiplication by annihilators:
-    for every g and k, a_k†·g = q_0 + Σ_m q_m·a_m† with every q_m in the
+    for every g and k, a_k†·g = D_k(g) + Σ_m Θ_k^m(g)·a_m† with every D_k(g)
+    and Θ_k^m(g) of :func:`~wickalg.diffcalc.d_and_twist` in the
     (degree-truncated) ideal."""
     gens = list(gens)
     if not gens:
@@ -97,8 +99,10 @@ def wick_ideal_condition_check(
             raise ValueError("generators must be generator-only and homogeneous")
     if max_deg < max(g.max_word_len() for g in gens) + 1:
         raise ValueError("max_deg must exceed the longest generator")
-    rw = rewriter_for(T)
-    parts = [q for g in gens for k in range(1, T.d + 1) for q in rw.split(k, g).values()]
+    parts = []
+    for g in gens:
+        dt = d_and_twist(g, T)
+        parts += [q for D, row in zip(dt["D"], dt["Theta"]) for q in (D, *row)]
     return _in_ideal_span(parts, gens, max_deg, T.d)
 
 

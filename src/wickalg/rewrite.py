@@ -91,13 +91,13 @@ class Rewriter:
     (see :meth:`through`).  Normal ordering, the annihilators of
     ``states``, the twisted derivatives of ``diffcalc`` and the Wick-ideal
     check of ``ideals`` all read it.  ``cap`` bounds the terms one
-    :meth:`wick_order` call makes; it is a per-call budget, not part of
-    the memo.
+    :meth:`wick_order` call makes; it is a per-call budget that
+    :func:`wick_order` sets, not part of the memo.
     """
 
-    def __init__(self, T: CoeffTensor, cap: int = DEFAULT_TERM_CAP):
+    def __init__(self, T: CoeffTensor):
         self.T = T
-        self.cap = cap
+        self.cap = DEFAULT_TERM_CAP
         self._cache: dict = {}
         self._work = 0
 
@@ -142,16 +142,6 @@ class Rewriter:
             while todo and todo[-1] in cache:  # a pair pushed twice
                 todo.pop()
         return out
-
-    def split(self, k: int, p: Polynomial) -> dict:
-        """a_k†·p for a generator-only p over a_1..a_d, as {m: q_m} with
-        a_k†·p = q_0 + Σ_{m≥1} q_m·a_m†; zero parts are left out."""
-        _check_generator_words(p.terms, self.T.d)
-        parts: dict = {}
-        for w, c in p.terms.items():
-            for (g, m), v in self.through(k, w).items():
-                _add(parts.setdefault(m, {}), g, c * v)
-        return {m: Polynomial._of(terms) for m, terms in parts.items() if terms}
 
     def normal_form_word(self, w: Word) -> dict:
         """Normal form of a single word as a dict Word -> Scalar.

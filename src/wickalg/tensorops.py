@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 4096
+CUNTZ_MARGIN = 1e-9  # goes when cuntz_stability_predicate is decided exactly
 
 
 class DimensionCapExceeded(ValueError):
@@ -127,9 +128,11 @@ def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
     level before by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and
     A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  A level costs
     one embed, two krons and two products; the next level reads the yielded
-    one, so modify only copies.  d^n_max is checked against ``cap`` before
-    any level is built."""
+    one, so modify only copies.  n_max < 0 and d^n_max > ``cap`` are refused
+    before any level is built."""
     d = T.d
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     _check_cap(d, n_max, cap)
     tm = t_matrix(T)
     p = a = eye = identity(d)
@@ -266,11 +269,12 @@ def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
     )
 
 
-def cuntz_stability_predicate(T: CoeffTensor, tol: float = 1e-9) -> bool:
+def cuntz_stability_predicate(T: CoeffTensor) -> bool:
     """True iff max{|t₊|,|t₋|}² < 1 − t₊ + t₋ on the spectrum of the
-    two-slot operator: the one float predicate, read off t₊, t₋ with margin ``tol``."""
+    two-slot operator: the one float predicate, read off t₊, t₋ with margin
+    ``CUNTZ_MARGIN``."""
     if not hermiticity_check(T):
         raise ValueError("cuntz_stability_predicate requires a hermitian tensor")
     ev = eigvalsh(t_matrix(T))
     t_plus, t_minus = float(ev[-1]), float(ev[0])
-    return max(abs(t_plus), abs(t_minus)) ** 2 < 1.0 - t_plus + t_minus - tol
+    return max(abs(t_plus), abs(t_minus)) ** 2 < 1.0 - t_plus + t_minus - CUNTZ_MARGIN

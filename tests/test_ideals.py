@@ -12,6 +12,7 @@ from wickalg import (
     Scalar,
     braid_check,
     coherent_annihilation_check,
+    d_and_twist,
     identity,
     ideal_generator_relations,
     ideal_membership,
@@ -25,7 +26,6 @@ from wickalg import (
     word_to_index,
 )
 from wickalg.ideals import is_projection
-from wickalg.rewrite import rewriter_for
 
 
 def test_is_projection():
@@ -153,14 +153,14 @@ def test_wick_ideal_condition_check_negative():
 def test_wick_ideal_condition_check_one_part_outside():
     # a_k† a_k = 1 + q a_k a_k† and a_j† a_k = a_k a_j† (j ≠ k): for g = a_k a_k,
     # a_k†·g = (1+q)·a_k + q²·a_k a_k·a_k† and a_j†·g = a_k a_k·a_j†.  Of the
-    # three parts only (1+q)·a_k lies outside the ideal, first (k=1) or
-    # last (k=2) in the order of the splits.
+    # three nonzero parts D_i(g), Θ_i^m(g) only D_k(g) = (1+q)·a_k lies outside
+    # the ideal, first (k=1) or last (k=2) in the order of i.
     q = Scalar(rational(1, 2))
     for k, j in ((1, 2), (2, 1)):
         T = CoeffTensor(2, {(k, k, k, k): q, (j, k, j, k): Scalar(1)})
         g = Polynomial.monomial((k, k))
-        rw = rewriter_for(T)
-        parts = [p for i in (1, 2) for p in rw.split(i, g).values()]
+        dt = d_and_twist(g, T)
+        parts = [p for D, row in zip(dt["D"], dt["Theta"]) for p in (D, *row) if not p.is_zero]
         inside = [ideal_membership(p, [g], max_deg=3, d=2) for p in parts]
         assert sorted(inside) == [False, True, True]
         assert not wick_ideal_condition_check(T, [g], max_deg=3)

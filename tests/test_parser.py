@@ -20,6 +20,10 @@ def test_scalars_and_signs():
     assert parse_expression("i", 1) == Polynomial.monomial((), Scalar(0, 1))
     assert parse_expression("2i", 1) == Polynomial.monomial((), Scalar(0, 2))
     assert parse_expression("(1+2i)", 1) == Polynomial.monomial((), Scalar(1, 2))
+    assert parse_expression("3 / 4 a1", 1) == Polynomial.monomial((1,), rational(3, 4))
+    assert parse_expression("i2", 1) == Polynomial.monomial((), Scalar(0, 2))
+    assert parse_expression("1/2i", 1) == Polynomial.monomial((), Scalar(0, rational(1, 2)))
+    assert parse_expression("(1-1i) a1", 1) == Polynomial.monomial((1,), Scalar(1, -1))
     assert parse_expression("-a1", 1) == Polynomial.generator(1).scale(-1)
     got = parse_expression("a1* a1 - 1/2 a1 a1*", 1)
     assert got == Polynomial.monomial((-1, 1)) - Polynomial.monomial(
@@ -34,6 +38,7 @@ def test_juxtaposition_and_parentheses():
     )
     assert got == expect
     assert parse_expression("2 3 a1", 1) == Polynomial.monomial((1,), 6)
+    assert parse_expression("2 3i a1", 1) == Polynomial.monomial((1,), Scalar(0, 6))
 
 
 def test_parse_errors():
@@ -55,6 +60,25 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.pos == 3
+
+
+@pytest.mark.parametrize("text, pos", [("a²", 1), ("2²", 1), ("a1* a٣", 5), ("a١", 1)])
+def test_digits_are_ascii(text, pos):
+    # int() reads "٣" as 3 and refuses "²"; the lexer takes neither as a digit.
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_expression(text, 3)
+    assert exc.value.pos == pos
+
+
+def test_overlong_literal_is_a_parse_error():
+    # past sys.get_int_max_str_digits() (4300 by default) int() raises ValueError
+    with pytest.raises(ParseError, match="5000 digits is too long") as exc:
+        parse_expression("a1 + " + "7" * 5000, 1)
+    assert exc.value.pos == 5
+    with pytest.raises(ParseError, match="too long"):
+        parse_expression("a" + "1" * 5000, 1)
+    with pytest.raises(ParseError, match="too long"):
+        parse_expression("1/" + "3" * 5000, 1)
 
 
 def test_print_examples():
@@ -87,7 +111,7 @@ expression_texts = st.one_of(st.text(), _near_grammar, _nested)
 def test_parser_fuzz_raises_only_parse_errors(text, d):
     try:
         parse_expression(text, d)
-    except ValueError:  # ParseError is a ValueError
+    except ParseError:
         pass
 
 

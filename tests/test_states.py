@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gen_polynomials, gen_words, sample_tensors
+import wickalg.diffcalc as diffcalc
 from wickalg import (
     CoherentParam,
     Polynomial,
@@ -18,7 +19,6 @@ from wickalg import (
     rational,
     wick_order,
 )
-from wickalg.rewrite import Rewriter
 from wickalg.states import _normal_value
 
 TENSORS = sample_tensors()
@@ -216,11 +216,12 @@ def test_annihilator_apply_matches_one_step_rewriter(x, i, ti, phi):
 
 def test_states_do_not_split(monkeypatch):
     # Gram entries, inner products and annihilators contract the memo of
-    # Rewriter.through directly; Rewriter.split serves other callers.
-    def refuse(self, k, p):
-        raise AssertionError("Rewriter.split called")
+    # Rewriter.through directly; diffcalc.d_and_twist, which splits a_k†·f by
+    # its trailing a_m†, serves other callers.
+    def refuse(f, T):
+        raise AssertionError("d_and_twist called")
 
-    monkeypatch.setattr(Rewriter, "split", refuse)
+    monkeypatch.setattr(diffcalc, "d_and_twist", refuse)
     T = CROSS_TENSORS[-1]
     f = Polynomial.generator(1) * Polynomial.generator(2) + Polynomial.generator(2)
     g = Polynomial.generator(2) * Polynomial.generator(1)

@@ -15,6 +15,7 @@ from wickalg import (
     gram_matrix,
     identity,
     index_to_word,
+    kms_series,
     kron,
     make_preset,
     minus_one_eigenprojection,
@@ -126,6 +127,19 @@ def test_dimension_cap():
     assert p_n(T, 4, cap=16).rows == 16
     with pytest.raises(DimensionCapExceeded):
         next(gram_levels(T, 20))  # refused before the first level
+
+
+def test_negative_n_max_is_refused():
+    # gram_levels(T, -1) used to yield no level, so the rank series and the
+    # positivity report of a negative n_max came back as if it were valid.
+    T = make_preset("qccr", 2, q="1/2").tensor
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        next(gram_levels(T, -1))
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        kms_series(T, rational(1, 3), -1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        positivity_report(T, -1)
+    assert kms_series(T, rational(1, 3), 0)["ranks"] == [1]
 
 
 def test_spectral_summary():
