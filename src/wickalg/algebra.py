@@ -173,9 +173,6 @@ class Polynomial:
     def constant_term(self) -> Scalar:
         return self.terms.get((), Scalar(0))
 
-    def max_index(self) -> int:
-        return max((abs(c) for w in self.terms for c in w), default=0)
-
     def max_word_len(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 

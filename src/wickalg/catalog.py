@@ -44,7 +44,7 @@ def _twisted_tail(entries: dict, d: int, mu) -> None:
 
 
 def _twisted_ccr(d: int, params: dict) -> RelationSystem:
-    mu = rational(params.get("mu", params.get("q", 0)))
+    mu = rational(params.get("mu", 0))
     _require_open_unit("mu", mu)
     entries = {}
     for i in range(1, d + 1):
@@ -92,7 +92,7 @@ def _mucar_cubic_generators(d: int, mu) -> list:
 
 
 def _twisted_car(d: int, params: dict) -> RelationSystem:
-    mu = rational(params.get("mu", params.get("q", 0)))
+    mu = rational(params.get("mu", 0))
     _require_open_unit("mu", mu)
     entries = {}
     for i in range(1, d + 1):
@@ -167,7 +167,7 @@ def _degenerate(d: int, params: dict) -> RelationSystem:
 def _usym(d: int, params: dict) -> RelationSystem:
     # a_i† a_j = δ_ij + q a_j a_i† − λ δ_ij Σ_k a_k a_k†
     q = rational(params.get("q", 0))
-    lam = rational(params.get("lam", params.get("lambda", 0)))
+    lam = rational(params.get("lam", 0))
     entries = {}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -186,7 +186,7 @@ def _usym(d: int, params: dict) -> RelationSystem:
 def _aklt(d: int, params: dict) -> RelationSystem:
     if d not in (None, 3):
         raise ValueError("aklt is defined for d=3")
-    lam = rational(params.get("lam", params.get("lambda", 1)))
+    lam = rational(params.get("lam", 1))
     half = rational(1, 2)
     third = rational(1, 3)
     entries = {}
@@ -224,7 +224,7 @@ def _bs_ce(d: int, params: dict) -> RelationSystem:
 def _bp_ce(d: int, params: dict) -> RelationSystem:
     # a_i† a_i = 1 + λ a_ia_i† + ε Σ_{k≠i} a_ka_k†; cross rows vanish.
     d = d or 2
-    lam = rational(params.get("lam", params.get("lambda", 0)))
+    lam = rational(params.get("lam", 0))
     eps = rational(params.get("eps", 0))
     entries = {}
     for i in range(1, d + 1):
@@ -235,19 +235,19 @@ def _bp_ce(d: int, params: dict) -> RelationSystem:
     return RelationSystem(CoeffTensor(d, entries), [], "bp_ce", {"lam": lam, "eps": eps})
 
 
-# family -> (builder, needs d, accepted parameter names incl. aliases)
+# family -> (builder, needs d, accepted parameter names)
 _FAMILIES = {
     "qccr": (_qccr, True, ("q",)),
     "tlw": (_tlw, True, ("q",)),
-    "twisted_ccr": (_twisted_ccr, True, ("mu", "q")),
-    "twisted_car": (_twisted_car, True, ("mu", "q")),
+    "twisted_ccr": (_twisted_ccr, True, ("mu",)),
+    "twisted_car": (_twisted_car, True, ("mu",)),
     "snu2": (_snu2, False, ("nu",)),
     "q_ij": (_q_ij, True, None),
     "degenerate": (_degenerate, True, ()),
-    "usym": (_usym, True, ("q", "lam", "lambda")),
-    "aklt": (_aklt, False, ("lam", "lambda")),
+    "usym": (_usym, True, ("q", "lam")),
+    "aklt": (_aklt, False, ("lam",)),
     "bs_ce": (_bs_ce, False, ("tau",)),
-    "bp_ce": (_bp_ce, False, ("lam", "lambda", "eps")),
+    "bp_ce": (_bp_ce, False, ("lam", "eps")),
 }
 
 
@@ -264,14 +264,14 @@ def make_preset(family: str, d: int = None, **params) -> RelationSystem:
     know raises ``ValueError``; a missing one takes its default:
 
     - ``qccr``, ``tlw``: ``q = 0`` (the free case);
-    - ``twisted_ccr``, ``twisted_car``: ``mu`` (alias ``q``), required, 0 < mu < 1;
+    - ``twisted_ccr``, ``twisted_car``: ``mu``, required, 0 < mu < 1;
     - ``snu2`` (d = 2): ``nu``, required, nonzero;
     - ``q_ij``: ``qIJ`` and ``qIJ_im`` for 1 <= I, J <= d, each 0;
     - ``degenerate``: none;
-    - ``usym``: ``q = 0``, ``lam = 0`` (alias ``lambda``);
-    - ``aklt`` (d = 3): ``lam = 1`` (alias ``lambda``);
+    - ``usym``: ``q = 0``, ``lam = 0``;
+    - ``aklt`` (d = 3): ``lam = 1``;
     - ``bs_ce`` (d = 2): ``tau = 0``;
-    - ``bp_ce`` (d = 2 unless given): ``lam = 0`` (alias ``lambda``), ``eps = 0``.
+    - ``bp_ce`` (d = 2 unless given): ``lam = 0``, ``eps = 0``.
     """
     try:
         builder, needs_d, names = _FAMILIES[family]

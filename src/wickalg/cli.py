@@ -100,12 +100,14 @@ def _relation_system(args) -> RelationSystem:
 def _phi(args, d: int):
     if not args.phi:
         return CoherentParam.zero(d)
-    comps = []
+    comps, start = [], 0
     for chunk in args.phi.split(","):
-        p = parse_expression(chunk.strip(), 1)
-        if p.max_word_len() != 0:
+        if "a" in chunk:  # a generator, whatever its index
             _usage_error(f"--phi component {chunk!r} is not a scalar")
-        comps.append(p.constant_term)
+        # Blanks for the text before the chunk make parse positions count in
+        # the whole option; no generator is left for d = 0 to refuse.
+        comps.append(parse_expression(" " * start + chunk, 0).constant_term)
+        start += len(chunk) + 1
     if len(comps) != d:
         _usage_error(f"--phi needs {d} components, got {len(comps)}")
     return CoherentParam(tuple(comps))

@@ -103,7 +103,7 @@ def wick_ideal_condition_check(
     for g in gens:
         dt = d_and_twist(g, T)
         parts += [q for D, row in zip(dt["D"], dt["Theta"]) for q in (D, *row)]
-    return _in_ideal_span(parts, gens, max_deg, T.d)
+    return _in_ideal_span(parts, gens, max_deg)
 
 
 def coherent_annihilation_check(gens, phi: CoherentParam) -> bool:

@@ -87,8 +87,9 @@ def _add(acc: dict, key, v) -> None:
 class Rewriter:
     """Memoized Wick normalizer of one tensor.
 
-    Its memo ``_cache`` is the map (k, g) ↦ a_k†·a_g for generator words g
-    (see :meth:`through`).  Normal ordering, the annihilators of
+    Its memo ``_cache`` is the map (k, g) ↦ a_k†·a_g for the nonempty
+    prefixes g of the generator words asked of :meth:`through`, where a_k†
+    absorbs g letter by letter.  Normal ordering, the annihilators of
     ``states``, the twisted derivatives of ``diffcalc`` and the Wick-ideal
     check of ``ideals`` all read it.  ``cap`` bounds the terms one
     :meth:`wick_order` call makes; it is a per-call budget that
@@ -103,44 +104,41 @@ class Rewriter:
 
     def through(self, k: int, g: Word) -> dict:
         """a_k†·a_g for a generator word g, as {(g', m): c} meaning
-        Σ c·a_{g'}·a_m†, with m = 0 for a contracted term (no a†):
+        Σ c·a_{g'}·a_m†, with m = 0 for a contracted term (no a†).
 
-            a_k†·1 = a_k†,
-            a_k†·a_j a_h = δ_kj·a_h + Σ_{k',l} T_{kj}^{k'l} a_l·(a_{k'}†·a_h).
+        a_k†·1 = a_k†, and a_k† absorbs the letters of g from left to right:
+        a live term c·a_h·a_m† meets a_j as
 
-        The returned dict is the memo entry; do not modify it.  A missing
-        entry is filled without recursion, so a word of any length passes:
-        an explicit stack holds the pairs (k', suffix of g) still to fill,
-        and a pair is filled once every pair it needs is in the memo.  That
-        fills the entries the recursion would, and no others.
+            δ_mj·c·a_h + Σ_{k',l} T_{mj}^{k'l}·c·a_h a_l·a_{k'}†,
+
+        and a contracted term takes a_j as it is.  The memo holds the entry
+        of every nonempty prefix of an asked g, so a miss starts from the
+        longest prefix already there.  The returned dict is the memo entry;
+        do not modify it.  The loop does not recurse, so a word of any
+        length passes.
         """
         cache = self._cache
         out = cache.get((k, g))
         if out is not None:
             return out
+        for i in range(len(g) - 1, 0, -1):
+            out = cache.get((k, g[:i]))
+            if out is not None:
+                break
+        else:
+            i, out = 0, {((), k): ONE}
         row = self.T.row
-        todo = [(k, g)]
-        while todo:
-            key = todo[-1]
-            k2, h = key
-            if h:
-                j, rest = h[0], h[1:]
-                r = row(k2, j)
-                for kk, _, _ in r:
-                    if (kk, rest) not in cache:
-                        todo.append((kk, rest))
-                if todo[-1] is not key:
-                    continue  # fill the missing suffix entries first
-                out = {(rest, 0): ONE} if j == k2 else {}
-                for kk, l, c in r:
-                    for (hh, m), v in cache[(kk, rest)].items():
-                        _add(out, ((l,) + hh, m), c * v)
-            else:
-                out = {((), k2): ONE}
-            cache[key] = out
-            todo.pop()
-            while todo and todo[-1] in cache:  # a pair pushed twice
-                todo.pop()
+        for n, j in enumerate(g[i:], i + 1):
+            new: dict = {}
+            for (h, m), c in out.items():
+                if not m:
+                    _add(new, (h + (j,), 0), c)
+                    continue
+                if m == j:
+                    _add(new, (h, 0), c)
+                for kk, l, t in row(m, j):
+                    _add(new, (h + (l,), kk), c * t)
+            out = cache[(k, g[:n])] = new
         return out
 
     def normal_form_word(self, w: Word) -> dict:
@@ -266,9 +264,12 @@ def verify_identity(p: Polynomial, q: Polynomial, T: CoeffTensor, cap: int = DEF
 # ---------------------------------------------------------------------------
 
 
-def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
+def _in_ideal_span(targets, gens, max_deg: int) -> bool:
     """True iff every generator-only target lies in the span of
-    {u·g·v : g in gens, u, v words in a_1..a_d, |u|+|v|+maxlen(g) ≤ max_deg}.
+    {u·g·v : g in gens, u, v generator words, |u|+|v|+maxlen(g) ≤ max_deg}.
+
+    Words over the letters of the targets and generators decide it: the
+    projection onto those words maps each u·g·v to itself or to 0.
 
     With homogeneous generators every u·g·v is homogeneous, so each word
     length of the targets is a grade decided on its own; otherwise all
@@ -286,7 +287,7 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
             comps.setdefault(len(w) if homogeneous else 0, {})[w] = c
         for grade, comp in comps.items():
             parts.setdefault(grade, []).append(comp)
-    letters = range(1, d + 1)
+    letters = sorted({c for q in [*targets, *gens] for w in q.terms for c in w})
     for grade, comps in parts.items():
         span: dict = {}
         for g in gens:
@@ -309,12 +310,7 @@ def _in_ideal_span(targets, gens, max_deg: int, d: int) -> bool:
     return True
 
 
-def ideal_membership(
-    p: Polynomial,
-    gens: Iterable[Polynomial],
-    max_deg: int,
-    d: Optional[int] = None,
-) -> bool:
+def ideal_membership(p: Polynomial, gens: Iterable[Polynomial], max_deg: int) -> bool:
     """Degree-truncated membership of ``p`` in the two-sided ideal of the
     generator-only subalgebra generated by ``gens``.
 
@@ -327,6 +323,4 @@ def ideal_membership(
         raise ValueError("ideal_membership requires generator-only polynomials")
     if p.max_word_len() > max_deg:
         raise ValueError("p has monomials longer than max_deg")
-    if d is None:
-        d = max([p.max_index()] + [g.max_index() for g in gens])
-    return _in_ideal_span([p], gens, max_deg, d)
+    return _in_ideal_span([p], gens, max_deg)

@@ -245,20 +245,13 @@ def _witness_diagonal(tm: Matrix, d: int):
 
 
 def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:
-    """When P_3 fails PSD, report the most negative real diagonal entry of
+    """When P_3 fails PSD, report the most negative diagonal entry of
     (I+T₂)⁻¹ + T₁ on H^{⊗3}, an exact certificate against the monotone
-    chain P_3 ≥ 1⊗P_2."""
+    chain P_3 ≥ 1⊗P_2.  T is Hermitian, so the entries are real."""
     diag = _witness_diagonal(tm, T.d)
     if diag is None:
         return
-    best_idx, best = None, None
-    for idx, c in enumerate(diag):
-        if not c.is_real:
-            continue
-        if best is None or c.re < best:
-            best, best_idx = c.re, idx
-    if best is None:
-        return
+    best, best_idx = min((c.re, idx) for idx, c in enumerate(diag))
     word = index_to_word(best_idx, T.d, 3)
     report.add_check(
         "p3_diagonal_witness",

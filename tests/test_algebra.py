@@ -60,7 +60,6 @@ def test_polynomial_adjoint_example():
 
 def test_polynomial_inspection():
     p = Polynomial.monomial((1, 2, -3)) + Polynomial.unit()
-    assert p.max_index() == 3
     assert p.max_word_len() == 3
     assert not p.is_generator_only()
     assert not p.is_homogeneous()

@@ -137,3 +137,11 @@ def test_parameter_validation():
         make_preset("nope", 2)
     with pytest.raises(ValueError):
         make_preset("qccr")  # d required
+
+
+def test_aliases_are_unknown_parameters():
+    # Only the names mu and lam are read, so a second spelling is refused.
+    with pytest.raises(ValueError, match="unknown parameter q for preset 'twisted_ccr'; accepted: mu"):
+        make_preset("twisted_ccr", 2, mu="1/2", q="1/3")
+    with pytest.raises(ValueError, match="unknown parameter lambda for preset 'usym'; accepted: q, lam"):
+        make_preset("usym", 2, lam="1/2", **{"lambda": "1/3"})

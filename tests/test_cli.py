@@ -229,6 +229,24 @@ def test_bad_phi_rejected(capsys):
               "--nmax", "1", "--phi", "1/2"])
 
 
+@pytest.mark.parametrize("phi, message", [
+    ("1/2, 1/0", "division by zero (at position 7)"),
+    ("1, a7, 1", "--phi component ' a7' is not a scalar"),
+    ("1, a1, 1", "--phi component ' a1' is not a scalar"),
+])
+def test_phi_errors_point_into_the_option(capsys, phi, message):
+    # Positions count in the whole --phi value, and a generator of any index
+    # is "not a scalar".
+    argv = ["gram", "--preset", "qccr", "--param", "d=3", "--param", "q=1/2",
+            "--nmax", "1", "--phi", phi]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == f"wickalg: error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["positivity", "kms", "braid"])
 def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     # --nmax 20 at d=2 is past the default cap: one stderr line and exit 2,

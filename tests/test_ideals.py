@@ -161,7 +161,7 @@ def test_wick_ideal_condition_check_one_part_outside():
         g = Polynomial.monomial((k, k))
         dt = d_and_twist(g, T)
         parts = [p for D, row in zip(dt["D"], dt["Theta"]) for p in (D, *row) if not p.is_zero]
-        inside = [ideal_membership(p, [g], max_deg=3, d=2) for p in parts]
+        inside = [ideal_membership(p, [g], max_deg=3) for p in parts]
         assert sorted(inside) == [False, True, True]
         assert not wick_ideal_condition_check(T, [g], max_deg=3)
 

@@ -156,11 +156,14 @@ def test_ideal_membership_examples():
     g = Polynomial.monomial((1, 2)) - Polynomial.monomial((2, 1), mu)
     a1 = Polynomial.generator(1)
     a2 = Polynomial.generator(2)
-    assert ideal_membership(a1 * g + g * a2, [g], max_deg=3, d=2)
-    assert ideal_membership(g.scale(Scalar(0, 3)), [g], max_deg=2, d=2)
-    assert not ideal_membership(Polynomial.monomial((1, 2)), [g], max_deg=2, d=2)
-    assert not ideal_membership(a1, [g], max_deg=3, d=2)
-    assert ideal_membership(Polynomial.zero(), [g], max_deg=2, d=2)
+    assert ideal_membership(a1 * g + g * a2, [g], max_deg=3)
+    assert ideal_membership(g.scale(Scalar(0, 3)), [g], max_deg=2)
+    assert not ideal_membership(Polynomial.monomial((1, 2)), [g], max_deg=2)
+    assert not ideal_membership(a1, [g], max_deg=3)
+    assert ideal_membership(Polynomial.zero(), [g], max_deg=2)
+    # The letters of p and the generators decide: u = a3 is in the span.
+    assert ideal_membership(Polynomial.monomial((3,)) * g, [g], max_deg=3)
+    assert ideal_membership(Polynomial.monomial((2, 2)), [a2], max_deg=2)
 
 
 def test_ideal_membership_inhomogeneous_generators():
@@ -170,27 +173,27 @@ def test_ideal_membership_inhomogeneous_generators():
     a2 = Polynomial.generator(2)
     g = Polynomial.monomial((1, 1, 2)) + a1
     h = Polynomial.monomial((2, 2))
-    assert ideal_membership(g.scale(Scalar(2, 1)), [g], max_deg=3, d=2)
-    assert not ideal_membership(a1, [g], max_deg=3, d=2)
-    assert not ideal_membership(Polynomial.monomial((1, 1, 2)), [g], max_deg=3, d=2)
+    assert ideal_membership(g.scale(Scalar(2, 1)), [g], max_deg=3)
+    assert not ideal_membership(a1, [g], max_deg=3)
+    assert not ideal_membership(Polynomial.monomial((1, 1, 2)), [g], max_deg=3)
     # At degree 4 the span is {g, a_i·g, g·a_i}: a1·g − g·a1 is in it, the
     # shared lower part a1 a1 alone is not.
-    assert ideal_membership(a1 * g - g * a1, [g], max_deg=4, d=2)
-    assert ideal_membership(a2 * g + g * a2.scale(3), [g], max_deg=4, d=2)
-    assert not ideal_membership(Polynomial.monomial((1, 1)), [g], max_deg=4, d=2)
+    assert ideal_membership(a1 * g - g * a1, [g], max_deg=4)
+    assert ideal_membership(a2 * g + g * a2.scale(3), [g], max_deg=4)
+    assert not ideal_membership(Polynomial.monomial((1, 1)), [g], max_deg=4)
     # Together with the homogeneous generator a2 a2.
-    assert ideal_membership(g + a1 * h, [g, h], max_deg=3, d=2)
-    assert ideal_membership(h * a1 - g.scale(Scalar(0, 1)), [h, g], max_deg=3, d=2)
-    assert not ideal_membership(a1 + h, [g, h], max_deg=3, d=2)
-    assert not ideal_membership(a1 * h + a2, [g, h], max_deg=3, d=2)
+    assert ideal_membership(g + a1 * h, [g, h], max_deg=3)
+    assert ideal_membership(h * a1 - g.scale(Scalar(0, 1)), [h, g], max_deg=3)
+    assert not ideal_membership(a1 + h, [g, h], max_deg=3)
+    assert not ideal_membership(a1 * h + a2, [g, h], max_deg=3)
 
 
 def test_ideal_membership_validation():
     g = Polynomial.monomial((1, 2))
     with pytest.raises(ValueError):
-        ideal_membership(Polynomial.monomial((-1,)), [g], max_deg=2, d=2)
+        ideal_membership(Polynomial.monomial((-1,)), [g], max_deg=2)
     with pytest.raises(ValueError):
-        ideal_membership(Polynomial.monomial((1, 1, 1)), [g], max_deg=2, d=2)
+        ideal_membership(Polynomial.monomial((1, 1, 1)), [g], max_deg=2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,7 +205,7 @@ def test_ideal_membership_closed_under_multiplication(u, v):
     # u·g·v is in the ideal by construction.
     g = Polynomial.monomial((1, 1)) - Polynomial.monomial((2, 2))
     p = u * g * v
-    assert ideal_membership(p, [g], max_deg=4, d=2)
+    assert ideal_membership(p, [g], max_deg=4)
 
 
 def _two_rank_membership(p, gens, max_deg, d):
@@ -263,8 +266,9 @@ def test_ideal_membership_matches_two_rank_reference(seed):
                 member = member + u * g * v
             stray = _random_poly(rng, range(max_deg + 1), rng.randint(1, 2))
             for p in (member, stray, member + stray):
-                got = ideal_membership(p, gens, max_deg, d=2)
+                got = ideal_membership(p, gens, max_deg)
                 assert got == _two_rank_membership(p, gens, max_deg, 2)
+                assert got == _two_rank_membership(p, gens, max_deg, 3)
                 answers.append(got)
     assert True in answers and False in answers
 
@@ -282,12 +286,12 @@ def test_ideal_membership_one_echelon_per_grade(monkeypatch):
     a2 = Polynomial.generator(2)
     g = Polynomial.monomial((1, 2)) - Polynomial.monomial((2, 1))
     # Homogeneous g: the parts of word length 2 and 3 are two grades.
-    assert ideal_membership(g + a1 * g - g * a2, [g], max_deg=3, d=2)
+    assert ideal_membership(g + a1 * g - g * a2, [g], max_deg=3)
     assert len(calls) == 2
     # An inhomogeneous generator puts every length in one grade.
     calls.clear()
     h = g + a1
-    assert ideal_membership(h.scale(3) + a2 * h, [h], max_deg=3, d=2)
+    assert ideal_membership(h.scale(3) + a2 * h, [h], max_deg=3)
     assert len(calls) == 1
 
 
@@ -302,8 +306,8 @@ def test_long_word_normal_orders():
 
 
 def _recursive_through(rw, k, g):
-    """a_k†·a_g by the defining recursion of ``Rewriter.through``, memoized in
-    ``rw._cache`` the same way."""
+    """a_k†·a_g by the recursion a_k†·a_j a_h = δ_kj·a_h + Σ T_{kj}^{k'l}
+    a_l·(a_{k'}†·a_h), memoized in ``rw._cache`` by (k, suffix of g)."""
     if (k, g) not in rw._cache:
         out = {((), k): ONE}
         if g:
@@ -317,11 +321,30 @@ def _recursive_through(rw, k, g):
 
 @pytest.mark.parametrize("ti", range(len(TENSORS)))
 def test_through_fills_the_memo_of_the_recursion(ti):
-    # Same entries, same values, none extra: a hit stops the descent.
+    # The values of the recursion; the memo holds the nonempty prefixes of
+    # the asked words, every asked nonempty word among them.
     T, rng = TENSORS[ti], random.Random(ti)
     fast, ref = rewrite.Rewriter(T), rewrite.Rewriter(T)
+    asked = set()
     for _ in range(30):
         k = rng.randint(1, T.d)
         g = tuple(rng.randint(1, T.d) for _ in range(rng.randint(0, 6)))
         assert fast.through(k, g) == _recursive_through(ref, k, g)
-        assert fast._cache == ref._cache
+        asked.add((k, g))
+        prefixes = {(kk, gg[:n]) for kk, gg in asked for n in range(1, len(gg) + 1)}
+        assert fast._cache.keys() <= prefixes
+        assert {(kk, gg) for kk, gg in asked if gg} <= fast._cache.keys()
+
+
+@pytest.mark.parametrize("ti", range(len(TENSORS)))
+def test_through_extends_a_prefix_by_one_entry(ti):
+    T, rng = TENSORS[ti], random.Random(ti)
+    for _ in range(20):
+        rw = rewrite.Rewriter(T)
+        k = rng.randint(1, T.d)
+        g = tuple(rng.randint(1, T.d) for _ in range(rng.randint(0, 5)))
+        rw.through(k, g)
+        before = set(rw._cache)
+        h = g + (rng.randint(1, T.d),)
+        rw.through(k, h)
+        assert set(rw._cache) - before == {(k, h)}
