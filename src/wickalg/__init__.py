@@ -12,10 +12,8 @@ from .algebra import (
     RelationSystem,
     adjoint_word,
     dag,
-    degree,
     gen,
     hermiticity_check,
-    word,
     word_str,
 )
 from .braid import braid_check, p_n_by_permutations, t_of_permutation

@@ -8,7 +8,7 @@ tuple is the unit monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .scalars import ONE, Scalar
 
@@ -16,8 +16,6 @@ __all__ = [
     "Word",
     "gen",
     "dag",
-    "word",
-    "degree",
     "adjoint_word",
     "word_str",
     "Polynomial",
@@ -42,16 +40,6 @@ def dag(i: int) -> int:
     if i < 1:
         raise ValueError("generator index must be >= 1")
     return -i
-
-
-def word(*codes: int) -> Word:
-    """Build an encoded word from letter codes."""
-    return tuple(int(c) for c in codes)
-
-
-def degree(w: Word) -> int:
-    """The gauge degree: #Gen letters − #Dag letters."""
-    return sum(1 if c > 0 else -1 for c in w)
 
 
 def adjoint_word(w: Word) -> Word:
@@ -166,9 +154,6 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, w: Word) -> Scalar:
-        return self.terms.get(tuple(w), Scalar(0))
-
     @property
     def constant_term(self) -> Scalar:
         return self.terms.get((), Scalar(0))
@@ -182,9 +167,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
-
-    def words(self) -> list:
-        return sorted(self.terms, key=lambda w: (len(w), w))
 
     def __repr__(self):
         if not self.terms:

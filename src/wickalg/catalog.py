@@ -110,8 +110,6 @@ def _twisted_car(d: int, params: dict) -> RelationSystem:
 
 
 def _snu2(d: int, params: dict) -> RelationSystem:
-    if d not in (None, 2):
-        raise ValueError("snu2 is defined for d=2")
     nu = rational(params.get("nu", 0))
     if nu == 0:
         raise ValueError("parameter nu must be nonzero")
@@ -184,8 +182,6 @@ def _usym(d: int, params: dict) -> RelationSystem:
 
 
 def _aklt(d: int, params: dict) -> RelationSystem:
-    if d not in (None, 3):
-        raise ValueError("aklt is defined for d=3")
     lam = rational(params.get("lam", 1))
     half = rational(1, 2)
     third = rational(1, 3)
@@ -209,8 +205,6 @@ def _aklt(d: int, params: dict) -> RelationSystem:
 def _bs_ce(d: int, params: dict) -> RelationSystem:
     # a_1† a_1 = 1 + τ(a_1a_1† − a_2a_2†); a_2† a_2 = 1 − τ(a_1a_1† − a_2a_2†);
     # cross rows vanish.
-    if d not in (None, 2):
-        raise ValueError("bs_ce is defined for d=2")
     tau = rational(params.get("tau", 0))
     entries = {
         (1, 1, 1, 1): Scalar(tau),
@@ -223,7 +217,6 @@ def _bs_ce(d: int, params: dict) -> RelationSystem:
 
 def _bp_ce(d: int, params: dict) -> RelationSystem:
     # a_i† a_i = 1 + λ a_ia_i† + ε Σ_{k≠i} a_ka_k†; cross rows vanish.
-    d = d or 2
     lam = rational(params.get("lam", 0))
     eps = rational(params.get("eps", 0))
     entries = {}
@@ -235,19 +228,19 @@ def _bp_ce(d: int, params: dict) -> RelationSystem:
     return RelationSystem(CoeffTensor(d, entries), [], "bp_ce", {"lam": lam, "eps": eps})
 
 
-# family -> (builder, needs d, accepted parameter names)
+# family -> (builder, fixed d or None for a given d >= 1, accepted parameter names)
 _FAMILIES = {
-    "qccr": (_qccr, True, ("q",)),
-    "tlw": (_tlw, True, ("q",)),
-    "twisted_ccr": (_twisted_ccr, True, ("mu",)),
-    "twisted_car": (_twisted_car, True, ("mu",)),
-    "snu2": (_snu2, False, ("nu",)),
-    "q_ij": (_q_ij, True, None),
-    "degenerate": (_degenerate, True, ()),
-    "usym": (_usym, True, ("q", "lam")),
-    "aklt": (_aklt, False, ("lam",)),
-    "bs_ce": (_bs_ce, False, ("tau",)),
-    "bp_ce": (_bp_ce, False, ("lam", "eps")),
+    "qccr": (_qccr, None, ("q",)),
+    "tlw": (_tlw, None, ("q",)),
+    "twisted_ccr": (_twisted_ccr, None, ("mu",)),
+    "twisted_car": (_twisted_car, None, ("mu",)),
+    "snu2": (_snu2, 2, ("nu",)),
+    "q_ij": (_q_ij, None, None),
+    "degenerate": (_degenerate, None, ()),
+    "usym": (_usym, None, ("q", "lam")),
+    "aklt": (_aklt, 3, ("lam",)),
+    "bs_ce": (_bs_ce, 2, ("tau",)),
+    "bp_ce": (_bp_ce, None, ("lam", "eps")),
 }
 
 
@@ -266,21 +259,29 @@ def make_preset(family: str, d: int = None, **params) -> RelationSystem:
     - ``qccr``, ``tlw``: ``q = 0`` (the free case);
     - ``twisted_ccr``, ``twisted_car``: ``mu``, required, 0 < mu < 1;
     - ``snu2`` (d = 2): ``nu``, required, nonzero;
-    - ``q_ij``: ``qIJ`` and ``qIJ_im`` for 1 <= I, J <= d, each 0;
+    - ``q_ij`` (d <= 10): ``qIJ`` and ``qIJ_im`` for 1 <= I, J <= d, each 0;
     - ``degenerate``: none;
     - ``usym``: ``q = 0``, ``lam = 0``;
     - ``aklt`` (d = 3): ``lam = 1``;
     - ``bs_ce`` (d = 2): ``tau = 0``;
-    - ``bp_ce`` (d = 2 unless given): ``lam = 0``, ``eps = 0``.
+    - ``bp_ce``: ``lam = 0``, ``eps = 0``.
+
+    ``snu2``, ``aklt`` and ``bs_ce`` take d as shown or left out; every other
+    family needs d >= 1.
     """
     try:
-        builder, needs_d, names = _FAMILIES[family]
+        builder, fixed_d, names = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown preset family {family!r}; "
                          f"known: {', '.join(preset_names())}") from None
-    if needs_d and (d is None or d < 1):
+    if fixed_d is not None and d not in (None, fixed_d):
+        raise ValueError(f"{family} is defined for d={fixed_d}")
+    if fixed_d is None and (d is None or d < 1):
         raise ValueError(f"preset {family!r} requires a dimension d >= 1")
-    if names is None:  # q_ij: the names depend on d
+    if names is None:  # q_ij: the names depend on d; at d = 11, q111 names two pairs
+        if d > 10:
+            raise ValueError("preset 'q_ij' is defined for d <= 10, "
+                             "where its parameter names qIJ are unambiguous")
         names = [f"q{i}{j}{part}" for i in range(1, d + 1)
                  for j in range(1, d + 1) for part in ("", "_im")]
     unknown = sorted(set(params) - set(names))

@@ -193,9 +193,6 @@ class Matrix:
                     return False
         return True
 
-    def diagonal(self) -> list:
-        return [self.data[r][r] for r in range(min(self.rows, self.cols))]
-
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
         return len(_echelon(_sparse_rows(self.data), self.cols)[1])

@@ -3,13 +3,11 @@
 The single rewrite rule replaces an adjacent pair ``a_i† a_j`` by
 ``δ_ij·1 + Σ_{k,l} T_{ij}^{kl} a_l a_k†``.  The rewriting system is confluent
 (diamond property), so the normal form is independent of the substitution
-order.  Two engines compute it:
-
-- :class:`Rewriter`, the default, memoizes per tensor how ``a_k†`` passes a
-  generator word and absorbs the letters of a word into its normal suffix
-  from right to left;
-- a one-step rewriter with leftmost, rightmost or random redex choice
-  (``wick_order(..., strategy=...)``), the independent reference.
+order.  :func:`wick_order` computes it with the :class:`Rewriter` of the
+tensor, which memoizes how ``a_k†`` passes a generator word and absorbs the
+letters of a word into its normal suffix from right to left.  A one-step
+rewriter with leftmost, rightmost or random redex choice,
+``_wick_order_strategy``, is the tests' independent reference.
 
 Membership in a degree-truncated two-sided ideal of the generator-only
 subalgebra is exact linear algebra: the span of the words u·g·v is built
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
 from .linalg import _echelon
@@ -190,13 +188,18 @@ def rewriter_for(T: CoeffTensor) -> Rewriter:
 
 
 def _wick_order_strategy(
-    p: Polynomial, T: CoeffTensor, strategy: str, rng, cap: int
+    p: Polynomial, T: CoeffTensor, strategy: str, rng=None, cap: int = DEFAULT_TERM_CAP
 ) -> Polynomial:
-    """One-step-at-a-time rewriting with a configurable redex choice.
-
-    Used by the confluence property tests; not memoized.
+    """One-step-at-a-time rewriting, not memoized: the tests' reference for
+    :func:`wick_order`.  ``strategy`` picks the redex: ``"leftmost"``,
+    ``"rightmost"`` or ``"random"`` (redex and term drawn from ``rng``,
+    default ``Random(0)``).
     """
+    if strategy not in ("leftmost", "rightmost", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     _check_indices(p, T.d)
+    if rng is None:
+        rng = random.Random(0)
     pending = dict(p.terms)
     done: dict = {}
     steps = 0
@@ -214,10 +217,8 @@ def _wick_order_strategy(
             pos = positions[0]
         elif strategy == "rightmost":
             pos = positions[-1]
-        elif strategy == "random":
-            pos = rng.choice(positions)
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            pos = rng.choice(positions)
         i, j = -w[pos], w[pos + 1]
         head, tail = w[:pos], w[pos + 2:]
         if i == j:
@@ -230,28 +231,13 @@ def _wick_order_strategy(
     return Polynomial._of(done)
 
 
-def wick_order(
-    p: Polynomial,
-    T: CoeffTensor,
-    strategy: Optional[str] = None,
-    rng: Optional[random.Random] = None,
-    cap: int = DEFAULT_TERM_CAP,
-) -> Polynomial:
-    """Normalize ``p`` modulo the Wick relations of ``T``.
-
-    With no ``strategy`` this runs the memoized :class:`Rewriter` of ``T``;
-    ``"leftmost"``, ``"rightmost"`` or ``"random"`` (redex and term drawn
-    from ``rng``, default ``Random(0)``) run the one-step rewriter instead.
-    The result contains only normal words and is independent of the engine
-    (confluence).  ``cap`` bounds the intermediate terms of this call.
-    """
-    if strategy is None:
-        rw = rewriter_for(T)
-        rw.cap = cap
-        return rw.wick_order(p)
-    if rng is None:
-        rng = random.Random(0)
-    return _wick_order_strategy(p, T, strategy, rng, cap)
+def wick_order(p: Polynomial, T: CoeffTensor, cap: int = DEFAULT_TERM_CAP) -> Polynomial:
+    """Normalize ``p`` modulo the Wick relations of ``T`` with the memoized
+    :class:`Rewriter` of ``T``.  The result contains only normal words.
+    ``cap`` bounds the intermediate terms of this call."""
+    rw = rewriter_for(T)
+    rw.cap = cap
+    return rw.wick_order(p)
 
 
 def verify_identity(p: Polynomial, q: Polynomial, T: CoeffTensor, cap: int = DEFAULT_TERM_CAP) -> bool:

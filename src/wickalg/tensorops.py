@@ -157,7 +157,6 @@ class SpectralSummary:
     norm: float
     t_plus: float
     t_minus: float
-    eig_min: float
     rank: int
     is_psd: bool
 
@@ -169,11 +168,11 @@ def spectral_summary(X: Matrix) -> SpectralSummary:
     is_psd, rank = X.psd_rank()
     ev = eigvalsh(X)
     if ev.size == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0, True)
+        return SpectralSummary(0.0, 0.0, 0.0, 0, True)
     t_plus = float(ev[-1])
     t_minus = float(ev[0])
     norm = max(abs(t_plus), abs(t_minus))
-    return SpectralSummary(norm, t_plus, t_minus, t_minus, rank, is_psd)
+    return SpectralSummary(norm, t_plus, t_minus, rank, is_psd)
 
 
 def positivity_report(
@@ -221,7 +220,7 @@ def positivity_report(
     for n, pn in enumerate(levels, 2):
         s = spectral_summary(pn)
         report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank,
-                         eig_min=s.eig_min, dim=pn.rows)
+                         eig_min=s.t_minus, dim=pn.rows)
         if n == 3:
             p3_psd = s.is_psd
 

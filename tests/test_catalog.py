@@ -139,6 +139,22 @@ def test_parameter_validation():
         make_preset("qccr")  # d required
 
 
+def test_dimension_rule():
+    # bp_ce takes d >= 1 from the caller like qccr; it has no default d.
+    for d in (0, None):
+        with pytest.raises(ValueError, match="preset 'bp_ce' requires a dimension d >= 1"):
+            make_preset("bp_ce", d, lam="1/2")
+    with pytest.raises(ValueError, match="snu2 is defined for d=2"):
+        make_preset("snu2", 3, nu="1/2")
+    # q_ij names q_{1,10} and q_{10,1} apart up to d = 10; at d = 11,
+    # q111 would name both q_{1,11} and q_{11,1}.
+    T = make_preset("q_ij", 10, q110="1/2", q101="1/2").tensor
+    assert T.entries == {(1, 10, 1, 10): Scalar(rational(1, 2)),
+                         (10, 1, 10, 1): Scalar(rational(1, 2))}
+    with pytest.raises(ValueError, match="'q_ij' is defined for d <= 10"):
+        make_preset("q_ij", 11, q111="1/2")
+
+
 def test_aliases_are_unknown_parameters():
     # Only the names mu and lam are read, so a second spelling is refused.
     with pytest.raises(ValueError, match="unknown parameter q for preset 'twisted_ccr'; accepted: mu"):

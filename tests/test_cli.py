@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -198,6 +200,9 @@ QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
     ["kms", *QCCR, "--nmax", "-1"],
     ["braid", *QCCR, "--nmax", "-1"],
     ["ideal-check", *QCCR, "--nmax", "-1"],
+    ["order", "--preset", "bp_ce", "--param", "d=0", "a1"],
+    ["order", "--preset", "bp_ce", "--param", "lam=1/2", "a1"],
+    ["order", "--preset", "q_ij", "--param", "d=11", "--param", "q111=1/2", "a1"],
 ])
 def test_bad_input_fails_clean(capsys, argv):
     # Exit code 2 and one stderr line, whether argument handling
@@ -345,6 +350,23 @@ def test_braid_refuses_the_whole_nmax_up_front(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("wickalg: error: ") and err.count("\n") == 1
+
+
+def _readme_cli_commands():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", f.read(), re.M | re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wickalg ")]
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # Every command of the README's CLI block exits 0, run from an empty directory.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_python_dash_m_wickalg():

@@ -20,7 +20,7 @@ from wickalg import (
     wick_order,
 )
 from wickalg import rewrite
-from wickalg.rewrite import TermBudgetExceeded
+from wickalg.rewrite import TermBudgetExceeded, _wick_order_strategy
 from wickalg.scalars import ONE, ZERO
 
 TENSORS = sample_tensors()
@@ -73,9 +73,13 @@ def test_index_out_of_range():
         wick_order(Polynomial.monomial((3,)), T)
     # Letter code 0 names no generator; both engines refuse it.
     qccr = make_preset("qccr", 2, q="1/2").tensor
-    for strategy in (None, "leftmost"):
+    for engine in (wick_order, lambda p, T: _wick_order_strategy(p, T, "leftmost")):
         with pytest.raises(ValueError):
-            wick_order(Polynomial.monomial((-1, 0, 1)), qccr, strategy=strategy)
+            engine(Polynomial.monomial((-1, 0, 1)), qccr)
+    # An unknown strategy is refused even when the input has no redex.
+    for w in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+            _wick_order_strategy(Polynomial.monomial(w), qccr, "middle")
 
 
 def test_term_budget():
@@ -84,7 +88,7 @@ def test_term_budget():
     with pytest.raises(TermBudgetExceeded):
         wick_order(big, T, cap=2)
     with pytest.raises(TermBudgetExceeded):
-        wick_order(big, T, strategy="rightmost", cap=2)
+        _wick_order_strategy(big, T, "rightmost", cap=2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,9 +100,9 @@ def test_term_budget():
 def test_confluence_strategies_agree(p, ti, seed):
     T = TENSORS[ti]
     left = wick_order(p, T)
-    assert wick_order(p, T, strategy="leftmost") == left
-    assert wick_order(p, T, strategy="rightmost") == left
-    assert wick_order(p, T, strategy="random", rng=random.Random(seed)) == left
+    assert _wick_order_strategy(p, T, "leftmost") == left
+    assert _wick_order_strategy(p, T, "rightmost") == left
+    assert _wick_order_strategy(p, T, "random", random.Random(seed)) == left
 
 
 @settings(max_examples=60, deadline=None)

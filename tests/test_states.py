@@ -19,6 +19,7 @@ from wickalg import (
     rational,
     wick_order,
 )
+from wickalg.rewrite import _wick_order_strategy
 from wickalg.states import _normal_value
 
 TENSORS = sample_tensors()
@@ -79,7 +80,7 @@ def test_annihilator_route_matches_rewriting(words, f, g, ti, phi):
     T = CROSS_TENSORS[ti]
 
     def ref(p):
-        return _normal_value(wick_order(p, T, strategy="leftmost"), phi)
+        return _normal_value(_wick_order_strategy(p, T, "leftmost"), phi)
 
     assert inner_product(f, g, phi, T) == ref(f.adjoint() * g)
     gram = gram_matrix(words, phi, T)
@@ -209,7 +210,7 @@ def test_annihilator_apply_matches_one_step_rewriter(x, i, ti, phi):
     # λ_φ(a_i†)x is the one-step rewriter's normal form of a_i†·x with each
     # trailing a_m† replaced by φ_m, as a polynomial, not only under ω_φ.
     T = CROSS_TENSORS[ti]
-    normal = wick_order(Polynomial.adjoint_generator(i) * x, T, strategy="leftmost")
+    normal = _wick_order_strategy(Polynomial.adjoint_generator(i) * x, T, "leftmost")
     assert all(c > 0 for w in normal.terms for c in w[:-1])  # at most a trailing a†
     assert annihilator_apply(i, x, phi, T) == _trailing_dag_to_phi(normal, phi)
 
@@ -226,9 +227,9 @@ def test_states_do_not_split(monkeypatch):
     f = Polynomial.generator(1) * Polynomial.generator(2) + Polynomial.generator(2)
     g = Polynomial.generator(2) * Polynomial.generator(1)
     for phi in PHIS:
-        ref = _normal_value(wick_order(f.adjoint() * g, T, strategy="leftmost"), phi)
+        ref = _normal_value(_wick_order_strategy(f.adjoint() * g, T, "leftmost"), phi)
         assert inner_product(f, g, phi, T) == ref
-        normal = wick_order(Polynomial.adjoint_generator(1) * g, T, strategy="leftmost")
+        normal = _wick_order_strategy(Polynomial.adjoint_generator(1) * g, T, "leftmost")
         assert annihilator_apply(1, g, phi, T) == _trailing_dag_to_phi(normal, phi)
     words = [index_to_word(k, 2, 2) for k in range(4)]
     assert gram_matrix(words, CoherentParam.zero(2), T).data == p_n(T, 2).data
