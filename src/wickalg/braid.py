@@ -10,9 +10,9 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _product, _sparse_rows, identity
-from .scalars import ZERO
-from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, braid_check, embed, t_matrix
+from .linalg import Matrix, _dense, _sparse_product
+from .scalars import ONE
+from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, braid_check, t_matrix
 
 __all__ = [
     "braid_check",
@@ -40,20 +40,15 @@ def permutation_length(perm) -> int:
 
 def reduced_word(perm) -> list:
     """A reduced word [i₁, …, i_k] with π = s_{i₁}⋯s_{i_k} (bubble sort)."""
-    seq = list(perm)
-    n = len(seq)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
+    seq, swaps = list(perm), []
+    for end in range(len(seq) - 1, 0, -1):
+        for i in range(end):
             if seq[i] > seq[i + 1]:
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
                 swaps.append(i + 1)
-                changed = True
     # Sorting multiplies π on the right by each swap, so π is the swaps
     # read in reverse order.
-    return list(reversed(swaps))
+    return swaps[::-1]
 
 
 def compose(pi, sigma) -> tuple:
@@ -80,36 +75,34 @@ def t_of_permutation(
     _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")
-    tm = t_matrix(T)
-    out = identity(T.d**n)
+    tm, rows = t_matrix(T), [{r: ONE} for r in range(T.d**n)]
     for i in reduced_word(perm):
-        out = out * embed(tm, i, n, cap)
-    return out
+        rows = _sparse_product(rows, _slot_rows(tm, i, n))
+    return Matrix._of(_dense(rows, T.d**n), T.d**n, T.d**n)
 
 
 def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
-    """{π: T(π)} over S_n for a braided T, one product per permutation:
-    walking up the weak order, T(π·s_i) = T(π)·T_i when π(i) < π(i+1).
-    The nonzero rows of each embedded T_i are collected once."""
+    """{π: the ``{col: Scalar}`` rows of T(π)} over S_n for a braided T, one
+    sparse product per permutation: walking up the weak order,
+    T(π·s_i) = T(π)·T_i when π(i) < π(i+1), with T_i from :func:`_slot_rows`."""
     tm = t_matrix(T)
-    dim = T.d**n
-    t_rows = [_sparse_rows(embed(tm, i, n, cap).data) for i in range(1, n)]
+    t_rows = [_slot_rows(tm, i, n) for i in range(1, n)]
     ident = tuple(range(1, n + 1))
-    known = {ident: identity(dim)}
+    known = {ident: [{r: ONE} for r in range(T.d**n)]}
     order = [ident]
     for perm in order:  # grows as the walk goes
         for i in range(1, n):
             if perm[i - 1] < perm[i]:
                 up = perm[:i - 1] + (perm[i], perm[i - 1]) + perm[i + 1:]
                 if up not in known:
-                    known[up] = Matrix._of(_product(known[perm].data, t_rows[i - 1], dim), dim, dim)
+                    known[up] = _sparse_product(known[perm], t_rows[i - 1])
                     order.append(up)
     return known
 
 
 def _check_permutation_cap(d: int, n: int, cap: int) -> None:
-    """Refuse a permutation sum at level n whose n! dense d^n × d^n matrices
-    T(π) hold more entries than one ``cap`` × ``cap`` matrix, or with d^n past
+    """Refuse a permutation sum at level n whose n! d^n × d^n matrices T(π)
+    can hold more entries than one ``cap`` × ``cap`` matrix, or with d^n past
     ``cap``; both counts grow with n, so a check at n covers every level below."""
     _check_cap(d, n, cap)
     entries = factorial(n) * d ** (2 * n)
@@ -122,9 +115,9 @@ def _check_permutation_cap(d: int, n: int, cap: int) -> None:
 def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
-    """Σ over all n! permutations of T(π), each T(π) formed once along the
-    weak order and added into one ``{col: Scalar}`` dict per row; refused by
-    :func:`_check_permutation_cap` before anything is built."""
+    """Σ over all n! permutations of T(π), the sparse rows of each T(π) formed
+    once along the weak order and added into one ``{col: Scalar}`` dict per
+    row; refused by :func:`_check_permutation_cap` before anything is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = T.d**n
@@ -132,11 +125,11 @@ def p_n_by_permutations(
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
     acc = [{} for _ in range(dim)]
-    for m in _weak_order_products(T, n, cap).values():
-        for row, mrow in zip(acc, _sparse_rows(m.data)):
+    for rows in _weak_order_products(T, n, cap).values():
+        for row, mrow in zip(acc, rows):
             for c, y in mrow.items():
                 row[c] = row[c] + y if c in row else y
-    return Matrix._of([[row.get(c) or ZERO for c in range(dim)] for row in acc], dim, dim)
+    return Matrix._of(_dense(acc, dim), dim, dim)
 
 
 def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
@@ -146,10 +139,10 @@ def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
         raise DimensionCapExceeded(f"n!·d^n = {factorial(n) * T.d**n} exceeds the dense cap {cap}")
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
-    t_of = _weak_order_products(T, n, cap)
+    t_of = {perm: _dense(rows, T.d**n) for perm, rows in _weak_order_products(T, n, cap).items()}
     perms = list(_permutations(range(1, n + 1)))
     data = [sum(rows, []) for pi in perms
-            for rows in zip(*(t_of[compose(inverse(pi), sigma)].data for sigma in perms))]
+            for rows in zip(*(t_of[compose(inverse(pi), sigma)] for sigma in perms))]
     return Matrix._of(data, len(data), len(data))
 
 

@@ -40,6 +40,28 @@ def _product(arows, bnz: list, cols: int) -> list:
     return out
 
 
+def _sparse_product(arows, brows) -> list:
+    """The ``{col: Scalar}`` rows of A·B from those of A and B, entries that cancel dropped."""
+    out = []
+    for arow in arows:
+        orow = {}
+        for k, a in arow.items():
+            for c, b in brows[k].items():
+                x = orow.get(c)
+                orow[c] = a * b if x is None else x + a * b
+        out.append({c: x for c, x in orow.items() if x})
+    return out
+
+
+def _dense(rows, cols: int) -> list:
+    """Dense rows of ``cols`` entries from ``{col: Scalar}`` rows."""
+    out = [[ZERO] * cols for _ in rows]
+    for orow, row in zip(out, rows):
+        for c, x in row.items():
+            orow[c] = x
+    return out
+
+
 def _subtract(row: dict, f: Scalar, pitems) -> None:
     """row -= f·prow in place, given the ``(col, Scalar)`` items of prow,
     dropping entries that cancel."""
@@ -181,15 +203,18 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_hermitian(self) -> bool:
-        """Each entry on or above the diagonal equals the conjugate of its
-        mirror; an entry that is its own mirror object and real is skipped."""
+        """Each entry on or above the diagonal equals the conjugate of its mirror, slot
+        by slot on the canonical parts; a real entry that is its own mirror is skipped."""
         if self.rows != self.cols:
             return False
         data = self.data
         for r, row in enumerate(data):
             for c in range(r, self.cols):
                 x, y = row[c], data[c][r]
-                if (x is not y or x.im) and x != y.conjugate():
+                a, b, ya, yb = x.re, x.im, y.re, y.im
+                if (x is not y or b._numerator) and (
+                        a._numerator != ya._numerator or a._denominator != ya._denominator
+                        or b._numerator != -yb._numerator or b._denominator != yb._denominator):
                     return False
         return True
 

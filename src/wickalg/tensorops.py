@@ -14,9 +14,9 @@ from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
 from .eigen import eigvalsh
-from .linalg import Matrix, identity, kron, zeros
+from .linalg import Matrix, _dense, _product, _sparse_product, _sparse_rows, identity, zeros
 from .reports import Report
-from .scalars import rational_str
+from .scalars import ONE, rational_str
 
 __all__ = [
     "DimensionCapExceeded",
@@ -97,49 +97,60 @@ def ttilde_matrix(T: CoeffTensor) -> Matrix:
     return m
 
 
+def _slot_rows(X: Matrix, slot: int, n: int) -> list:
+    """The ``{col: Scalar}`` rows of I ⊗ X ⊗ I on H^{⊗n}, X a two-slot operator
+    on the slots (slot, slot+1): X's entries are placed, none is multiplied."""
+    d = isqrt(X.rows)
+    low = d ** (n - slot - 1)
+    xrows = _sparse_rows(X.data)
+    return [{base + c * low + lo: x for c, x in xrow.items()}
+            for base in range(0, d**n, X.rows * low) for xrow in xrows for lo in range(low)]
+
+
 def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
-    """The two-slot operator X (d²×d², d read off its shape) acting on
-    adjacent tensor slots (slot, slot+1) of H^{⊗n}."""
+    """The two-slot operator X (d²×d², d read off its shape) acting on adjacent
+    tensor slots (slot, slot+1) of H^{⊗n}: :func:`_slot_rows` made dense."""
     d = isqrt(X.rows)
     if X.rows != d * d or X.cols != X.rows:
         raise ValueError(f"embed expects a d²×d² two-slot operator, got {X.rows}x{X.cols}")
     if not (1 <= slot <= n - 1):
         raise ValueError(f"slot {slot} out of range 1..{n - 1}")
     _check_cap(d, n, cap)
-    m = X
-    if slot > 1:
-        m = kron(identity(d ** (slot - 1)), m)
-    if slot + 1 < n:
-        m = kron(m, identity(d ** (n - slot - 1)))
-    return m
+    return Matrix._of(_dense(_slot_rows(X, slot, n), d**n), d**n, d**n)
 
 
 def braid_check(T: CoeffTensor) -> bool:
-    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}, refused past the default cap."""
+    """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}, refused past the default cap:
+    three products of sparse rows, T₁T₂ shared by both sides."""
     _check_h3_cap(T.d, "braid check")
     tm = t_matrix(T)
-    t1 = embed(tm, 1, 3)
-    t2 = embed(tm, 2, 3)
-    return t1 * t2 * t1 == t2 * t1 * t2
+    t1, t2 = _slot_rows(tm, 1, 3), _slot_rows(tm, 2, 3)
+    t12 = _sparse_product(t1, t2)
+    return _sparse_product(t12, t1) == _sparse_product(t2, t12)
 
 
 def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield the Fock Gram operators P_1, …, P_{n_max}, each built from the
     level before by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and
-    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  A level costs
-    one embed, two krons and two products; the next level reads the yielded
-    one, so modify only copies.  n_max < 0 and d^n_max > ``cap`` are refused
-    before any level is built."""
+    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  A_m is sparse rows,
+    I ⊗ A_{m−1} its rows shifted, and block b of P_{m+1} is P_m times A_m's rows in
+    block b: no Kronecker product is formed.  The next level reads the yielded
+    one, so modify only copies.  n_max < 0 and d^n_max > ``cap`` are refused first."""
     d = T.d
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_cap(d, n_max, cap)
     tm = t_matrix(T)
-    p = a = eye = identity(d)
+    p, a = identity(d), [{r: ONE} for r in range(d)]
     for m in range(n_max):
         if m:  # a = A_m and p = P_{m+1} on H^{⊗(m+1)}
-            a = identity(d ** (m + 1)) + embed(tm, 1, m + 1, cap) * kron(eye, a)
-            p = kron(eye, p) * a
+            dm, dim = d**m, d ** (m + 1)
+            shifted = [{c + b: x for c, x in row.items()} for b in range(0, dim, dm) for row in a]
+            a = _sparse_product(_slot_rows(tm, 1, m + 1), shifted)
+            for r, row in enumerate(a):
+                row[r] = row[r] + ONE if r in row else ONE
+            data = [row for b in range(0, dim, dm) for row in _product(p.data, a[b:b + dm], dim)]
+            p = Matrix._of(data, dim, dim)
         yield p
 
 
@@ -191,14 +202,7 @@ def positivity_report(
     tm = t_matrix(T)
     ts = spectral_summary(tm)
     braided = braid_check(T)
-    report.add_check(
-        "t_spectrum",
-        norm=ts.norm,
-        t_plus=ts.t_plus,
-        t_minus=ts.t_minus,
-        rank=ts.rank,
-        is_psd=ts.is_psd,
-    )
+    report.add_check("t_spectrum", **vars(ts))  # norm, t_plus, t_minus, rank, is_psd
     eye, two_t = identity(tm.rows), tm.scale(2)
     plus, minus = (eye + tm).psd_rank(), (eye - tm).psd_rank()
     definite = plus == minus == (True, tm.rows)  # I ± T ≻ 0, implied by ½I ± T ⪰ 0

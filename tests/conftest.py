@@ -5,7 +5,7 @@ from math import comb  # noqa: F401  (re-exported for tests)
 
 from hypothesis import strategies as st
 
-from wickalg import CoeffTensor, Polynomial, Scalar, make_preset, rational
+from wickalg import CoeffTensor, Polynomial, Scalar, identity, kron, make_preset, rational, t_matrix
 
 # -- small exact scalars -------------------------------------------------------
 
@@ -64,6 +64,39 @@ def sample_tensors() -> list:
         make_preset("snu2", nu="1/2").tensor,
         make_preset("degenerate", 2).tensor,
     ]
+
+
+@st.composite
+def tensors(draw, d_max: int = 3):
+    """A CoeffTensor on 1..d_max generators with a few entries, real or
+    complex, made Hermitian or left as drawn."""
+    d = draw(st.integers(min_value=1, max_value=d_max))
+    index = st.integers(min_value=1, max_value=d)
+    keys = st.tuples(index, index, index, index)
+    entries = draw(st.dictionaries(keys, draw(st.sampled_from([real_scalars, scalars])),
+                                   max_size=2 * d * d))
+    if draw(st.booleans()):  # Hermitian: T_{ji}^{lk} = conj(T_{ij}^{kl})
+        hermitian = {}
+        for (i, j, k, l), c in entries.items():
+            if (i, j, k, l) not in hermitian:
+                hermitian[i, j, k, l] = c if (i, k) != (j, l) else Scalar(c.re)
+                hermitian[j, i, l, k] = hermitian[i, j, k, l].conjugate()
+        entries = hermitian
+    return CoeffTensor(d, entries)
+
+
+def kron_gram_levels(T, n_max: int):
+    """P_1, …, P_{n_max} by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}),
+    with every I ⊗ X and T₁ = T ⊗ I a dense Kronecker product: the reference
+    the library's block-by-block recursion is tested against."""
+    tm = t_matrix(T)
+    p = a = eye = identity(T.d)
+    for m in range(n_max):
+        if m:
+            t1 = kron(tm, identity(T.d ** (m - 1)))
+            a = identity(T.d ** (m + 1)) + t1 * kron(eye, a)
+            p = kron(eye, p) * a
+        yield p
 
 
 def random_gen_word(rng: random.Random, d: int, length: int) -> tuple:

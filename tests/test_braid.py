@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kron_gram_levels, rationals, tensors
 import wickalg.braid as braid
 import wickalg.tensorops as tensorops
 from wickalg import (
@@ -14,6 +15,7 @@ from wickalg import (
     Scalar,
     braid_check,
     identity,
+    kron,
     make_preset,
     p_n,
     p_n_by_permutations,
@@ -30,6 +32,7 @@ from wickalg.braid import (
     permutation_length,
     reduced_word,
 )
+from wickalg.linalg import _sparse_rows
 from wickalg.tensorops import embed
 
 BRAIDED = [
@@ -95,7 +98,7 @@ def test_t_of_permutation_refused_before_anything_is_built(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("built before the d^n cap check")
 
-    for name in ("braid_check", "identity", "embed", "t_matrix"):
+    for name in ("braid_check", "_slot_rows", "t_matrix"):
         monkeypatch.setattr(braid, name, built)
     with pytest.raises(DimensionCapExceeded, match="16384"):
         t_of_permutation(BRAIDED[0], tuple(range(1, 15)))  # 2^14 past the default cap 4096
@@ -109,7 +112,7 @@ def test_braid_check_refused_past_the_default_cap(monkeypatch):
         raise AssertionError("built before the d^3 cap check")
 
     T = make_preset("qccr", 17, q="1/2").tensor
-    for name in ("kron", "identity"):
+    for name in ("_slot_rows", "identity"):
         monkeypatch.setattr(tensorops, name, built)
     with pytest.raises(DimensionCapExceeded, match="4913"):
         braid_check(T)
@@ -149,6 +152,24 @@ def test_permutation_sum_equals_p_n(ti):
         assert p_n_by_permutations(T, n) == p_n(T, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tensors(), st.sampled_from(BRAIDED)))
+def test_braid_check_agrees_with_dense_triple_products(T):
+    tm = t_matrix(T)
+    t1, t2 = kron(tm, identity(T.d)), kron(identity(T.d), tm)
+    assert braid_check(T) == (t1 * t2 * t1 == t2 * t1 * t2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(rationals, min_size=4, max_size=4))
+def test_permutation_sum_equals_the_kron_reference(q):
+    # a diagonal braiding, real or complex, is braided whatever its entries
+    T = make_preset("q_ij", 2, q11=q[0], q22=q[1], q12=q[2], q12_im=q[3],
+                    q21=q[2], q21_im=-q[3]).tensor
+    for n, pn in enumerate(kron_gram_levels(T, 4), 1):
+        assert p_n_by_permutations(T, n) == p_n(T, n) == pn
+
+
 @pytest.mark.parametrize("ti", range(len(BRAIDED)))
 def test_weak_order_products_are_t_of_permutation(ti):
     # every key π holds T(π), not T(π⁻¹): the presets here tell them apart
@@ -156,8 +177,8 @@ def test_weak_order_products_are_t_of_permutation(ti):
     for n in (1, 2, 3, 4):
         products = _weak_order_products(T, n, 4096)
         assert sorted(products) == sorted(permutations(range(1, n + 1)))
-        for perm, m in products.items():
-            assert m == t_of_permutation(T, perm)
+        for perm, rows in products.items():
+            assert rows == _sparse_rows(t_of_permutation(T, perm).data)
 
 
 def test_permutation_kernel_blocks():

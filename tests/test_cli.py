@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ Q20 = ["--preset", "qccr", "--param", "d=20", "--param", "q=1/2"]
 ])
 def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
     # Every dense H^{⊗k} and every KMS system goes through the d^k cap: no
-    # kron or identity past the default cap 4096 is asked for.
+    # slot operator or identity past the default cap 4096 is asked for.
     def guarded(build, size):
         def call(*args):
             if size(*args) > tensorops.DEFAULT_DIM_CAP:
@@ -297,8 +298,8 @@ def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
             return build(*args)
         return call
 
-    monkeypatch.setattr(tensorops, "kron",
-                        guarded(tensorops.kron, lambda a, b: a.rows * b.rows))
+    monkeypatch.setattr(tensorops, "_slot_rows",
+                        guarded(tensorops._slot_rows, lambda X, slot, n: isqrt(X.rows) ** n))
     for module in (tensorops, kms):
         monkeypatch.setattr(module, "identity", guarded(module.identity, lambda n: n))
     code = main(argv)

@@ -88,7 +88,7 @@ def test_quadratic_ideal_check_refused_past_the_default_cap(monkeypatch):
 
     T = make_preset("qccr", 17, q="1/2").tensor
     P = identity(17**2)
-    for name in ("kron", "identity"):
+    for name in ("_slot_rows", "identity"):
         monkeypatch.setattr(tensorops, name, built)
     with pytest.raises(DimensionCapExceeded, match="4913"):
         quadratic_ideal_check(T, P)

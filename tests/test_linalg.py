@@ -71,6 +71,15 @@ def test_is_hermitian_reads_every_upper_entry_and_its_mirror():
             bad.psd_rank()
 
 
+def test_is_hermitian_wants_conjugate_complex_mirrors():
+    z = Scalar(1, 2)
+    assert Matrix([[1, z], [z.conjugate(), 3]]).is_hermitian()
+    for mirror in [z, Scalar(2, -2), Scalar(1, -3), Scalar(rational(1, 2), -2)]:
+        assert not Matrix([[1, z], [mirror, 3]]).is_hermitian()  # equal, or off in a part
+    half = Scalar(1, rational(1, 2))
+    assert not Matrix([[1, half], [Scalar(1, rational(-1, 3)), 3]]).is_hermitian()
+
+
 def test_rank_kernel_inverse():
     m = Matrix([[1, 2], [2, 4]])
     assert m.rank() == 1

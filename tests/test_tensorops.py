@@ -1,8 +1,10 @@
 """Tensor-power operators, the level Gram recursion, positivity reports."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wickalg import tensorops
+from conftest import kron_gram_levels, tensors
+from wickalg import linalg, tensorops
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -104,6 +106,41 @@ def test_gram_levels_match_fock_gram_matrices():
     for n, pn in enumerate(levels, 1):
         words = [index_to_word(i, 2, n) for i in range(2**n)]
         assert pn == gram_matrix(words, CoherentParam.zero(2), T)
+
+
+def _levels_under_81(T, n: int) -> int:
+    """n cut to the largest level with d^n ≤ 81, so the dense reference stays fast."""
+    while T.d**n > 81:
+        n -= 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.integers(min_value=1, max_value=5))
+def test_gram_levels_equal_the_kron_reference(T, n):
+    n = _levels_under_81(T, n)
+    assert list(gram_levels(T, n)) == list(kron_gram_levels(T, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.integers(min_value=2, max_value=5))
+def test_embed_equals_kron_with_identities(T, n):
+    n, tm, d = max(2, _levels_under_81(T, n)), t_matrix(T), T.d
+    for slot in range(1, n):
+        dense = kron(identity(d ** (slot - 1)), kron(tm, identity(d ** (n - slot - 1))))
+        assert embed(tm, slot, n) == dense
+
+
+def test_p_6_is_built_without_kron_or_matrix_products(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a dense product was formed")
+
+    T = make_preset("qccr", 2, q="1/2").tensor
+    reference = list(kron_gram_levels(T, 6))
+    monkeypatch.setattr(linalg, "kron", refused)
+    monkeypatch.setattr(Matrix, "__mul__", refused)
+    assert not hasattr(tensorops, "kron")
+    assert list(gram_levels(T, 6)) == reference
 
 
 def test_degenerate_p_n_vanishes():
