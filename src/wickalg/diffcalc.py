@@ -4,9 +4,10 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, identity, kron
+from .linalg import Matrix, _dense, _kernel, _sparse_product, identity
 from .rewrite import _add, _check_generator_words, rewriter_for
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, braid_check, embed, t_matrix
+from .scalars import ONE
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, braid_check, t_matrix
 
 __all__ = [
     "d_and_twist",
@@ -51,21 +52,25 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
 def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield exact bases (as columns) of the constant-coefficient form spaces
     Ω^0, …, Ω^{p_max}, Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)},
-    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})).  The levels after
-    an empty one are empty, and none of them builds an embed or a kernel.
-    p_max < 0 and d^p_max > ``cap`` are refused before any level is built."""
+    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on ``{col: Scalar}``
+    rows (a row of I ⊗ B_{m−1} is a shifted row of B_{m−1}, the embed is
+    ``_slot_rows``, the kernel ``linalg._kernel``), each yielded as a Matrix.
+    The levels after an empty one are empty, and none of them builds slot rows
+    or a kernel.  p_max < 0 and d^p_max > ``cap`` are refused first."""
     d = T.d
     if p_max < 0:
         raise ValueError("p must be >= 0")
     _check_cap(d, max(p_max, 1), cap)
     it = identity(d * d) + t_matrix(T)
-    B = identity(1)
+    B, k = [{0: ONE}], 1  # the rows of B_m and its column count
     for m in range(p_max + 1):
         if m:  # the columns of I ⊗ B_{m−1} span H ⊗ Ω^{m−1}
-            B = kron(identity(d), B)
-        if m > 1 and B.cols:
-            B = B * (embed(it, 1, m, cap) * B).kernel_basis()
-        yield B
+            B = [{c + b * k: x for c, x in row.items()} for b in range(d) for row in B]
+            k *= d
+        if m > 1 and k:
+            K, k = _kernel(_sparse_product(_slot_rows(it, 1, m), B), k)
+            B = _sparse_product(B, K)
+        yield Matrix._of(_dense(B, k), d**m, k)
 
 
 def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:

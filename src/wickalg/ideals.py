@@ -4,12 +4,14 @@ condition, and coherent-annihilation checks."""
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .algebra import CoeffTensor, hermiticity_check
 from .diffcalc import d_and_twist
-from .linalg import Matrix, identity
+from .linalg import Matrix, _dense, _sparse_product, identity
 from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, embed, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, t_matrix
 
 __all__ = [
     "minus_one_eigenprojection",
@@ -46,8 +48,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     linear:    (I + T)·P = 0                       on H⊗H
     quadratic: (I⊗(I−P))·(T⊗I)(I⊗T)·(P⊗I) = 0     on H^{⊗3}
 
-    Both exact, refused past the default cap.  Returns
-    {"linear": bool, "quadratic": bool}.
+    Both exact (the quadratic one on ``_slot_rows``), refused past the default
+    cap.  Returns {"linear": bool, "quadratic": bool}.
     """
     d = T.d
     if P.rows != d * d:
@@ -58,8 +60,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     tm = t_matrix(T)
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()
-    lhs = embed(eye2 - P, 2, 3) * embed(tm, 1, 3) * embed(tm, 2, 3) * embed(P, 1, 3)
-    quadratic = lhs.is_zero()
+    factors = [(eye2 - P, 2), (tm, 1), (tm, 2), (P, 1)]
+    quadratic = not any(reduce(_sparse_product, [_slot_rows(X, s, 3) for X, s in factors]))
     return {"linear": linear, "quadratic": quadratic}
 
 
@@ -70,17 +72,18 @@ def ideal_generator_relations(
 
     Its matrix elements ⟨k₁k₂r₁r₂| · |i₁i₂s₁s₂⟩ give the commutation
     relations A†_{k₁k₂} A_{i₁i₂} = Σ coeff · A_{r₁r₂} A†_{s₁s₂} for the
-    quadratic generators A_{ij} = P(i⊗j).
+    quadratic generators A_{ij} = P(i⊗j).  The factors are multiplied as
+    :func:`~wickalg.tensorops._slot_rows`, and the product made dense once.
     """
     _check_cap(T.d, 4, cap)
     check = quadratic_ideal_check(T, P)
     if not (check["linear"] and check["quadratic"]):
         raise ValueError("P does not define a quadratic Wick ideal")
     tm = t_matrix(T)
-    p1 = embed(P, 1, 4, cap)
-    p3 = embed(P, 3, 4, cap)
-    t = {i: embed(tm, i, 4, cap) for i in (1, 2, 3)}
-    return p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
+    p1, p3 = _slot_rows(P, 1, 4), _slot_rows(P, 3, 4)
+    t = {i: _slot_rows(tm, i, 4) for i in (1, 2, 3)}
+    rows = reduce(_sparse_product, [p1, p3, t[2], t[1], t[3], t[2], p3, p1])
+    return Matrix._of(_dense(rows, T.d**4), T.d**4, T.d**4)
 
 
 def wick_ideal_condition_check(

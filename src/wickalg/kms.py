@@ -12,9 +12,11 @@ the level Gram operators.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import identity
-from .rewrite import wick_order
+from .linalg import _solve
+from .rewrite import DEFAULT_TERM_CAP, TermBudgetExceeded, _add, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar, rational_str
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, gram_levels
 
@@ -26,6 +28,14 @@ class KmsNonUniquenessError(ValueError):
     value is not uniquely determined."""
 
 
+def _fugacity(lam) -> Scalar:
+    """λ as a Scalar; a KMS functional is positive, so λ < 0 is refused."""
+    lam = Scalar.coerce(lam)
+    if lam.im or lam.re < 0:
+        raise ValueError("lambda must be a nonnegative real rational")
+    return lam
+
+
 def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> dict:
     """Exact ranks of the level Gram operators, each from the Hermitian
     elimination :meth:`~wickalg.linalg.Matrix.psd_rank`, and partial sums Σ λⁿ·rank.
@@ -33,9 +43,7 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
     Returns {"ranks": [rank P_0, …, rank P_{n_max}],
              "partial_sums": [Scalar, …]} (both lists of length n_max+1).
     """
-    lam = Scalar.coerce(lam)
-    if lam.im or lam.re < 0:
-        raise ValueError("lambda must be a nonnegative real rational")
+    lam = _fugacity(lam)
     if not hermiticity_check(T):
         raise ValueError("kms_series requires a hermitian tensor")
     ranks = [1] + [p.psd_rank()[1] for p in gram_levels(T, n_max, cap)]
@@ -49,34 +57,40 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
     return {"ranks": ranks, "partial_sums": partial_sums}
 
 
-def _bidegree(w) -> tuple:
-    n = sum(1 for c in w if c > 0)
-    return n, len(w) - n
+def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
+    """Yield (J, normal form of a_J†·a_gen as {(g, h): c}) for the adjoint words J
+    of ``dags`` in order, from one tree of ``Rewriter.dagger`` steps keyed by the
+    suffixes of J; the term budget is counted per word along its path."""
+    tree = {(): ({(gen, ()): ONE}, 0)}  # suffix of J -> (terms, work on its path)
+    for J in dags:
+        for s in range(len(J) - 1, -1, -1):
+            if J[s:] not in tree:
+                terms, work = tree[J[s + 1:]]
+                terms = rewriter_for(T).dagger(-J[s], terms)
+                work += len(terms) if gen else 0  # a_J† alone is normal
+                if work > DEFAULT_TERM_CAP:
+                    raise TermBudgetExceeded(f"intermediate term count exceeded cap={DEFAULT_TERM_CAP}")
+                tree[J[s:]] = terms, work
+        yield J, tree[J][0]
 
 
 class KmsEvaluator:
-    """Evaluates the gauge-KMS functional κ_λ on Wick-ordered polynomials,
-    solving each bidegree block once and caching the values.  A bidegree
-    (n, m) with d^(n+m) past ``cap`` is refused before anything is built."""
+    """Evaluates the gauge-KMS functional κ_λ (λ ≥ 0) on Wick-ordered polynomials,
+    solving each bidegree block (I − λⁿA)x = λⁿb once by ``linalg._solve``: row a_I·a_J†
+    is a_J†·a_I from the :func:`_exchanged_forms` of I, its (n, m) words in A and
+    lower ones in b.  Past ``cap``, d^(n+m) is refused before anything is built."""
 
     def __init__(self, T: CoeffTensor, lam, cap: int = DEFAULT_DIM_CAP):
         self.T = T
         self.cap = cap
-        self.lam = Scalar.coerce(lam)
-        if self.lam.im:
-            raise ValueError("lambda must be real")
+        self.lam = _fugacity(lam)
         self.known: dict = {(): ONE}
         self._solved = {(0, 0)}
 
     # -- internals -------------------------------------------------------------
     def _bidegree_words(self, n: int, m: int) -> list:
-        d = self.T.d
-        words = [()]
-        for _ in range(n):
-            words = [w + (i,) for w in words for i in range(1, d + 1)]
-        for _ in range(m):
-            words = [w + (-j,) for w in words for j in range(1, d + 1)]
-        return words
+        r = range(1, self.T.d + 1)
+        return [g + tuple(-j for j in h) for g in product(r, repeat=n) for h in product(r, repeat=m)]
 
     def _ensure(self, n: int, m: int) -> None:
         if (n, m) in self._solved:
@@ -86,31 +100,30 @@ class KmsEvaluator:
             self._ensure(n - 1, m - 1)
         words = self._bidegree_words(n, m)
         idx = {w: a for a, w in enumerate(words)}
-        lam_n = self.lam ** n
-        S = identity(len(words))  # becomes I − λⁿA, A the same-bidegree part
-        b = [ZERO] * len(words)
-        for a, w in enumerate(words):
-            exchanged = w[n:] + w[:n]  # dag group first, then the gen group
-            nf = wick_order(Polynomial.monomial(exchanged), self.T)
-            for v, c in nf.terms.items():
-                if _bidegree(v) == (n, m):
-                    S.data[a][idx[v]] -= lam_n * c
-                else:
-                    b[a] = b[a] + c * self.known[v]
-        rhs = [lam_n * x for x in b]
-        try:
-            sol = S.solve(rhs)
-        except ValueError as exc:
-            raise KmsNonUniquenessError(
-                f"bidegree ({n},{m}) system is singular at lambda={rational_str(self.lam.re)}"
-            ) from exc
-        for a, w in enumerate(words):
-            self.known[w] = sol[a]
+        size, dm, lam_n = len(words), self.T.d**m, self.lam ** n
+        neg, rows = -lam_n, []  # the rows of I − λⁿA, with λⁿ·b as augment column ``size``
+        for gen in (w[:n] for w in words[::dm]):
+            for J, terms in _exchanged_forms(self.T, gen, [w[n:] for w in words[:dm]]):
+                row, b = {len(rows): ONE}, ZERO
+                for (g, h), c in terms.items():
+                    if len(g) == n and len(h) == m:
+                        _add(row, idx[g + h], neg * c)
+                    else:
+                        b = b + c * self.known[g + h]
+                if b:
+                    row[size] = lam_n * b
+                rows.append(row)
+        sol = _solve(rows, size)
+        if sol is None:
+            raise KmsNonUniquenessError(f"bidegree ({n},{m}) system is singular at lambda="
+                                        f"{rational_str(self.lam.re)}")
+        self.known.update(zip(words, sol))
         self._solved.add((n, m))
 
     # -- public ------------------------------------------------------------------
     def value_of_word(self, w) -> Scalar:
-        n, m = _bidegree(w)
+        n = sum(1 for c in w if c > 0)
+        m = len(w) - n
         if n != m and self.lam != ONE:
             return ZERO  # gauge grading kills unbalanced words away from λ=1
         self._ensure(n, m)

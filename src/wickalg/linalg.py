@@ -114,6 +114,35 @@ def _reduced(a: list, cols: int):
     return a, pivots
 
 
+def _kernel(rows: list, cols: int):
+    """(the ``{j: Scalar}`` rows of a ``cols × k`` null space basis, k) of the
+    ``{col: Scalar}`` rows (consumed): column j, of the j-th free column f of the
+    reduced row echelon form, is 1 in row f and −(row of pivot p)[f] in row p."""
+    a, pivots = _reduced(rows, cols)
+    pset = set(pivots)
+    free = {f: j for j, f in enumerate(c for c in range(cols) if c not in pset)}
+    out = [{free[c]: ONE} if c in free else {} for c in range(cols)]
+    for row, pcol in zip(a, pivots):  # a reduced pivot row: its pivot and free columns
+        out[pcol] = {free[c]: -x for c, x in row.items() if c != pcol}
+    return out, len(free)
+
+
+def _solve(rows: list, cols: int):
+    """The unique x with A x = b, from the ``{col: Scalar}`` rows (consumed) of
+    [A | b], b in column ``cols``, or None if there is none or more than one:
+    :func:`_echelon`, then back substitution on the augment column."""
+    a, pivots = _echelon(rows, cols)
+    if len(pivots) != cols or any(a[cols:]):
+        return None
+    x = [ZERO] * cols  # unique: row c has its unit pivot in column c
+    for c in range(cols - 1, -1, -1):
+        x[c] = a[c].get(cols, ZERO)
+        for k, y in a[c].items():
+            if c < k < cols and x[k]:
+                x[c] = x[c] - y * x[k]
+    return x
+
+
 class Matrix:
     """A matrix of exact complex-rational scalars, stored densely."""
 
@@ -259,20 +288,9 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
-        Matrix (``k = 0`` for a trivial kernel).  Column j belongs to the j-th
-        free column f of the reduced row echelon form: 1 in row f and, in the
-        row of each pivot column, minus that pivot row's entry in column f."""
-        a, pivots = _reduced(_sparse_rows(self.data), self.cols)
-        pset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pset]
-        data = [[ZERO] * len(free) for _ in range(self.cols)]
-        for j, fc in enumerate(free):
-            data[fc][j] = ONE
-            for prow, pcol in enumerate(pivots):
-                x = a[prow].get(fc)
-                if x is not None:
-                    data[pcol][j] = -x
-        return Matrix._of(data, self.cols, len(free))
+        Matrix (``k = 0`` for a trivial kernel): :func:`_kernel` made dense."""
+        rows, k = _kernel(_sparse_rows(self.data), self.cols)
+        return Matrix._of(_dense(rows, k), self.cols, k)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -285,34 +303,29 @@ class Matrix:
         return Matrix._of([[row.get(n + c, ZERO) for c in range(n)] for row in a], n, n)
 
     def solve(self, rhs: Sequence) -> list:
-        """Solve A x = rhs exactly; raises ValueError if inconsistent or
-        underdetermined (non-unique)."""
-        x = self._solve_impl(rhs, require_unique=True)
+        """Solve A x = rhs exactly (:func:`_solve`); raises ValueError if
+        inconsistent or underdetermined (non-unique)."""
+        x = _solve(self._augmented(rhs), self.cols)
         if x is None:
-            raise ValueError("system is inconsistent")
+            kind = "underdetermined" if self.solve_consistent(rhs) else "inconsistent"
+            raise ValueError(f"system is {kind}")
         return x
 
     def solve_consistent(self, rhs: Sequence) -> bool:
         """True iff A x = rhs has at least one exact solution."""
-        return self._solve_impl(rhs, require_unique=False) is not None
+        return self.solve_any(rhs) is not None
 
     def solve_any(self, rhs: Sequence):
-        """One exact solution of A x = rhs (free variables set to 0), or None."""
-        return self._solve_impl(rhs, require_unique=False)
+        """One exact solution of A x = rhs (free variables 0), or None: minus the first
+        ``cols`` entries of the :func:`_kernel` vector of the rhs column, if it is free."""
+        basis, k = _kernel(self._augmented(rhs), self.cols + 1)
+        return [-row.get(k - 1, ZERO) for row in basis[:-1]] if basis[-1] else None
 
-    def _solve_impl(self, rhs: Sequence, require_unique: bool):
+    def _augmented(self, rhs: Sequence) -> list:
         rhs = [Scalar.coerce(x) for x in rhs]
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        a, pivots = _reduced(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]), self.cols)
-        if any(a[len(pivots):]):
-            return None  # inconsistent
-        if require_unique and len(pivots) != self.cols:
-            raise ValueError("system is underdetermined")
-        x = [ZERO] * self.cols
-        for prow, pcol in enumerate(pivots):
-            x[pcol] = a[prow].get(self.cols, ZERO)
-        return x
+        return _sparse_rows([row + [x] for row, x in zip(self.data, rhs)])
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):

@@ -139,6 +139,15 @@ class Rewriter:
             out = cache[(k, g[:n])] = new
         return out
 
+    def dagger(self, k: int, terms: dict) -> dict:
+        """a_k†·Σ c·a_g·a_h† for the terms {(g, h): c}, g generator and h
+        adjoint letters, as terms of that form: a_k† passes g by :meth:`through`."""
+        out, through = {}, self.through
+        for (g, h), c in terms.items():
+            for (g2, m), v in through(k, g).items():
+                _add(out, (g2, (-m,) + h if m else h), c * v)
+        return out
+
     def normal_form_word(self, w: Word) -> dict:
         """Normal form of a single word as a dict Word -> Scalar.
 
@@ -158,11 +167,7 @@ class Rewriter:
             if x > 0:
                 terms = {((x,) + g, h): c for (g, h), c in terms.items()}
             else:
-                out: dict = {}
-                for (g, h), c in terms.items():
-                    for (g2, m), v in self.through(-x, g).items():
-                        _add(out, (g2, (-m,) + h if m else h), c * v)
-                terms = out
+                terms = self.dagger(-x, terms)
             self._work += len(terms)
             if self._work > self.cap:
                 raise TermBudgetExceeded(

@@ -5,7 +5,21 @@ from math import comb  # noqa: F401  (re-exported for tests)
 
 from hypothesis import strategies as st
 
-from wickalg import CoeffTensor, Polynomial, Scalar, identity, kron, make_preset, rational, t_matrix
+from wickalg import (
+    CoeffTensor,
+    KmsEvaluator,
+    KmsNonUniquenessError,
+    Polynomial,
+    Scalar,
+    embed,
+    identity,
+    kron,
+    make_preset,
+    rational,
+    t_matrix,
+    wick_order,
+)
+from wickalg.scalars import rational_str
 
 # -- small exact scalars -------------------------------------------------------
 
@@ -97,6 +111,63 @@ def kron_gram_levels(T, n_max: int):
             a = identity(T.d ** (m + 1)) + t1 * kron(eye, a)
             p = kron(eye, p) * a
         yield p
+
+
+def kron_form_levels(T, p_max: int):
+    """Ω^0, …, Ω^{p_max} by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})),
+    with I ⊗ B_{m−1} a dense Kronecker product, embed the dense d^m × d^m slot
+    operator and every product a dense ``Matrix`` product: the reference the
+    library's sparse-row build of the form spaces is tested against."""
+    d = T.d
+    it = identity(d * d) + t_matrix(T)
+    B = identity(1)
+    for m in range(p_max + 1):
+        if m:
+            B = kron(identity(d), B)
+        if m > 1 and B.cols:
+            B = B * (embed(it, 1, m) * B).kernel_basis()
+        yield B
+
+
+def dense_generator_relations(T, P):
+    """P₁P₃·T₂T₁T₃T₂·P₃P₁ on H^{⊗4} as a chain of dense ``embed`` products."""
+    tm = t_matrix(T)
+    p1, p3 = embed(P, 1, 4), embed(P, 3, 4)
+    t = {i: embed(tm, i, 4) for i in (1, 2, 3)}
+    return p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
+
+
+class DenseKmsEvaluator(KmsEvaluator):
+    """The KMS evaluator with each bidegree system built densely: the identity
+    matrix of all d^(n+m) words, one ``wick_order`` per exchanged word a_J†·a_I
+    and one ``Matrix.solve``.  The reference for the sparse-row systems and the
+    shared-suffix normal forms of :class:`~wickalg.KmsEvaluator`."""
+
+    def _ensure(self, n: int, m: int) -> None:
+        if (n, m) in self._solved:
+            return
+        if n > 0 and m > 0:
+            self._ensure(n - 1, m - 1)
+        words = self._bidegree_words(n, m)
+        idx = {w: a for a, w in enumerate(words)}
+        lam_n = self.lam ** n
+        S = identity(len(words))  # becomes I − λⁿA, A the same-bidegree part
+        b = [Scalar(0)] * len(words)
+        for a, w in enumerate(words):
+            nf = wick_order(Polynomial.monomial(w[n:] + w[:n]), self.T)
+            for v, c in nf.terms.items():
+                if sum(1 for x in v if x > 0) == n and len(v) == n + m:
+                    S.data[a][idx[v]] -= lam_n * c
+                else:
+                    b[a] = b[a] + c * self.known[v]
+        try:
+            sol = S.solve([lam_n * x for x in b])
+        except ValueError as exc:
+            raise KmsNonUniquenessError(
+                f"bidegree ({n},{m}) system is singular at lambda={rational_str(self.lam.re)}"
+            ) from exc
+        self.known.update(zip(words, sol))
+        self._solved.add((n, m))
 
 
 def random_gen_word(rng: random.Random, d: int, length: int) -> tuple:

@@ -11,7 +11,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from wickalg import Matrix, cli, eigen, kms, parse_expression, tensorops
+from wickalg import Matrix, braid, cli, diffcalc, eigen, ideals, kms, linalg, parse_expression, tensorops
 from wickalg.cli import main
 from wickalg.reports import scalar_from_json
 
@@ -289,8 +289,9 @@ Q20 = ["--preset", "qccr", "--param", "d=20", "--param", "q=1/2"]
     ["kms", *Q20, "--nmax", "1", "a1 a2 a2* a1*"],  # (2,2): 20^4 = 160000
 ])
 def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
-    # Every dense H^{⊗k} and every KMS system goes through the d^k cap: no
-    # slot operator or identity past the default cap 4096 is asked for.
+    # Every H^{⊗k} operator and every KMS system goes through the d^k cap: no
+    # slot rows, identity, bidegree word list or system past the default cap
+    # 4096 is asked for.
     def guarded(build, size):
         def call(*args):
             if size(*args) > tensorops.DEFAULT_DIM_CAP:
@@ -298,10 +299,13 @@ def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
             return build(*args)
         return call
 
-    monkeypatch.setattr(tensorops, "_slot_rows",
-                        guarded(tensorops._slot_rows, lambda X, slot, n: isqrt(X.rows) ** n))
-    for module in (tensorops, kms):
-        monkeypatch.setattr(module, "identity", guarded(module.identity, lambda n: n))
+    slot_rows = guarded(tensorops._slot_rows, lambda X, slot, n: isqrt(X.rows) ** n)
+    for module in (tensorops, braid, diffcalc, ideals):
+        monkeypatch.setattr(module, "_slot_rows", slot_rows)
+    monkeypatch.setattr(tensorops, "identity", guarded(tensorops.identity, lambda n: n))
+    monkeypatch.setattr(kms.KmsEvaluator, "_bidegree_words", guarded(
+        kms.KmsEvaluator._bidegree_words, lambda ev, n, m: ev.T.d ** (n + m)))
+    monkeypatch.setattr(kms, "_solve", guarded(kms._solve, lambda rows, cols: cols))
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 2 and out == ""  # refused before any line on stdout
@@ -397,3 +401,35 @@ def test_parser_reused_without_sharing_param_lists(capsys, monkeypatch):
     assert seen == [["q=1/2"], []]
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _refused_everywhere(monkeypatch, fn):
+    """Replace ``fn`` under every name a wickalg module holds it by."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} called")
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "wickalg"]:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, refuse)
+
+
+TCAR3 = ["--preset", "twisted_car", "--param", "d=3", "--param", "mu=2/5"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["forms", *TCAR3, "--nmax", "4"], 6),
+    (["kms", "--preset", "twisted_ccr", "--param", "d=2", "--param", "mu=1/3",
+      "--nmax", "3", "a1 a2 a1 a1* a2* a1*"], 3),
+    (["ideal-check", *TCAR3], 3),
+])
+def test_solve_paths_build_no_dense_operator(capsys, monkeypatch, argv, lines):
+    # Form spaces, KMS systems and the quadratic ideal check run on sparse rows:
+    # no Kronecker product and no dense slot operator, and forms and KMS take
+    # no dense Matrix product either.
+    _refused_everywhere(monkeypatch, linalg.kron)
+    _refused_everywhere(monkeypatch, tensorops.embed)
+    if argv[0] != "ideal-check":  # the −1-eigenprojection is B(B*B)⁻¹B* on H⊗H
+        monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("Matrix product"))
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.count("\n") == lines

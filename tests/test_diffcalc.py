@@ -6,11 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gen_polynomials, sample_tensors
+from conftest import gen_polynomials, kron_form_levels, sample_tensors, tensors
 from wickalg import (
     CoherentParam,
     DimensionCapExceeded,
-    Matrix,
     Polynomial,
     Scalar,
     annihilator_apply,
@@ -161,11 +160,21 @@ def test_form_levels_lie_in_every_kernel(T, dims):
         for r in range(1, p):
             assert (embed(it, r, p) * B).is_zero()
         assert B == form_space_basis(T, p)
+    assert levels == list(kron_form_levels(T, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=tensors())
+def test_form_levels_match_the_dense_kron_build(T):
+    # Every basis, column order and entries included, equals the dense build
+    # with kron, embed and Matrix products, on every level with d^p <= 81.
+    p_max = {1: 6, 2: 6, 3: 4}[T.d]
+    assert list(form_levels(T, p_max)) == list(kron_form_levels(T, p_max))
 
 
 def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
     # twisted_ccr at d=3 has dims 1, 3, 3, 1, 0, 0: levels 2, 3 and 4 take one
-    # embed and one kernel each, and the empty level 5 takes neither.
+    # set of slot rows and one kernel each, and the empty level 5 takes neither.
     calls = Counter()
 
     def counted(name, fn):
@@ -174,11 +183,11 @@ def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(diffcalc, "embed", counted("embed", diffcalc.embed))
-    monkeypatch.setattr(Matrix, "kernel_basis", counted("kernel", Matrix.kernel_basis))
+    monkeypatch.setattr(diffcalc, "_slot_rows", counted("slot_rows", diffcalc._slot_rows))
+    monkeypatch.setattr(diffcalc, "_kernel", counted("kernel", diffcalc._kernel))
     T = make_preset("twisted_ccr", 3, mu="1/3").tensor
     assert [B.cols for B in form_levels(T, 5)] == [1, 3, 3, 1, 0, 0]
-    assert calls == {"embed": 3, "kernel": 3}
+    assert calls == {"slot_rows": 3, "kernel": 3}
 
 
 def test_form_levels_refused_before_anything_is_built(monkeypatch):
@@ -186,7 +195,7 @@ def test_form_levels_refused_before_anything_is_built(monkeypatch):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(diffcalc, "t_matrix", fail)
-    monkeypatch.setattr(diffcalc, "embed", fail)
+    monkeypatch.setattr(diffcalc, "_slot_rows", fail)
     with pytest.raises(ValueError, match=">= 0"):
         next(form_levels(QCCR, -1))
     with pytest.raises(DimensionCapExceeded):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import wickalg.ideals as ideals
 import wickalg.tensorops as tensorops
+from conftest import dense_generator_relations
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -88,8 +90,8 @@ def test_quadratic_ideal_check_refused_past_the_default_cap(monkeypatch):
 
     T = make_preset("qccr", 17, q="1/2").tensor
     P = identity(17**2)
-    for name in ("_slot_rows", "identity"):
-        monkeypatch.setattr(tensorops, name, built)
+    for module, name in [(tensorops, "_slot_rows"), (tensorops, "identity"), (ideals, "_slot_rows")]:
+        monkeypatch.setattr(module, name, built)
     with pytest.raises(DimensionCapExceeded, match="4913"):
         quadratic_ideal_check(T, P)
 
@@ -129,6 +131,17 @@ def test_generator_relation_coefficient_matrix():
     norm2 = Scalar(1) + mu * mu  # v†v
     assert val == mu**6 * norm2 * norm2
     assert val == Scalar(rational(25, 1024))
+
+
+@pytest.mark.parametrize("family, d, param", [
+    ("twisted_car", 2, {"mu": "1/2"}), ("twisted_car", 3, {"mu": "2/5"}),
+    ("twisted_ccr", 2, {"mu": "1/3"}), ("twisted_ccr", 3, {"mu": "3/4"}),
+])
+def test_ideal_generator_relations_equal_the_dense_chain(family, d, param):
+    T = make_preset(family, d, **param).tensor
+    P = minus_one_eigenprojection(T)
+    M = ideal_generator_relations(T, P)
+    assert not M.is_zero() and M == dense_generator_relations(T, P)
 
 
 def test_ideal_generator_relations_requires_quadratic_ideal():

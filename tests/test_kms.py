@@ -1,11 +1,13 @@
 """Gauge-KMS functionals: rank series, evaluator, and a Gibbs-trace oracle."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 import wickalg.kms as kms
+from conftest import DenseKmsEvaluator
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -23,8 +25,10 @@ from wickalg import (
     make_preset,
     p_n,
     rational,
+    wick_order,
     word_to_index,
 )
+from wickalg.rewrite import TermBudgetExceeded, rewriter_for
 
 TCAR = make_preset("twisted_car", 2, mu="1/2").tensor
 QCCR3 = make_preset("qccr", 3, q="1/3").tensor
@@ -171,7 +175,7 @@ def test_bidegree_system_refused_before_anything_is_built(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("built before the d^(n+m) cap check")
 
-    monkeypatch.setattr(kms, "identity", built)
+    monkeypatch.setattr(kms, "_solve", built)
     monkeypatch.setattr(KmsEvaluator, "_bidegree_words", built)
     ev = KmsEvaluator(TCAR, LAM, cap=1023)
     with pytest.raises(DimensionCapExceeded, match="1024"):
@@ -187,3 +191,90 @@ def test_bidegree_system_refused_before_anything_is_built(monkeypatch):
 def test_complex_lambda_rejected():
     with pytest.raises(ValueError):
         KmsEvaluator(TCAR, Scalar(0, 1))
+
+
+def test_negative_lambda_refused_like_the_series():
+    # At λ = −1/2 the (1,1) system of qccr d=2 q=1/2 solves to κ(a1 a1*) = −2/5,
+    # a negative value of a positive element; the evaluator refuses λ < 0 with
+    # the message of kms_series.
+    T = make_preset("qccr", 2, q="1/2").tensor
+    lam = Scalar(rational(-1, 2))
+    message = "lambda must be a nonnegative real rational"
+    with pytest.raises(ValueError, match=message):
+        kms_evaluate(Polynomial.monomial((1, -1)), lam, T)
+    with pytest.raises(ValueError, match=message):
+        kms_series(T, lam, 2)
+    assert kms_evaluate(Polynomial.monomial((1, -1)), Scalar(0), T) == Scalar(0)
+
+
+QIJ = make_preset("q_ij", 2, q11="1/3", q22="1/4", q12="1/2", q12_im="1/2",
+                  q21="1/2", q21_im="-1/2").tensor
+SYSTEMS = [make_preset("qccr", 2, q="1/2").tensor, make_preset("twisted_ccr", 2, mu="1/3").tensor,
+           TCAR, QIJ]
+
+
+@pytest.mark.parametrize("T", SYSTEMS)
+@pytest.mark.parametrize("lam", [LAM, Scalar(rational(3, 2)), Scalar(1), Scalar(2)])
+def test_bidegree_values_match_the_dense_evaluator(T, lam):
+    # Every (n, m) block up to (3,3) solves to exactly the values of the dense
+    # build (identity matrix, one wick_order per exchanged word, Matrix.solve),
+    # or both refuse it with the same message: λ = 1/q = 2 makes the (1,1)
+    # block of qccr q=1/2 singular, and λ = 1 every unbalanced block.
+    ev, ref = KmsEvaluator(T, lam), DenseKmsEvaluator(T, lam)
+    singular = set()
+    for n in range(4):
+        for m in range(4) if lam == 1 else [n]:
+            try:
+                ref._ensure(n, m)
+            except KmsNonUniquenessError as exc:
+                singular.add((n, m))
+                with pytest.raises(KmsNonUniquenessError, match=re.escape(str(exc))):
+                    ev._ensure(n, m)
+                continue
+            ev._ensure(n, m)
+    assert ev.known == ref.known and ev._solved == ref._solved
+    if T is SYSTEMS[0] and lam == 2:
+        assert (1, 1) in singular
+
+
+@pytest.mark.parametrize("T", SYSTEMS + [QCCR3])
+def test_shared_suffix_normal_forms_match_wick_order(T):
+    for n, m in [(0, 2), (1, 2), (2, 2), (3, 1), (2, 3)]:
+        words = KmsEvaluator(T, LAM)._bidegree_words(n, m)
+        dags = [w[n:] for w in words[:T.d**m]]
+        for gen in {w[:n] for w in words}:
+            got = list(kms._exchanged_forms(T, gen, dags))
+            assert [J for J, _ in got] == dags
+            for J, terms in got:
+                nf = {g + h: c for (g, h), c in terms.items()}
+                assert nf == wick_order(Polynomial.monomial(J + gen), T).terms
+
+
+def _parent_work(T, gen, dags) -> int:
+    """The largest term budget one wick_order of an exchanged word spends."""
+    work = 0
+    for J in dags:
+        wick_order(Polynomial.monomial(J + gen), T)
+        work = max(work, rewriter_for(T)._work)
+    return work
+
+
+def test_shared_suffix_budget_counts_each_word_along_its_path(monkeypatch):
+    # The tree spends per word what wick_order spends on it: a budget equal to
+    # the largest per-word spend passes, one less is refused.
+    T = make_preset("twisted_ccr", 2, mu="1/3").tensor
+    dags = [w[2:] for w in KmsEvaluator(T, LAM)._bidegree_words(2, 3)[:8]]
+    for gen in [(1, 2), (2, 2, 1)]:
+        work = _parent_work(T, gen, dags)
+        assert work > 10
+        monkeypatch.setattr(kms, "DEFAULT_TERM_CAP", work)
+        assert len(list(kms._exchanged_forms(T, gen, dags))) == len(dags)
+        monkeypatch.setattr(kms, "DEFAULT_TERM_CAP", work - 1)
+        with pytest.raises(TermBudgetExceeded, match=f"cap={work - 1}"):
+            list(kms._exchanged_forms(T, gen, dags))
+    # a_J† alone is already normal and spends nothing, as in wick_order
+    assert _parent_work(T, (), dags) == 0
+    monkeypatch.setattr(kms, "DEFAULT_TERM_CAP", 0)
+    assert len(list(kms._exchanged_forms(T, (), dags))) == len(dags)
+    with pytest.raises(TermBudgetExceeded):
+        KmsEvaluator(T, LAM).evaluate(Polynomial.monomial((1, -1)))

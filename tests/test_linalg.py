@@ -111,8 +111,10 @@ def test_solve():
     singular = Matrix([[1, 1], [1, 1]])
     assert singular.solve_consistent([2, 2])
     assert not singular.solve_consistent([1, 2])
-    with pytest.raises(ValueError):
-        singular.solve([2, 2])  # underdetermined
+    with pytest.raises(ValueError, match="system is underdetermined"):
+        singular.solve([2, 2])
+    with pytest.raises(ValueError, match="system is inconsistent"):
+        singular.solve([1, 2])
     x = singular.solve_any([2, 2])
     assert x is not None and (singular * Matrix([[c] for c in x])) == Matrix([[2], [2]])
 
