@@ -7,8 +7,10 @@ ideal generators where applicable.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .algebra import CoeffTensor, Polynomial, RelationSystem
-from .scalars import Scalar, rational
+from .scalars import ONE, Scalar, rational
 
 __all__ = ["make_preset", "preset_names"]
 
@@ -37,74 +39,52 @@ def _tlw(d: int, params: dict) -> RelationSystem:
 
 def _twisted_tail(entries: dict, d: int, mu) -> None:
     # the −(1−μ²)·Σ_{k<i} a_k a_k† tail on the diagonal rows
-    tail = -(1 - mu * mu)
+    tail = Scalar(mu * mu - 1)
     for i in range(1, d + 1):
         for k in range(1, i):
-            entries[(i, i, k, k)] = Scalar(tail)
+            entries[(i, i, k, k)] = tail
 
 
 def _twisted_ccr(d: int, params: dict) -> RelationSystem:
     mu = rational(params.get("mu", 0))
     _require_open_unit("mu", mu)
-    entries = {}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            entries[(i, j, i, j)] = Scalar(mu * mu if i == j else mu)
+    diag, off = Scalar(mu * mu), Scalar(mu)
+    entries = {(i, j, i, j): diag if i == j else off
+               for i in range(1, d + 1) for j in range(1, d + 1)}
     _twisted_tail(entries, d, mu)
-    gens = [
-        Polynomial.monomial((i, j)) - Polynomial.monomial((j, i), Scalar(mu))
-        for i in range(1, d + 1)
-        for j in range(1, i)
-    ]
+    gens = [Polynomial._of({(i, j): ONE, (j, i): -off})
+            for i in range(1, d + 1) for j in range(1, i)]
     return RelationSystem(CoeffTensor(d, entries), gens, "twisted_ccr", {"mu": mu})
 
 
 def _mucar_cubic_generators(d: int, mu) -> list:
     """The four cubic generator families of the μCAR Wick ideal."""
-    mono = Polynomial.monomial
-    sc = Scalar
-    mu2 = mu * mu
-    mu_inv = 1 / mu
+    mu2, inv = mu * mu, 1 / mu
+    minus, neg_mu, neg_mu2, tail = Scalar(-1), Scalar(-mu), Scalar(-mu2), Scalar(mu2 - 1)
+    inv_s, gap, cubic = Scalar(inv), Scalar(inv - mu), Scalar(inv - mu + mu2 * mu)
     gens = []
     for i in range(2, d + 1):
-        gens.append(mono((1, 1, i)) - mono((i, 1, 1), sc(mu2)))
-        gens.append(
-            mono((1, i, i))
-            + mono((i, 1, i), sc(mu_inv - mu))
-            - mono((i, i, 1))
-        )
+        gens.append(Polynomial._of({(1, 1, i): ONE, (i, 1, 1): neg_mu2}))
+        gens.append(Polynomial._of({(1, i, i): ONE, (i, 1, i): gap, (i, i, 1): minus}))
     for i in range(2, d + 1):
         for j in range(i + 1, d + 1):
-            gens.append(
-                mono((1, i, j))
-                + mono((i, 1, j), sc(mu_inv))
-                - mono((j, 1, i), sc(mu2))
-                - mono((j, i, 1), sc(mu))
-            )
-            gens.append(
-                mono((1, j, i))
-                - mono((i, 1, j), sc(mu2))
-                - mono((i, j, 1), sc(mu))
-                - mono((j, 1, i), sc(-mu_inv + mu - mu2 * mu))
-                - mono((j, i, 1), sc(1 - mu2))
-            )
+            gens.append(Polynomial._of({(1, i, j): ONE, (i, 1, j): inv_s,
+                                        (j, 1, i): neg_mu2, (j, i, 1): neg_mu}))
+            gens.append(Polynomial._of({(1, j, i): ONE, (i, 1, j): neg_mu2, (i, j, 1): neg_mu,
+                                        (j, 1, i): cubic, (j, i, 1): tail}))
     return gens
 
 
 def _twisted_car(d: int, params: dict) -> RelationSystem:
     mu = rational(params.get("mu", 0))
     _require_open_unit("mu", mu)
-    entries = {}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            entries[(i, j, i, j)] = Scalar(-1 if i == j else -mu)
+    diag, off = Scalar(-1), Scalar(-mu)
+    entries = {(i, j, i, j): diag if i == j else off
+               for i in range(1, d + 1) for j in range(1, d + 1)}
     _twisted_tail(entries, d, mu)
     gens = [Polynomial.monomial((i, i)) for i in range(1, d + 1)]
-    gens += [
-        Polynomial.monomial((i, j)) + Polynomial.monomial((j, i), Scalar(mu))
-        for i in range(1, d + 1)
-        for j in range(1, i)
-    ]
+    gens += [Polynomial._of({(i, j): ONE, (j, i): -off})
+             for i in range(1, d + 1) for j in range(1, i)]
     gens += _mucar_cubic_generators(d, mu)
     return RelationSystem(CoeffTensor(d, entries), gens, "twisted_car", {"mu": mu})
 
@@ -182,23 +162,18 @@ def _usym(d: int, params: dict) -> RelationSystem:
 
 
 def _aklt(d: int, params: dict) -> RelationSystem:
+    # T_{ij}^{kl} = δ_ij δ_kl (λ−2)/2 + δ_ik δ_jl λ/2 − δ_il δ_jk λ/3
     lam = rational(params.get("lam", 1))
-    half = rational(1, 2)
-    third = rational(1, 3)
+    pair, swap, flip = (lam - 2) / 2, lam / 2, -lam / 3
+    # by (δ_ij δ_kl, δ_ik δ_jl, δ_il δ_jk); the only overlap is i = j = k = l
+    values = {(True, False, False): pair, (False, True, False): swap,
+              (False, False, True): flip, (True, True, True): pair + swap + flip}
+    values = {key: Scalar(c) for key, c in values.items() if c}
     entries = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                for l in range(1, 4):
-                    c = rational(0)
-                    if i == j and k == l:
-                        c += (lam - 2) * half
-                    if k == i and l == j:
-                        c += lam * half
-                    if l == i and k == j:
-                        c -= lam * third
-                    if c:
-                        entries[(i, j, k, l)] = Scalar(c)
+    for i, j, k, l in product(range(1, 4), repeat=4):
+        c = values.get((i == j and k == l, i == k and j == l, i == l and j == k))
+        if c is not None:
+            entries[(i, j, k, l)] = c
     return RelationSystem(CoeffTensor(3, entries), [], "aklt", {"lam": lam})
 
 

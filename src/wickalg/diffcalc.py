@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix, _dense, _kernel, _sparse_product, identity
-from .rewrite import _add, _check_generator_words, rewriter_for
+from .rewrite import _check_generator_words, rewriter_for
 from .scalars import ONE
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, braid_check, t_matrix
 
@@ -31,19 +31,19 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
         Θ_i^ℓ(x_j) = Σ_k T_{ij}^{ℓk}·x_k.
 
     Returns {"D": [d polynomials], "Theta": d×d nested list of polynomials};
-    all generator-only.  Each a_i†·f is one contraction of the memo
-    :meth:`~wickalg.rewrite.Rewriter.through`: its term c·a_g·a_m† goes to
-    Θ_i^m(f), a contracted term (m = 0) to D_i(f).
+    all generator-only.  Each a_i†·f is one :meth:`~wickalg.rewrite.Rewriter.dagger`
+    step on f: its term c·a_g·a_m† goes to Θ_i^m(f), a contracted term
+    (m = 0) to D_i(f).
     """
     d = T.d
     _check_generator_words(f.terms, d)
-    through = rewriter_for(T).through
+    rw = rewriter_for(T)
+    scaled = rw.scaled({(w, ()): c for w, c in f.terms.items()})
     D, Theta = [], []
     for i in range(1, d + 1):
         parts = [{} for _ in range(d + 1)]  # parts[m]: D_i(f) at m = 0, else Θ_i^m(f)
-        for w, c in f.terms.items():
-            for (g, m), v in through(i, w).items():
-                _add(parts[m], g, c * v)
+        for (g, h), c in rw.unscaled(rw.dagger(i, scaled)).items():
+            parts[-h[0] if h else 0][g] = c
         D.append(Polynomial._of(parts[0]))
         Theta.append([Polynomial._of(p) for p in parts[1:]])
     return {"D": D, "Theta": Theta}

@@ -61,17 +61,18 @@ def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
     """Yield (J, normal form of a_J†·a_gen as {(g, h): c}) for the adjoint words J
     of ``dags`` in order, from one tree of ``Rewriter.dagger`` steps keyed by the
     suffixes of J; the term budget is counted per word along its path."""
-    tree = {(): ({(gen, ()): ONE}, 0)}  # suffix of J -> (terms, work on its path)
+    rw = rewriter_for(T)
+    tree = {(): (rw.scaled({(gen, ()): ONE}), 0)}  # suffix of J -> (scaled terms, work on its path)
     for J in dags:
         for s in range(len(J) - 1, -1, -1):
             if J[s:] not in tree:
-                terms, work = tree[J[s + 1:]]
-                terms = rewriter_for(T).dagger(-J[s], terms)
-                work += len(terms) if gen else 0  # a_J† alone is normal
+                scaled, work = tree[J[s + 1:]]
+                scaled = rw.dagger(-J[s], scaled)
+                work += len(scaled[0]) if gen else 0  # a_J† alone is normal
                 if work > DEFAULT_TERM_CAP:
                     raise TermBudgetExceeded(f"intermediate term count exceeded cap={DEFAULT_TERM_CAP}")
-                tree[J[s:]] = terms, work
-        yield J, tree[J][0]
+                tree[J[s:]] = scaled, work
+        yield J, rw.unscaled(tree[J][0])
 
 
 class KmsEvaluator:

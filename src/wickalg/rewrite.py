@@ -5,9 +5,12 @@ The single rewrite rule replaces an adjacent pair ``a_i† a_j`` by
 (diamond property), so the normal form is independent of the substitution
 order.  :func:`wick_order` computes it with the :class:`Rewriter` of the
 tensor, which memoizes how ``a_k†`` passes a generator word and absorbs the
-letters of a word into its normal suffix from right to left.  A one-step
-rewriter with leftmost, rightmost or random redex choice,
-``_wick_order_strategy``, is the tests' independent reference.
+letters of a word into its normal suffix from right to left.  It works on
+integer numerators: with δ the lcm of the denominators of T's entries, the
+memo holds δ^{|g|}·a_k†·a_g, a word's terms share one denominator δ^E, and
+each output term becomes a Scalar once, at the end.  A one-step rewriter
+with leftmost, rightmost or random redex choice, ``_wick_order_strategy``,
+is the tests' independent reference.
 
 Membership in a degree-truncated two-sided ideal of the generator-only
 subalgebra is exact linear algebra: the span of the words u·g·v is built
@@ -23,7 +26,7 @@ from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
 from .linalg import _echelon
-from .scalars import ONE
+from .scalars import _denominator, _numerator, _over
 
 __all__ = [
     "TermBudgetExceeded",
@@ -83,36 +86,54 @@ def _add(acc: dict, key, v) -> None:
 
 
 class Rewriter:
-    """Memoized Wick normalizer of one tensor.
+    """Memoized Wick normalizer of one tensor, on integer numerators.
 
-    Its memo ``_cache`` is the map (k, g) ↦ a_k†·a_g for the nonempty
-    prefixes g of the generator words asked of :meth:`through`, where a_k†
-    absorbs g letter by letter.  Normal ordering, the annihilators of
-    ``states``, the twisted derivatives of ``diffcalc`` and the Wick-ideal
-    check of ``ideals`` all read it.  ``cap`` bounds the terms one
-    :meth:`wick_order` call makes; it is a per-call budget that
-    :func:`wick_order` sets, not part of the memo.
+    Let δ be the lcm of the denominators of T's entries, real and imaginary
+    parts both, so that every δ·T_{ij}^{kl} is an integer: an int for a real
+    entry, a Scalar with integer parts (a Gaussian integer) otherwise.  The
+    memo ``_cache`` maps (k, g), for the nonempty prefixes g of the generator
+    words asked of :meth:`through`, to the numerators of δ^{|g|}·a_k†·a_g;
+    for a real T every value is an int.  Normal ordering, the annihilators of
+    ``states``, the twisted derivatives of ``diffcalc`` and the exchanged
+    words of ``kms`` all read it through the methods below, and hold *scaled
+    terms* (terms, den): integer numerators over one common denominator.
+    :meth:`scaled` makes them from Scalars, :meth:`dagger` and
+    :meth:`annihilate` act on them, :meth:`unscaled` turns them back into
+    Scalars.  ``cap`` bounds the terms one :meth:`wick_order` call makes; it
+    is a per-call budget that :func:`wick_order` sets, not part of the memo.
     """
 
     def __init__(self, T: CoeffTensor):
         self.T = T
         self.cap = DEFAULT_TERM_CAP
+        self.delta = delta = _denominator(T.entries.values())
+        # _steps[m][j]: the (tail, k', factor) of a term c·a_h·a_m† meeting a_j,
+        # which gives factor·c·a_{h+tail}·a_{k'}†: m = 0 (contracted) takes a_j,
+        # m = j contracts, and each T_{mj}^{k'l} passes a_l with δ·T.
+        d = T.d
+        self._steps = [[[((j,), 0, delta)] for j in range(d + 1)]]
+        self._steps += [[[((), 0, delta)] if m == j else [] for j in range(d + 1)]
+                        for m in range(1, d + 1)]
+        for (i, j, k, l), c in T.entries.items():
+            self._steps[i][j].append(((l,), k, _numerator(c, delta)))
         self._cache: dict = {}
         self._work = 0
 
     def through(self, k: int, g: Word) -> dict:
-        """a_k†·a_g for a generator word g, as {(g', m): c} meaning
-        Σ c·a_{g'}·a_m†, with m = 0 for a contracted term (no a†).
+        """The numerators of δ^{|g|}·a_k†·a_g for a generator word g, as
+        {(g', m): c} meaning δ^{−|g|}·Σ c·a_{g'}·a_m†, with m = 0 for a
+        contracted term (no a†).
 
         a_k†·1 = a_k†, and a_k† absorbs the letters of g from left to right:
         a live term c·a_h·a_m† meets a_j as
 
             δ_mj·c·a_h + Σ_{k',l} T_{mj}^{k'l}·c·a_h a_l·a_{k'}†,
 
-        and a contracted term takes a_j as it is.  The memo holds the entry
-        of every nonempty prefix of an asked g, so a miss starts from the
-        longest prefix already there.  The returned dict is the memo entry;
-        do not modify it.  The loop does not recurse, so a word of any
+        and a contracted term takes a_j as it is; on numerators the first and
+        the last multiply by δ and a T-step by δ·T_{mj}^{k'l}.  The memo holds
+        the entry of every nonempty prefix of an asked g, so a miss starts
+        from the longest prefix already there.  The returned dict is the memo
+        entry; do not modify it.  The loop does not recurse, so a word of any
         length passes.
         """
         cache = self._cache
@@ -124,37 +145,91 @@ class Rewriter:
             if out is not None:
                 break
         else:
-            i, out = 0, {((), k): ONE}
-        row = self.T.row
+            i, out = 0, {((), k): 1}
+        steps = self._steps
         for n, j in enumerate(g[i:], i + 1):
             new: dict = {}
             for (h, m), c in out.items():
-                if not m:
-                    _add(new, (h + (j,), 0), c)
-                    continue
-                if m == j:
-                    _add(new, (h, 0), c)
-                for kk, l, t in row(m, j):
-                    _add(new, (h + (l,), kk), c * t)
+                for tail, kk, t in steps[m][j]:  # _add inlined (the hot loop); c·t ≠ 0
+                    key = (h + tail, kk)
+                    v = new.get(key)
+                    if v is None:
+                        new[key] = c * t
+                    else:
+                        v += c * t
+                        if v:
+                            new[key] = v
+                        else:
+                            del new[key]
             out = cache[(k, g[:n])] = new
         return out
 
-    def dagger(self, k: int, terms: dict) -> dict:
-        """a_k†·Σ c·a_g·a_h† for the terms {(g, h): c}, g generator and h
-        adjoint letters, as terms of that form: a_k† passes g by :meth:`through`."""
-        out, through = {}, self.through
+    @staticmethod
+    def scaled(terms: dict) -> tuple:
+        """The scaled terms of {key: Scalar}: numerators over the lcm of the
+        denominators."""
+        den = _denominator(terms.values())
+        return {key: _numerator(c, den) for key, c in terms.items()}, den
+
+    @staticmethod
+    def unscaled(scaled: tuple) -> dict:
+        """{key: Scalar} of scaled terms."""
+        terms, den = scaled
+        return {key: _over(c, den) for key, c in terms.items()}
+
+    def dagger(self, k: int, scaled: tuple) -> tuple:
+        """a_k†·Σ c·a_g·a_h† for the scaled terms {(g, h): c}, g generator and
+        h adjoint letters, as scaled terms of that form: a_k† passes g by
+        :meth:`through`, after the term is lifted by δ^{L−|g|}, L the longest
+        g, so that all of them land over den·δ^L."""
+        terms, den = scaled
+        top = max(len(g) for g, h in terms) if terms else 0
+        out, through, delta = {}, self.through, self.delta
         for (g, h), c in terms.items():
-            for (g2, m), v in through(k, g).items():
-                _add(out, (g2, (-m,) + h if m else h), c * v)
-        return out
+            if len(g) < top:
+                c = c * delta ** (top - len(g))
+            for (g2, m), v in through(k, g).items():  # _add inlined, as in through
+                key = (g2, (-m,) + h if m else h)
+                s = out.get(key)
+                if s is None:
+                    out[key] = c * v
+                else:
+                    s += c * v
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return out, den * delta ** top
+
+    def annihilate(self, k: int, scaled: tuple, phi: tuple) -> tuple:
+        """λ_φ(a_k†) of the generator-only scaled terms {g: c}: a_k†·a_g by
+        :meth:`through` with each trailing a_m† replaced by φ_m, for φ given
+        as the scaled terms {m: numerator of φ_m} of its nonzero components
+        over its denominator ε.  A contracted term is lifted by ε, a term
+        with φ_m = 0 is never formed."""
+        terms, den = scaled
+        nums, eps = phi
+        top = max(map(len, terms)) if terms else 0
+        out, through, delta = {}, self.through, self.delta
+        for g, c in terms.items():
+            if len(g) < top:
+                c = c * delta ** (top - len(g))
+            ce = c * eps
+            for (v, m), t in through(k, g).items():
+                if not m:
+                    _add(out, v, ce * t)
+                elif m in nums:
+                    _add(out, v, c * t * nums[m])
+        return out, den * delta ** top * eps
 
     def normal_form_word(self, w: Word) -> dict:
         """Normal form of a single word as a dict Word -> Scalar.
 
         The longest normal suffix of ``w`` stays as it is; the letters before
-        it are absorbed from right to left into terms a_g·a_h† (g generator,
-        h adjoint letters): a generator letter is prepended to g, and a_k†
-        passes g by :meth:`through`.
+        it are absorbed from right to left into scaled terms a_g·a_h† (g
+        generator, h adjoint letters): a generator letter is prepended to g,
+        and a_k† passes g by :meth:`dagger`.  Each term becomes one Scalar at
+        the end.
         """
         e = len(w)
         while e and w[e - 1] < 0:
@@ -162,18 +237,18 @@ class Rewriter:
         s = e
         while s and w[s - 1] > 0:
             s -= 1
-        terms = {(w[s:e], w[e:]): ONE}
+        terms, den = {(w[s:e], w[e:]): 1}, 1
         for x in reversed(w[:s]):
             if x > 0:
                 terms = {((x,) + g, h): c for (g, h), c in terms.items()}
             else:
-                terms = self.dagger(-x, terms)
+                terms, den = self.dagger(-x, (terms, den))
             self._work += len(terms)
             if self._work > self.cap:
                 raise TermBudgetExceeded(
                     f"intermediate term count exceeded cap={self.cap}"
                 )
-        return {g + h: c for (g, h), c in terms.items()}
+        return {g + h: _over(c, den) for (g, h), c in terms.items()}
 
     def wick_order(self, p: Polynomial) -> Polynomial:
         _check_indices(p, self.T.d)

@@ -107,6 +107,8 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is not Scalar:
+            if type(other) is int:  # the scaled integers of the rewrite memo
+                return _scalar(_scale(self.re, other), _scale(self.im, other))
             other = Scalar.coerce(other)
         s = _new(Scalar)
         # Fast path: real times real (the overwhelmingly common case).
@@ -239,6 +241,16 @@ def _mul(a: Q, b: Q) -> Q:
     return _q(na * nb, da * db)
 
 
+def _scale(a: Q, n: int) -> Q:
+    """a·n for an int n."""
+    na = a._numerator
+    if not na or not n:
+        return _Q0
+    da = a._denominator
+    g = gcd(n, da)
+    return _q(na * (n // g), da // g) if g > 1 else _q(na * n, da)
+
+
 def _add(a: Q, b: Q) -> Q:
     """a + b, with the reductions of ``Fraction._add``."""
     nb = b._numerator
@@ -258,6 +270,41 @@ def _add(a: Q, b: Q) -> Q:
     if g2 == 1:
         return _q(t, s * db)
     return _q(t // g2, s * (db // g2))
+
+
+def _ratio(n: int, d: int) -> Q:
+    """The Fraction n/d in lowest terms from ints with d > 0."""
+    g = gcd(n, d)
+    return _q(n // g, d // g) if g > 1 else _q(n, d)
+
+
+def _denominator(values) -> int:
+    """The lcm of the denominators of the real and imaginary parts of
+    ``values``, Scalars; 1 for none."""
+    den = 1
+    for c in values:
+        for part in (c.re, c.im):
+            d = part._denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+    return den
+
+
+def _numerator(c: Scalar, den: int):
+    """c·den for a multiple ``den`` of c's denominators: an int when c is
+    real, else a Scalar with integer parts (a Gaussian integer)."""
+    re = c.re._numerator * (den // c.re._denominator)
+    if not c.im._numerator:
+        return re
+    return _scalar(_q(re, 1), _q(c.im._numerator * (den // c.im._denominator), 1))
+
+
+def _over(n, den: int) -> Scalar:
+    """n/den as a Scalar, for an int or Gaussian-integer Scalar n and an
+    int den > 0: the inverse of :func:`_numerator`."""
+    if type(n) is int:
+        return _scalar(_ratio(n, den), _Q0)
+    return _scalar(_ratio(n.re._numerator, den), _ratio(n.im._numerator, den))
 
 
 def _scalar(re: Q, im: Q) -> Scalar:

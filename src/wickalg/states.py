@@ -7,12 +7,15 @@ functional ω_φ a normal word a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}† evalu
 
 Inner products and Gram matrices never rewrite a product: ⟨F, G⟩ = ω_φ(F†G)
 is carried by the annihilators λ_φ(a_i†), applied to G one letter of F at a
-time, and the product formula on the generator-only result.  Each
-annihilator is one contraction of the tensor's memo of how a_i† passes a
-generator word (:meth:`rewrite.Rewriter.through`): a term c·a_v·a_m† of
-a_i†·a_u becomes c·φ_m·a_v, a contracted term (m = 0) stays c·a_v, and a
-term with φ_m = 0 is never formed.  :func:`coherent_functional` is Wick
-order, then the product formula.
+time along the prefix tree of F's words, and the product formula on the
+generator-only result.  Each annihilator is one contraction of the tensor's
+memo of how a_i† passes a generator word (:meth:`rewrite.Rewriter.annihilate`):
+a term c·a_v·a_m† of a_i†·a_u becomes c·φ_m·a_v, a contracted term (m = 0)
+stays c·a_v, and a term with φ_m = 0 is never formed.  The chains run on the
+rewriter's scaled terms, integer numerators over one denominator (φ lifted
+by the lcm of its denominators the same way), and only the values read turn
+back into Scalars.  :func:`coherent_functional` is Wick order, then the
+product formula.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix
-from .rewrite import _add, _check_generator_words, rewriter_for, wick_order
+from .rewrite import _check_generator_words, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -87,27 +90,34 @@ def coherent_functional(p: Polynomial, phi: CoherentParam, T: CoeffTensor) -> Sc
     return _normal_value(wick_order(p, T), phi)
 
 
-def _annihilator_chains(words, x: Polynomial, phi: CoherentParam, T: CoeffTensor) -> dict:
-    """{w: λ_φ(a_w†)x} for every prefix w of ``words``; the caller has
-    checked φ, the letters of ``words`` and that x is generator-only.
-
-    a_w† = a_{w_n}†⋯a_{w_1}†, so w_1 acts first and each prefix is its
-    parent plus one annihilator; words that share a prefix share its chain.
-    """
-    through = rewriter_for(T).through
-    phis = (None,) + phi.phi  # phis[m] = φ_m for m ≥ 1
-    chain = {(): x}
+def _prefix_tree(words) -> tuple:
+    """(links, node) for the nonempty prefixes of ``words``: node 0 is the
+    empty prefix, node i ≥ 1 is its parent node plus one letter, given as
+    links[i − 1] = (parent, letter), and node[w] is the node of prefix w."""
+    node, links = {(): 0}, []
     for w in words:
+        parent = 0
         for k in range(1, len(w) + 1):
-            if w[:k] not in chain:
-                acc: dict = {}
-                for u, c in chain[w[:k - 1]].terms.items():
-                    for (v, m), t in through(w[k - 1], u).items():
-                        if not m:
-                            _add(acc, v, c * t)
-                        elif phis[m]:
-                            _add(acc, v, c * t * phis[m])
-                chain[w[:k]] = Polynomial._of(acc)
+            n = node.get(w[:k])
+            if n is None:
+                links.append((parent, w[k - 1]))
+                n = node[w[:k]] = len(links)
+            parent = n
+    return links, node
+
+
+def _annihilator_chains(links, x: Polynomial, phi: CoherentParam, rw) -> list:
+    """The scaled terms of λ_φ(a_w†)x at every node w of the prefix tree
+    ``links`` (see :func:`_prefix_tree`), by the rewriter ``rw`` of the
+    tensor; the caller has checked φ, the letters and that x is generator-only.
+
+    a_w† = a_{w_n}†⋯a_{w_1}†, so w_1 acts first and each node is its parent
+    plus one annihilator; words that share a prefix share its chain.
+    """
+    phi = rw.scaled({m: c for m, c in enumerate(phi.phi, 1) if c})
+    chain = [rw.scaled(x.terms)]
+    for parent, letter in links:
+        chain.append(rw.annihilate(letter, chain[parent], phi))
     return chain
 
 
@@ -117,16 +127,20 @@ def inner_product(
     """⟨F, G⟩ = ω_φ(F†G) = Σ_w conj(f_w)·ω_φ(λ_φ(a_w†)G) for generator-only F, G."""
     _check_phi(phi, T)
     _check_generator_words([*F.terms, *G.terms], T.d)
-    chain = _annihilator_chains(F.terms, G, phi, T)
+    rw = rewriter_for(T)
+    links, node = _prefix_tree(F.terms)
+    chain = _annihilator_chains(links, G, phi, rw)
     prefix = {}
     total = ZERO
     for w, c in F.terms.items():
-        total = total + c.conjugate() * _normal_value(chain[w], phi, prefix)
+        value = Polynomial._of(rw.unscaled(chain[node[w]]))
+        total = total + c.conjugate() * _normal_value(value, phi, prefix)
     return total
 
 
 def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
-    """G[a][b] = ⟨words[a], words[b]⟩, exact.
+    """G[a][b] = ⟨words[a], words[b]⟩, exact: one chain of annihilators per
+    column, over the prefix tree of ``words`` built once.
 
     When the word list is all of H^{⊗n} in index order this equals the
     level-n Gram operator of tensorops.p_n (at φ = 0).
@@ -134,13 +148,18 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     _check_phi(phi, T)
     words = [tuple(w) for w in words]
     _check_generator_words(words, T.d)
+    rw = rewriter_for(T)
+    links, node = _prefix_tree(words)
+    rows = [node[w] for w in words]
     n = len(words)
     data = [[ZERO] * n for _ in range(n)]
     prefix = {}
     for b, wb in enumerate(words):
-        chain = _annihilator_chains(words, Polynomial.monomial(wb), phi, T)
-        for a, wa in enumerate(words):
-            data[a][b] = _normal_value(chain[wa], phi, prefix)
+        chain = _annihilator_chains(links, Polynomial.monomial(wb), phi, rw)
+        for a, i in enumerate(rows):
+            if chain[i][0]:  # the scaled terms (terms, den) are not 0
+                value = Polynomial._of(rw.unscaled(chain[i]))
+                data[a][b] = _normal_value(value, phi, prefix)
     return Matrix._of(data, n, n)
 
 
@@ -157,4 +176,5 @@ def annihilator_apply(
     if not (1 <= i <= T.d):
         raise ValueError(f"generator index {i} out of range 1..{T.d}")
     _check_generator_words(x.terms, T.d)
-    return _annihilator_chains([(i,)], x, phi, T)[(i,)]
+    rw = rewriter_for(T)
+    return Polynomial._of(rw.unscaled(_annihilator_chains([(0, i)], x, phi, rw)[1]))

@@ -1,9 +1,12 @@
 """Preset relation families: hermiticity, spectra, parameter validation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from wickalg import (
+    Polynomial,
     Scalar,
     eigvalsh,
     hermiticity_check,
@@ -161,3 +164,64 @@ def test_aliases_are_unknown_parameters():
         make_preset("twisted_ccr", 2, mu="1/2", q="1/3")
     with pytest.raises(ValueError, match="unknown parameter lambda for preset 'usym'; accepted: q, lam"):
         make_preset("usym", 2, lam="1/2", **{"lambda": "1/3"})
+
+
+def _reference_system(name, d, mu_or_lam):
+    """The aklt, twisted_ccr and twisted_car tensors and generators, each entry
+    and coefficient computed on its own by the defining formulas in Fraction
+    arithmetic: the reference for the presets' precomputed constants."""
+    x = rational(mu_or_lam)
+    mono = Polynomial.monomial
+    if name == "aklt":
+        entries = {}
+        for i, j, k, l in product(range(1, 4), repeat=4):
+            c = rational(0)
+            if i == j and k == l:
+                c += (x - 2) / 2
+            if k == i and l == j:
+                c += x / 2
+            if l == i and k == j:
+                c -= x / 3
+            if c:
+                entries[(i, j, k, l)] = Scalar(c)
+        return entries, []
+    car = name == "twisted_car"
+    entries = {(i, j, i, j): Scalar((-1 if i == j else -x) if car else (x * x if i == j else x))
+               for i in range(1, d + 1) for j in range(1, d + 1)}
+    for i in range(1, d + 1):
+        for k in range(1, i):
+            entries[(i, i, k, k)] = Scalar(-(1 - x * x))
+    sign = 1 if car else -1
+    gens = [mono((i, i)) for i in range(1, d + 1)] if car else []
+    gens += [mono((i, j)) + mono((j, i), Scalar(sign * x))
+             for i in range(1, d + 1) for j in range(1, i)]
+    if car:
+        for i in range(2, d + 1):
+            gens.append(mono((1, 1, i)) - mono((i, 1, 1), Scalar(x * x)))
+            gens.append(mono((1, i, i)) + mono((i, 1, i), Scalar(1 / x - x)) - mono((i, i, 1)))
+        for i in range(2, d + 1):
+            for j in range(i + 1, d + 1):
+                gens.append(mono((1, i, j)) + mono((i, 1, j), Scalar(1 / x))
+                            - mono((j, 1, i), Scalar(x * x)) - mono((j, i, 1), Scalar(x)))
+                gens.append(mono((1, j, i)) - mono((i, 1, j), Scalar(x * x)) - mono((i, j, 1), Scalar(x))
+                            - mono((j, 1, i), Scalar(-1 / x + x - x * x * x))
+                            - mono((j, i, 1), Scalar(1 - x * x)))
+    return entries, gens
+
+
+@pytest.mark.parametrize("name,d,values", [
+    ("aklt", None, ["1", "0", "2", "-1", "7/5", "1/2", "19/10", "3", "-2/3"]),
+    ("twisted_ccr", 4, ["1/2", "1/3", "4/11", "9/10", "1/10"]),
+    ("twisted_car", 4, ["1/2", "1/3", "4/11", "9/10", "1/10"]),
+])
+def test_precomputed_constants_match_the_formulas(name, d, values):
+    # The presets compute each parameter constant once per build; every
+    # entry, generator and their order equal those of the term-by-term formulas.
+    pname = "lam" if name == "aklt" else "mu"
+    for v in values:
+        for dd in ([d] if d is None else range(1, d + 1)):
+            rs = make_preset(name, dd, **{pname: v})
+            entries, gens = _reference_system(name, dd, v)
+            assert list(rs.tensor.entries.items()) == list(entries.items())
+            assert [list(g.terms.items()) for g in rs.ideal_generators] == \
+                [list(g.terms.items()) for g in gens]

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gen_polynomials, polynomials, sample_tensors
+from conftest import gen_polynomials, polynomials, sample_tensors, tensors
 from wickalg import (
     CoeffTensor,
     Matrix,
@@ -91,18 +91,37 @@ def test_term_budget():
         _wick_order_strategy(big, T, "rightmost", cap=2)
 
 
-@settings(max_examples=60, deadline=None)
+# Denominators 2, 3, 5 and 7 in one tensor: the memo's δ is 210.
+COPRIME = CoeffTensor(2, {
+    (1, 1, 1, 1): rational(1, 2), (1, 2, 1, 2): rational(-2, 3),
+    (2, 1, 2, 1): rational(-2, 3), (2, 2, 1, 1): rational(3, 5),
+    (1, 1, 2, 2): rational(3, 5), (2, 2, 2, 2): rational(-4, 7),
+})
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    polynomials(2, max_len=4, max_terms=3),
-    st.integers(min_value=0, max_value=len(TENSORS) - 1),
+    st.one_of(st.sampled_from(TENSORS + [COPRIME]), tensors()).flatmap(
+        lambda T: st.tuples(st.just(T), polynomials(T.d, max_len=4, max_terms=3))),
     st.integers(min_value=0, max_value=2**16),
 )
-def test_confluence_strategies_agree(p, ti, seed):
-    T = TENSORS[ti]
+def test_confluence_strategies_agree(tp, seed):
+    # The sample spread, the coprime-denominator tensor and drawn tensors:
+    # complex, non-Hermitian, d ≤ 3.
+    T, p = tp
     left = wick_order(p, T)
     assert _wick_order_strategy(p, T, "leftmost") == left
     assert _wick_order_strategy(p, T, "rightmost") == left
     assert _wick_order_strategy(p, T, "random", random.Random(seed)) == left
+
+
+def test_coprime_denominators_normal_order_exactly():
+    # Every word of length 4 over a_1, a_2 and their adjoints: the integer
+    # numerators over δ^E come back as the one-step rewriter's Scalars.
+    assert rewrite.Rewriter(COPRIME).delta == 210
+    for w in product((1, 2, -1, -2), repeat=4):
+        p = Polynomial.monomial(w)
+        assert wick_order(p, COPRIME) == _wick_order_strategy(p, COPRIME, "leftmost")
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,40 +328,56 @@ def test_long_word_normal_orders():
                         (1,) * n + (-1,): q**n}
 
 
-def _recursive_through(rw, k, g):
-    """a_k†·a_g by the recursion a_k†·a_j a_h = δ_kj·a_h + Σ T_{kj}^{k'l}
-    a_l·(a_{k'}†·a_h), memoized in ``rw._cache`` by (k, suffix of g)."""
-    if (k, g) not in rw._cache:
+def _recursive_through(memo, T, k, g):
+    """a_k†·a_g in Scalars by the recursion a_k†·a_j a_h = δ_kj·a_h +
+    Σ T_{kj}^{k'l} a_l·(a_{k'}†·a_h), memoized in ``memo`` by (k, suffix of g)."""
+    if (k, g) not in memo:
         out = {((), k): ONE}
         if g:
             out = {(g[1:], 0): ONE} if g[0] == k else {}
-            for kk, l, c in rw.T.row(k, g[0]):
-                for (h, m), v in _recursive_through(rw, kk, g[1:]).items():
+            for kk, l, c in T.row(k, g[0]):
+                for (h, m), v in _recursive_through(memo, T, kk, g[1:]).items():
                     rewrite._add(out, ((l,) + h, m), c * v)
-        rw._cache[(k, g)] = out
-    return rw._cache[(k, g)]
+        memo[(k, g)] = out
+    return memo[(k, g)]
 
 
-@pytest.mark.parametrize("ti", range(len(TENSORS)))
+def _unscaled_entry(rw, k, g):
+    """δ^{−|g|}·(the memo entry of a_k†·a_g), as Scalars."""
+    scale = Scalar(rw.delta) ** len(g)
+    return {key: Scalar.coerce(v) / scale for key, v in rw.through(k, g).items()}
+
+
+# The sample spread, the coprime-denominator tensor and a complex q_ij.
+MEMO_TENSORS = TENSORS + [COPRIME, make_preset(
+    "q_ij", 2, q11="1/3", q22="1/4", q12="1/2", q12_im="1/2",
+    q21="1/2", q21_im="-1/2").tensor]
+
+
+@pytest.mark.parametrize("ti", range(len(MEMO_TENSORS)))
 def test_through_fills_the_memo_of_the_recursion(ti):
-    # The values of the recursion; the memo holds the nonempty prefixes of
-    # the asked words, every asked nonempty word among them.
-    T, rng = TENSORS[ti], random.Random(ti)
-    fast, ref = rewrite.Rewriter(T), rewrite.Rewriter(T)
+    # The values of the recursion, scaled by δ^{|g|}; the memo holds the
+    # nonempty prefixes of the asked words, every asked nonempty word among
+    # them, and for a real tensor its numerators are ints.
+    T, rng = MEMO_TENSORS[ti], random.Random(ti)
+    fast, memo = rewrite.Rewriter(T), {}
     asked = set()
     for _ in range(30):
         k = rng.randint(1, T.d)
         g = tuple(rng.randint(1, T.d) for _ in range(rng.randint(0, 6)))
-        assert fast.through(k, g) == _recursive_through(ref, k, g)
+        assert _unscaled_entry(fast, k, g) == _recursive_through(memo, T, k, g)
         asked.add((k, g))
         prefixes = {(kk, gg[:n]) for kk, gg in asked for n in range(1, len(gg) + 1)}
         assert fast._cache.keys() <= prefixes
         assert {(kk, gg) for kk, gg in asked if gg} <= fast._cache.keys()
+    if all(c.is_real for c in T.entries.values()):
+        assert all(type(v) is int for entry in fast._cache.values() for v in entry.values())
 
 
-@pytest.mark.parametrize("ti", range(len(TENSORS)))
+@pytest.mark.parametrize("ti", range(len(MEMO_TENSORS)))
 def test_through_extends_a_prefix_by_one_entry(ti):
-    T, rng = TENSORS[ti], random.Random(ti)
+    # One new entry, which holds δ^{|h|}·a_k†·a_h.
+    T, rng = MEMO_TENSORS[ti], random.Random(ti)
     for _ in range(20):
         rw = rewrite.Rewriter(T)
         k = rng.randint(1, T.d)
@@ -350,5 +385,5 @@ def test_through_extends_a_prefix_by_one_entry(ti):
         rw.through(k, g)
         before = set(rw._cache)
         h = g + (rng.randint(1, T.d),)
-        rw.through(k, h)
+        assert _unscaled_entry(rw, k, h) == _recursive_through({}, T, k, h)
         assert set(rw._cache) - before == {(k, h)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import nonzero_scalars, rationals, scalars
 from wickalg import Scalar, rational, rational_str
-from wickalg.scalars import _Q0, ONE, Q, ZERO
+from wickalg.scalars import _Q0, ONE, Q, ZERO, _denominator, _numerator, _over
 
 
 def test_construction_and_equality():
@@ -178,6 +178,24 @@ def test_kernel_with_int_operands(x, k):
                         (k - x, (k - a, -b)), (x * k, (a * k, b * k)), (k * x, (a * k, b * k))):
         _assert_canonical(z)
         assert _ref(z) == expected
+
+
+@given(st.lists(big_scalars, max_size=4), st.integers(1, 30))
+def test_integer_numerators_round_trip(xs, m):
+    # Over any multiple of the lcm of their denominators, Scalars become
+    # ints (real) or Gaussian integers and come back exactly and canonical.
+    den = _denominator(xs)
+    assert all(den % part.denominator == 0 for x in xs for part in (x.re, x.im))
+    for x in xs:
+        n = _numerator(x, den * m)
+        if x.is_real:
+            assert type(n) is int and n == x.re * den * m
+        else:
+            assert type(n) is Scalar and n == x * (den * m)
+            assert n.re.denominator == n.im.denominator == 1
+        z = _over(n, den * m)
+        _assert_canonical(z)
+        assert z == x
 
 
 @given(big_scalars)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gen_polynomials, gen_words, sample_tensors
+from conftest import gen_polynomials, gen_words, sample_tensors, scalars, tensors
 import wickalg.diffcalc as diffcalc
 from wickalg import (
     CoherentParam,
@@ -199,17 +199,26 @@ def _trailing_dag_to_phi(p: Polynomial, phi: CoherentParam) -> Polynomial:
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    gen_polynomials(2, max_len=3, max_terms=3),
-    st.integers(min_value=1, max_value=2),
-    st.integers(min_value=0, max_value=len(CROSS_TENSORS) - 1),
-    st.sampled_from(PHIS + [CoherentParam((0, Scalar(rational(2, 3), rational(-1, 5))))]),
-)
-def test_annihilator_apply_matches_one_step_rewriter(x, i, ti, phi):
+@st.composite
+def _annihilator_cases(draw):
+    """(x, i, T, φ): T from the cross spread or drawn (complex, non-Hermitian,
+    d ≤ 3), φ Fock, real or complex, x and i over T's generators."""
+    T = draw(st.one_of(st.sampled_from(CROSS_TENSORS), tensors()))
+    if T.d == 2 and draw(st.booleans()):
+        phi = draw(st.sampled_from(PHIS + [CoherentParam((0, Scalar(rational(2, 3), rational(-1, 5))))]))
+    else:
+        phi = CoherentParam(tuple(draw(st.lists(st.one_of(st.just(0), scalars),
+                                                min_size=T.d, max_size=T.d))))
+    x = draw(gen_polynomials(T.d, max_len=3, max_terms=3))
+    return x, draw(st.integers(min_value=1, max_value=T.d)), T, phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(_annihilator_cases())
+def test_annihilator_apply_matches_one_step_rewriter(case):
     # λ_φ(a_i†)x is the one-step rewriter's normal form of a_i†·x with each
     # trailing a_m† replaced by φ_m, as a polynomial, not only under ω_φ.
-    T = CROSS_TENSORS[ti]
+    x, i, T, phi = case
     normal = _wick_order_strategy(Polynomial.adjoint_generator(i) * x, T, "leftmost")
     assert all(c > 0 for w in normal.terms for c in w[:-1])  # at most a trailing a†
     assert annihilator_apply(i, x, phi, T) == _trailing_dag_to_phi(normal, phi)
