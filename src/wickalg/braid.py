@@ -1,7 +1,8 @@
 """Braid-relation detection and the permutation expansion P_n = Σ_π T(π).
 
 Permutations are tuples of 1-based images: ``perm[p-1] = π(p)``.  The sum
-and the block kernel read each T(π) off one weak-order walk, T(π·s_i) = T(π)·T_i.
+and the block kernel read each T(π) off one weak-order walk, T(π·s_i) = T(π)·T_i,
+run on the integer rows of δ·T (:func:`~wickalg.tensorops._t_rows`).
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _dense, _sparse_product
+from .linalg import Matrix, _dense, _dense_over, _sparse_product, _sparse_rows
 from .scalars import ONE
-from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, braid_check, t_matrix
+from .tensorops import (DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows,
+                        braid_check, t_matrix)
 
 __all__ = [
     "braid_check",
@@ -75,20 +77,21 @@ def t_of_permutation(
     _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")
-    tm, rows = t_matrix(T), [{r: ONE} for r in range(T.d**n)]
+    tm, rows = _sparse_rows(t_matrix(T).data), [{r: ONE} for r in range(T.d**n)]
     for i in reduced_word(perm):
         rows = _sparse_product(rows, _slot_rows(tm, i, n))
     return Matrix._of(_dense(rows, T.d**n), T.d**n, T.d**n)
 
 
-def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
-    """{π: the ``{col: Scalar}`` rows of T(π)} over S_n for a braided T, one
-    sparse product per permutation: walking up the weak order,
-    T(π·s_i) = T(π)·T_i when π(i) < π(i+1), with T_i from :func:`_slot_rows`."""
-    tm = t_matrix(T)
-    t_rows = [_slot_rows(tm, i, n) for i in range(1, n)]
+def _weak_order_products(T: CoeffTensor, n: int) -> tuple:
+    """(δ, {π: the ``{col: numerator}`` rows of δ^{ℓ(π)}·T(π)}) over S_n for a
+    braided T, one sparse product per permutation: walking up the weak order,
+    δ^{ℓ+1}·T(π·s_i) = δ^ℓ·T(π)·(δT)_i when π(i) < π(i+1), with (δT)_i the
+    :func:`_slot_rows` of :func:`_t_rows`."""
+    delta, tn = _t_rows(T)
+    t_rows = [_slot_rows(tn, i, n) for i in range(1, n)]
     ident = tuple(range(1, n + 1))
-    known = {ident: [{r: ONE} for r in range(T.d**n)]}
+    known = {ident: [{r: 1} for r in range(T.d**n)]}
     order = [ident]
     for perm in order:  # grows as the walk goes
         for i in range(1, n):
@@ -97,7 +100,7 @@ def _weak_order_products(T: CoeffTensor, n: int, cap: int) -> dict:
                 if up not in known:
                     known[up] = _sparse_product(known[perm], t_rows[i - 1])
                     order.append(up)
-    return known
+    return delta, known
 
 
 def _check_permutation_cap(d: int, n: int, cap: int) -> None:
@@ -115,21 +118,24 @@ def _check_permutation_cap(d: int, n: int, cap: int) -> None:
 def p_n_by_permutations(
     T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
-    """Σ over all n! permutations of T(π), the sparse rows of each T(π) formed
-    once along the weak order and added into one ``{col: Scalar}`` dict per
-    row; refused by :func:`_check_permutation_cap` before anything is built."""
+    """Σ over all n! permutations of T(π), the integer rows of each δ^{ℓ(π)}·T(π)
+    formed once along the weak order, weighted by δ^{L−ℓ(π)} with L = n(n−1)/2
+    and added into one ``{col: numerator}`` dict per row over δ^L; refused by
+    :func:`_check_permutation_cap` before anything is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = T.d**n
+    dim, top = T.d**n, n * (n - 1) // 2
     _check_permutation_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("p_n_by_permutations requires a braided tensor")
+    delta, products = _weak_order_products(T, n)
     acc = [{} for _ in range(dim)]
-    for rows in _weak_order_products(T, n, cap).values():
+    for perm, rows in products.items():
+        w = delta ** (top - permutation_length(perm))
         for row, mrow in zip(acc, rows):
             for c, y in mrow.items():
-                row[c] = row[c] + y if c in row else y
-    return Matrix._of(_dense(acc, dim), dim, dim)
+                row[c] = row[c] + w * y if c in row else w * y
+    return Matrix._of(_dense_over(acc, dim, delta**top), dim, dim)
 
 
 def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
@@ -139,7 +145,9 @@ def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
         raise DimensionCapExceeded(f"n!·d^n = {factorial(n) * T.d**n} exceeds the dense cap {cap}")
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
-    t_of = {perm: _dense(rows, T.d**n) for perm, rows in _weak_order_products(T, n, cap).items()}
+    delta, products = _weak_order_products(T, n)
+    t_of = {perm: _dense_over(rows, T.d**n, delta ** permutation_length(perm))
+            for perm, rows in products.items()}
     perms = list(_permutations(range(1, n + 1)))
     data = [sum(rows, []) for pi in perms
             for rows in zip(*(t_of[compose(inverse(pi), sigma)] for sigma in perms))]

@@ -4,7 +4,7 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense, _kernel, _sparse_product, identity
+from .linalg import Matrix, _dense, _kernel, _sparse_product, _sparse_rows, identity
 from .rewrite import _check_generator_words, rewriter_for
 from .scalars import ONE
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, braid_check, t_matrix
@@ -61,7 +61,7 @@ def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
     if p_max < 0:
         raise ValueError("p must be >= 0")
     _check_cap(d, max(p_max, 1), cap)
-    it = identity(d * d) + t_matrix(T)
+    it = _sparse_rows((identity(d * d) + t_matrix(T)).data)
     B, k = [{0: ONE}], 1  # the rows of B_m and its column count
     for m in range(p_max + 1):
         if m:  # the columns of I ⊗ B_{m−1} span H ⊗ Ω^{m−1}

@@ -3,9 +3,14 @@
 The spectral routines in this package take their floats from one kernel,
 numpy's ``linalg.eigvalsh``: LAPACK's ``dsyevd`` for a real input and
 ``zheevd`` for a complex one (Anderson et al., *LAPACK Users' Guide*, SIAM
-1999).  This module checks the input, symmetrises it and hands a matrix with
-no imaginary part to LAPACK as real.  When LAPACK reports that it did not
-converge, ``eigvalsh`` raises ``ArithmeticError``.
+1999).  :func:`eigvalsh` checks its input, symmetrises it and hands a matrix
+with no imaginary part to LAPACK as real; when LAPACK reports that it did
+not converge, it raises ``ArithmeticError``.  A caller holding a
+:class:`~wickalg.linalg.Matrix` already proved exactly Hermitian may skip the
+Hermitian check and the symmetrisation, which change nothing on its float
+view (each part of an entry is rounded on its own, so the view is exactly
+mirrored, and (a + a*)/2 of it is a): it hands ``_as_array`` of the Matrix
+to ``_lapack_eigvalsh`` directly.
 """
 
 from __future__ import annotations
@@ -18,12 +23,26 @@ __all__ = ["eigvalsh", "singular_values", "operator_norm", "USING_NUMBA"]
 USING_NUMBA = False
 
 
-def _as_complex_array(mat) -> np.ndarray:
-    """The float view of ``mat``; an inf or nan entry raises ``ValueError``."""
+def _as_array(mat) -> np.ndarray:
+    """The float view of ``mat`` (float64 for a real Matrix, else complex128);
+    an inf or nan entry raises ``ValueError``."""
     a = mat.to_complex() if hasattr(mat, "to_complex") else np.asarray(mat, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _lapack_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """LAPACK's ascending eigenvalues of a finite Hermitian array, taken as
+    real when it has no imaginary part; ``ArithmeticError`` when LAPACK
+    does not converge."""
+    if a.dtype.kind == "c" and not a.imag.any():
+        a = a.real
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        n = a.shape[0]
+        raise ArithmeticError(f"LAPACK eigvalsh did not converge on a {n}x{n} matrix") from exc
 
 
 def eigvalsh(mat) -> np.ndarray:
@@ -33,7 +52,7 @@ def eigvalsh(mat) -> np.ndarray:
     non-square, non-Hermitian or non-finite one raises ``ValueError``, and
     one on which LAPACK does not converge raises ``ArithmeticError``.
     """
-    a = _as_complex_array(mat)
+    a = _as_array(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if a.shape[0] == 0:
@@ -42,21 +61,14 @@ def eigvalsh(mat) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))))
     if herm_defect > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian")
-    a = (a + a.conj().T) / 2.0
-    if not a.imag.any():
-        a = a.real
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        n = a.shape[0]
-        raise ArithmeticError(f"LAPACK eigvalsh did not converge on a {n}x{n} matrix") from exc
+    return _lapack_eigvalsh((a + a.conj().T) / 2.0)
 
 
 def singular_values(mat) -> np.ndarray:
     """Singular values (descending) via the eigenvalues of A†A, with A taken
     in units of max|a| so that forming A†A neither overflows nor underflows
     at that scale."""
-    a = _as_complex_array(mat)
+    a = _as_array(mat)
     unit = float(np.max(np.abs(a), initial=0.0)) or 1.0
     a = a / unit
     ev = eigvalsh(a.conj().T @ a)

@@ -8,7 +8,7 @@ from functools import reduce
 
 from .algebra import CoeffTensor, hermiticity_check
 from .diffcalc import d_and_twist
-from .linalg import Matrix, _dense, _sparse_product, identity
+from .linalg import Matrix, _dense, _sparse_product, _sparse_rows, identity
 from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, t_matrix
@@ -61,7 +61,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()
     factors = [(eye2 - P, 2), (tm, 1), (tm, 2), (P, 1)]
-    quadratic = not any(reduce(_sparse_product, [_slot_rows(X, s, 3) for X, s in factors]))
+    quadratic = not any(reduce(_sparse_product,
+                               [_slot_rows(_sparse_rows(X.data), s, 3) for X, s in factors]))
     return {"linear": linear, "quadratic": quadratic}
 
 
@@ -79,8 +80,8 @@ def ideal_generator_relations(
     check = quadratic_ideal_check(T, P)
     if not (check["linear"] and check["quadratic"]):
         raise ValueError("P does not define a quadratic Wick ideal")
-    tm = t_matrix(T)
-    p1, p3 = _slot_rows(P, 1, 4), _slot_rows(P, 3, 4)
+    tm, pr = _sparse_rows(t_matrix(T).data), _sparse_rows(P.data)
+    p1, p3 = _slot_rows(pr, 1, 4), _slot_rows(pr, 3, 4)
     t = {i: _slot_rows(tm, i, 4) for i in (1, 2, 3)}
     rows = reduce(_sparse_product, [p1, p3, t[2], t[1], t[3], t[2], p3, p1])
     return Matrix._of(_dense(rows, T.d**4), T.d**4, T.d**4)

@@ -2,12 +2,15 @@
 
 A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
-nonzeros of the right operand, and elimination runs on ``{col: Scalar}`` row
-dicts, so a pivot row reaches only the rows with an entry in its column.
-A basis is a matrix of columns (:meth:`Matrix.kernel_basis`); an empty
-one has 0 columns and passes through ``kron``, products, ``adjoint`` and
-the 0×0 ``inverse`` like any other.  Floating point enters only through
-:meth:`Matrix.to_complex`, the view consumed by the spectral routines.
+nonzeros of the right operand, and elimination runs on row dicts, so a pivot
+row reaches only the rows with an entry in its column.  The echelon forms
+keep ``{col: Scalar}`` rows; the Hermitian LDL* of :meth:`Matrix.psd_rank`
+keeps integer rows over one denominator each, as do the T-products that
+:func:`_dense_over` turns into a Matrix.  A basis is a matrix of columns
+(:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
+``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
+Floating point enters only through :meth:`Matrix.to_complex`, the view
+consumed by the spectral routines.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
 
 __all__ = ["Matrix", "identity", "kron", "zeros"]
 
@@ -62,9 +65,20 @@ def _dense(rows, cols: int) -> list:
     return out
 
 
-def _subtract(row: dict, f: Scalar, pitems) -> None:
-    """row -= f·prow in place, given the ``(col, Scalar)`` items of prow,
-    dropping entries that cancel."""
+def _dense_over(rows, cols: int, den: int) -> list:
+    """Dense Scalar rows of ``cols`` entries from ``{col: numerator}`` rows over
+    the int ``den`` > 0, each nonzero made once by :func:`~wickalg.scalars._over`."""
+    out = [[ZERO] * cols for _ in rows]
+    for orow, row in zip(out, rows):
+        for c, x in row.items():
+            orow[c] = _over(x, den)
+    return out
+
+
+def _subtract(row: dict, f, pitems) -> None:
+    """row -= f·prow in place, given the ``(col, value)`` items of prow,
+    dropping entries that cancel; the values are Scalars, or the ints and
+    Gaussian integers of :meth:`Matrix.psd_rank`."""
     nf = -f
     for c, y in pitems:
         x = row.get(c)
@@ -73,6 +87,12 @@ def _subtract(row: dict, f: Scalar, pitems) -> None:
             row[c] = v
         else:
             del row[c]
+
+
+def _divide(row: dict, g: int) -> None:
+    """row /= g in place, for int or Gaussian-integer values that the int g divides."""
+    for c, x in row.items():
+        row[c] = x // g if type(x) is int else _quotient(x, g)
 
 
 def _clear(a: list, p: int, col: int, rows) -> None:
@@ -253,37 +273,60 @@ class Matrix:
 
     def psd_rank(self) -> tuple:
         """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
-        upper triangle, kept as ``{col: Scalar}`` rows of the columns at or
-        right of the diagonal.  The diagonal pivots are taken in order and never
-        scaled: a pivot d > 0 in row k updates only the upper triangle of the
-        Schur complement, row j by conj(x)/d times the part of row k at or right
-        of column j, x = U[k][j]; a zero diagonal with an empty row is skipped.
-        A pivot d < 0, or a zero diagonal whose row is not empty (a 2×2 minor
-        −|x|²), shows the matrix is not PSD; the rank of the Schur complement
-        left at that point is then taken by :func:`_echelon` on its full rows,
-        each upper-triangle entry mirrored by its conjugate."""
+        upper triangle on integer rows: row j holds the entries at or right of
+        the diagonal as ``{col: numerator}`` over one denominator d_j > 0
+        (ints, or Gaussian-integer Scalars for complex entries).  The diagonal
+        pivots are taken in order and never scaled.  A pivot N_k[k] > 0 updates
+        only the rows it reaches, x = N_k[j] ≠ 0: N_j ← a·N_j − b·N_k[j:] and
+        d_j ← a·d_j, with a = N_k[k]·d_k and b = d_j·conj(x) divided by their
+        gcd, and then the row by the gcd of d_j and its numerators.  A zero
+        diagonal with an empty row is skipped.  A pivot < 0, or a zero diagonal
+        whose row is not empty (a 2×2 minor −|x|²), shows the matrix is not
+        PSD; the rank of the Schur complement left at that point is then taken
+        by :func:`_echelon` on its full ``{col: Scalar}`` rows, each
+        upper-triangle entry mirrored by its conjugate."""
         if not self.is_hermitian():
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
-        u = [{c: x for c, x in enumerate(row[r:], r) if x is not ZERO and x}
-             for r, row in enumerate(self.data)]
+        u, dens = [], []
+        for r, row in enumerate(self.data):
+            upper = [(c, x) for c, x in enumerate(row[r:], r) if x is not ZERO and x]
+            den = _denominator(x for _, x in upper)
+            u.append({c: _numerator(x, den) for c, x in upper})
+            dens.append(den)
         rank = 0
         for k, row in enumerate(u):
-            d = row.get(k)
-            if d is None and not row:
+            p = row.get(k)
+            if p is None and not row:
                 continue
-            if d is None or d.re < 0:
+            if type(p) is Scalar:  # a Gaussian integer, real on the diagonal
+                p = p.re._numerator
+            if p is None or p < 0:
                 rows = [{} for _ in range(len(u) - k)]
-                for r, urow in enumerate(u[k:]):
+                for r, (urow, den) in enumerate(zip(u[k:], dens[k:])):
                     for c, x in urow.items():
+                        x = _over(x, den)
                         rows[r][c - k] = x
                         rows[c - k][r] = x.conjugate()
                 return False, rank + len(_echelon(rows, len(rows))[1])
             rank += 1
-            inv = ONE / d
-            items = sorted(row.items())  # items[0] is the pivot (k, d)
+            pd = p * dens[k]
+            items = sorted(row.items())  # items[0] is the pivot (k, p)
             for i in range(1, len(items)):
                 j, x = items[i]
-                _subtract(u[j], x.conjugate() * inv, items[i:])
+                urow, dj = u[j], dens[j]
+                b = dj * x.conjugate()
+                g = _content(pd, (b,))
+                a, b = pd // g, _quotient(b, g)
+                if a != 1:
+                    for c, v in urow.items():
+                        urow[c] = a * v
+                    dj *= a
+                _subtract(urow, b, items[i:])
+                g = _content(dj, urow.values())
+                if g > 1:
+                    _divide(urow, g)
+                    dj //= g
+                dens[j] = dj
         return True, rank
 
     def kernel_basis(self) -> "Matrix":
@@ -329,13 +372,14 @@ class Matrix:
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):
-        """Dense complex128 numpy view of the matrix."""
-        out = np.zeros((self.rows, self.cols), dtype=np.complex128)
-        for r, row in enumerate(self.data):
-            for c, x in enumerate(row):
-                if x is not ZERO and x:
-                    out[r, c] = x.to_complex()
-        return out
+        """Dense numpy view of the matrix in one pass, each part correctly
+        rounded (:meth:`~wickalg.scalars.Scalar.to_complex`): float64 when
+        every entry is real, complex128 otherwise."""
+        if not self.rows:
+            return np.zeros((0, self.cols))
+        return np.array([[0.0 if x is ZERO else x.re._numerator / x.re._denominator
+                          if not x.im._numerator else x.to_complex() for x in row]
+                         for row in self.data])
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -299,6 +299,27 @@ def _numerator(c: Scalar, den: int):
     return _scalar(_q(re, 1), _q(c.im._numerator * (den // c.im._denominator), 1))
 
 
+def _content(g: int, values) -> int:
+    """The gcd of the int g and the integer parts of ``values``, each an int or
+    a Gaussian-integer Scalar as :func:`_numerator` makes them."""
+    try:
+        return gcd(g, *values)
+    except TypeError:  # a Gaussian integer among them; the loop stops at 1
+        pass
+    for v in values:
+        g = gcd(g, v) if type(v) is int else gcd(g, v.re._numerator, v.im._numerator)
+        if g == 1:
+            break
+    return g
+
+
+def _quotient(n, g: int):
+    """n/g for an int or Gaussian-integer Scalar n that the int g divides."""
+    if type(n) is int:
+        return n // g
+    return _scalar(_q(n.re._numerator // g, 1), _q(n.im._numerator // g, 1))
+
+
 def _over(n, den: int) -> Scalar:
     """n/den as a Scalar, for an int or Gaussian-integer Scalar n and an
     int den > 0: the inverse of :func:`_numerator`."""

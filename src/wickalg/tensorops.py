@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
-from .eigen import eigvalsh
-from .linalg import Matrix, _dense, _product, _sparse_product, _sparse_rows, identity, zeros
+from .eigen import _as_array, _lapack_eigvalsh, eigvalsh
+from .linalg import Matrix, _dense, _dense_over, _sparse_product, _sparse_rows, identity, zeros
 from .reports import Report
-from .scalars import ONE, rational_str
+from .scalars import _denominator, _numerator, rational_str
 
 __all__ = [
     "DimensionCapExceeded",
@@ -97,14 +97,24 @@ def ttilde_matrix(T: CoeffTensor) -> Matrix:
     return m
 
 
-def _slot_rows(X: Matrix, slot: int, n: int) -> list:
-    """The ``{col: Scalar}`` rows of I ⊗ X ⊗ I on H^{⊗n}, X a two-slot operator
-    on the slots (slot, slot+1): X's entries are placed, none is multiplied."""
-    d = isqrt(X.rows)
+def _t_rows(T: CoeffTensor) -> tuple:
+    """(δ, the ``{col: numerator}`` rows of δ·T on H⊗H), δ the lcm of the
+    denominators of T's entries, real and imaginary parts both: each numerator
+    is an int, or a Gaussian-integer Scalar for a complex entry
+    (:func:`~wickalg.scalars._numerator`)."""
+    delta = _denominator(T.entries.values())
+    return delta, [{c: _numerator(x, delta) for c, x in row.items()}
+                   for row in _sparse_rows(t_matrix(T).data)]
+
+
+def _slot_rows(xrows: list, slot: int, n: int) -> list:
+    """The rows of I ⊗ X ⊗ I on H^{⊗n}, from the d² ``{col: entry}`` rows of a
+    two-slot operator X on the slots (slot, slot+1): X's entries are placed,
+    none is multiplied."""
+    d = isqrt(len(xrows))
     low = d ** (n - slot - 1)
-    xrows = _sparse_rows(X.data)
     return [{base + c * low + lo: x for c, x in xrow.items()}
-            for base in range(0, d**n, X.rows * low) for xrow in xrows for lo in range(low)]
+            for base in range(0, d**n, d * d * low) for xrow in xrows for lo in range(low)]
 
 
 def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
@@ -116,15 +126,16 @@ def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
     if not (1 <= slot <= n - 1):
         raise ValueError(f"slot {slot} out of range 1..{n - 1}")
     _check_cap(d, n, cap)
-    return Matrix._of(_dense(_slot_rows(X, slot, n), d**n), d**n, d**n)
+    return Matrix._of(_dense(_slot_rows(_sparse_rows(X.data), slot, n), d**n), d**n, d**n)
 
 
 def braid_check(T: CoeffTensor) -> bool:
     """Exact test of T₁T₂T₁ = T₂T₁T₂ on H^{⊗3}, refused past the default cap:
-    three products of sparse rows, T₁T₂ shared by both sides."""
+    three products of the integer rows of δ·T (:func:`_t_rows`), so both sides
+    are δ³ times theirs, with T₁T₂ shared by both."""
     _check_h3_cap(T.d, "braid check")
-    tm = t_matrix(T)
-    t1, t2 = _slot_rows(tm, 1, 3), _slot_rows(tm, 2, 3)
+    tn = _t_rows(T)[1]
+    t1, t2 = _slot_rows(tn, 1, 3), _slot_rows(tn, 2, 3)
     t12 = _sparse_product(t1, t2)
     return _sparse_product(t12, t1) == _sparse_product(t2, t12)
 
@@ -132,26 +143,32 @@ def braid_check(T: CoeffTensor) -> bool:
 def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield the Fock Gram operators P_1, …, P_{n_max}, each built from the
     level before by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and
-    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  A_m is sparse rows,
-    I ⊗ A_{m−1} its rows shifted, and block b of P_{m+1} is P_m times A_m's rows in
-    block b: no Kronecker product is formed.  The next level reads the yielded
-    one, so modify only copies.  n_max < 0 and d^n_max > ``cap`` are refused first."""
+    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  The recursion
+    runs on integer rows: with δ·T from :func:`_t_rows`, it carries
+    δ^m·A_m = δ^m·I + (δT)₁·(I ⊗ δ^{m−1}·A_{m−1}) and N_m = D_m·P_m, with
+    N_{m+1} = (I ⊗ N_m)·δ^m·A_m and D_{m+1} = D_m·δ^m, so D_n = δ^{n(n−1)/2}.
+    Each is ``{col: numerator}`` rows (ints, or Gaussian integers for a complex
+    T); I ⊗ A is A's rows shifted, and block b of N_{m+1} is N_m times the
+    rows of δ^m·A_m in block b: no Kronecker product is formed.  A level is
+    yielded as a Matrix of ``N/D`` Scalars made once per nonzero, and the next
+    level does not read it.  n_max < 0 and d^n_max > ``cap`` are refused first."""
     d = T.d
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_cap(d, n_max, cap)
-    tm = t_matrix(T)
-    p, a = identity(d), [{r: ONE} for r in range(d)]
+    delta, tn = _t_rows(T)
+    a, nrows, den = [{r: 1} for r in range(d)], [{r: 1} for r in range(d)], 1
     for m in range(n_max):
-        if m:  # a = A_m and p = P_{m+1} on H^{⊗(m+1)}
-            dm, dim = d**m, d ** (m + 1)
+        dim = d ** (m + 1)
+        if m:  # a = δ^m·A_m and nrows = N_{m+1} on H^{⊗(m+1)}
+            dm, lift = d**m, delta**m
             shifted = [{c + b: x for c, x in row.items()} for b in range(0, dim, dm) for row in a]
-            a = _sparse_product(_slot_rows(tm, 1, m + 1), shifted)
-            for r, row in enumerate(a):
-                row[r] = row[r] + ONE if r in row else ONE
-            data = [row for b in range(0, dim, dm) for row in _product(p.data, a[b:b + dm], dim)]
-            p = Matrix._of(data, dim, dim)
-        yield p
+            a = _sparse_product(_slot_rows(tn, 1, m + 1), shifted)
+            for r, row in enumerate(a):  # a 0 left here drops out of the products
+                row[r] = row.get(r, 0) + lift
+            nrows = [row for b in range(0, dim, dm) for row in _sparse_product(nrows, a[b:b + dm])]
+            den *= lift
+        yield Matrix._of(_dense_over(nrows, dim, den), dim, dim)
 
 
 def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
@@ -173,11 +190,12 @@ class SpectralSummary:
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
-    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from one :meth:`Matrix.psd_rank`;
-    the float spectrum (:func:`~wickalg.eigen.eigvalsh`) is for information
-    and decides nothing."""
+    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from one :meth:`Matrix.psd_rank`,
+    which also proves X exactly Hermitian, so its float view goes to LAPACK
+    without :func:`~wickalg.eigen.eigvalsh`'s Hermitian check and
+    symmetrisation; the float spectrum is for information and decides nothing."""
     is_psd, rank = X.psd_rank()
-    ev = eigvalsh(X)
+    ev = _lapack_eigvalsh(_as_array(X))
     if ev.size == 0:
         return SpectralSummary(0.0, 0.0, 0.0, 0, True)
     t_plus = float(ev[-1])

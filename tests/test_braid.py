@@ -33,6 +33,7 @@ from wickalg.braid import (
     reduced_word,
 )
 from wickalg.linalg import _sparse_rows
+from wickalg.scalars import _denominator, _over
 from wickalg.tensorops import embed
 
 BRAIDED = [
@@ -170,15 +171,31 @@ def test_permutation_sum_equals_the_kron_reference(q):
         assert p_n_by_permutations(T, n) == p_n(T, n) == pn
 
 
+def test_complex_q_ij_permutation_sum_over_large_denominators():
+    # a complex diagonal braiding over the primes 1000003, 999983 and 2^31 − 1:
+    # the weak-order walk weights each δ^ℓ(π)·T(π) by δ^(L−ℓ(π))
+    T = make_preset("q_ij", 2, q11="2/1000003", q22="-5/999983", q12="3/7",
+                    q12_im="-1/2147483647", q21="3/7", q21_im="1/2147483647").tensor
+    assert braid_check(T)
+    for n in (1, 2, 3, 4, 5):
+        assert p_n_by_permutations(T, n) == p_n(T, n)
+    assert not p_n(T, 3).data[3][5].is_real  # the words 011 and 101 meet through q12
+
+
 @pytest.mark.parametrize("ti", range(len(BRAIDED)))
 def test_weak_order_products_are_t_of_permutation(ti):
-    # every key π holds T(π), not T(π⁻¹): the presets here tell them apart
+    # every key π holds the numerators of δ^ℓ(π)·T(π), not of T(π⁻¹): the
+    # presets here tell them apart, and a real tensor's numerators are ints
     T = BRAIDED[ti]
     for n in (1, 2, 3, 4):
-        products = _weak_order_products(T, n, 4096)
+        delta, products = _weak_order_products(T, n)
+        assert delta == _denominator(T.entries.values())
         assert sorted(products) == sorted(permutations(range(1, n + 1)))
         for perm, rows in products.items():
-            assert rows == _sparse_rows(t_of_permutation(T, perm).data)
+            assert all(type(x) is int for row in rows for x in row.values())
+            den = delta ** permutation_length(perm)
+            assert ([{c: _over(x, den) for c, x in row.items()} for row in rows]
+                    == _sparse_rows(t_of_permutation(T, perm).data))
 
 
 def test_permutation_kernel_blocks():

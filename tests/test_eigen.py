@@ -9,7 +9,7 @@ import pytest
 import wickalg.eigen as eigen
 from wickalg import (
     Matrix, Scalar, eigvalsh, gram_levels, make_preset, operator_norm, p_n, rational,
-    singular_values,
+    singular_values, spectral_summary,
 )
 
 
@@ -102,6 +102,25 @@ def test_gram_spectra_match_exact_traces(family, d, params, n):
         is_psd, rank = p.psd_rank()
         if is_psd:
             assert int((ev > 1e-9 * top).sum()) == rank, level
+
+
+@pytest.mark.parametrize("family, d, params, n", GRAM_LEVELS + [
+    ("bp_ce", 2, {"lam": "1", "eps": "-3/5"}, 3),
+    ("q_ij", 3, Q_IJ3_COMPLEX, 3),
+])
+def test_spectral_summary_spectrum_is_bit_identical(family, d, params, n):
+    # spectral_summary hands LAPACK the float view of a Matrix psd_rank proved
+    # exactly Hermitian, skipping eigvalsh's check and symmetrisation: no
+    # eigenvalue moves by a bit.  A real Matrix's view is float64.
+    for p in gram_levels(make_preset(family, d, **params).tensor, n):
+        view = p.to_complex()
+        assert view.dtype == (np.complex128 if any(x.im for row in p.data for x in row)
+                              else np.float64)
+        assert np.array_equal(view, [[x.to_complex() for x in row] for row in p.data])
+        ev = eigvalsh(p)
+        assert np.array_equal(eigen._lapack_eigvalsh(eigen._as_array(p)), ev)
+        s = spectral_summary(p)
+        assert (s.t_minus, s.t_plus) == (float(ev[0]), float(ev[-1]))
 
 
 def test_exact_matrix_input():

@@ -440,7 +440,9 @@ def test_psd_rank_oracle_larger_matrices():
                  "q21": "1/3", "q21_im": "-1/4", "q22": "-1/3"}, 5),
 ])
 def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n):
-    # The LDL* updates only the upper triangle and never scales a pivot row.
+    # The LDL* runs on integer rows: a real P_n makes no Scalar product at all,
+    # and a complex one, on Gaussian integers, updates only the upper triangle
+    # and never scales a pivot row.
     m = p_n(make_preset(family, d, **params).tensor, n)
     mul, calls = Scalar.__mul__, []
 
@@ -453,7 +455,65 @@ def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n
     ldl = len(calls)
     calls.clear()
     assert len(_echelon(_sparse_rows(m.data), m.cols)[1]) == m.rows
-    assert ldl <= 0.6 * len(calls)
+    if all(x.is_real for row in m.data for x in row):
+        assert ldl == 0
+    else:
+        assert ldl <= 0.6 * len(calls)
+
+
+_COPRIME = (10**6, 2**61 - 1)  # 2^61 − 1 is prime
+
+
+def _coprime_hermitian(rng, n):
+    """D·A·D for A from :func:`_random_hermitian` and D = diag(1/e_r), each e_r
+    1, 10^6 or 2^61 − 1: a congruence, so the inertia is A's, while the entries
+    of one row sit over coprime denominators."""
+    a = _random_hermitian(rng, n)
+    e = [rng.choice((1,) + _COPRIME) for _ in range(n)]
+    return Matrix([[x / (e[r] * e[c]) if x else ZERO for c, x in enumerate(row)]
+                   for r, row in enumerate(a.data)])
+
+
+def test_psd_rank_matches_principal_minors_over_coprime_denominators():
+    rng = random.Random(20261025)
+    seen = set()
+    for trial in range(150):
+        m = _coprime_hermitian(rng, 1 + trial % 5)
+        minors = {idx: _det(m, idx, idx) for s in range(m.rows + 1)
+                  for idx in combinations(range(m.rows), s)}
+        is_psd = all(x.re >= 0 for x in minors.values())
+        rank = max(len(idx) for idx, x in minors.items() if x)
+        assert m.psd_rank() == (is_psd, rank) == (is_psd, m.rank()), (trial, m.data)
+        dens = {x.re.denominator for row in m.data for x in row} | {
+            x.im.denominator for row in m.data for x in row}
+        seen.add((is_psd, rank < m.rows, any(not any(row) for row in m.data),
+                  any(x.im for row in m.data for x in row),
+                  any(e in dens or e * e in dens for e in _COPRIME)))
+    assert len({key[:3] for key in seen}) >= 6
+    assert any(key[3] and key[4] for key in seen)  # complex entries over the big denominators
+
+
+def test_psd_rank_is_invariant_under_scale_and_permutation():
+    # (is_psd, rank) of s·Q·M·Q* for s > 0 and a permutation Q is that of M.
+    rng = random.Random(20261026)
+    q_ij = {"q11": "1/2", "q12": "1/3", "q12_im": "1/4", "q21": "1/3", "q21_im": "-1/4",
+            "q22": "-1/3"}
+    mats = [p_n(make_preset("qccr", 2, q="3/7").tensor, 4),
+            p_n(make_preset("q_ij", 2, **q_ij).tensor, 4),
+            p_n(make_preset("bp_ce", 2, lam="1", eps="-3/5").tensor, 3),
+            p_n(make_preset("twisted_car", 2, mu="1/2").tensor, 3)]
+    mats += [_random_hermitian(rng, rng.randint(1, 9)) for _ in range(12)]
+    mats += [_ldl_hermitian(rng, 6, last) for last in (Fraction(-1, 3), Fraction(0), Fraction(2))]
+    mats += [_lone_corner(rng, 7)]
+    seen = set()
+    for m in mats:
+        want = m.psd_rank()
+        seen.add(want[0])
+        for s in (Fraction(7, 3), Fraction(1, 2**61 - 1), Fraction(10**6)):
+            perm = rng.sample(range(m.rows), m.rows)
+            moved = Matrix([[m.data[p][q] * s for q in perm] for p in perm])
+            assert moved.psd_rank() == want
+    assert seen == {True, False}
 
 
 def test_psd_rank_examples():

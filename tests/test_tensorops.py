@@ -1,10 +1,13 @@
 """Tensor-power operators, the level Gram recursion, positivity reports."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kron_gram_levels, tensors
 from wickalg import linalg, tensorops
+from wickalg.scalars import _denominator
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -129,6 +132,32 @@ def test_embed_equals_kron_with_identities(T, n):
     for slot in range(1, n):
         dense = kron(identity(d ** (slot - 1)), kron(tm, identity(d ** (n - slot - 1))))
         assert embed(tm, slot, n) == dense
+
+
+# δ, the lcm of T's denominators, is the product of three primes: the integer
+# recursion carries numerators over δ^{n(n−1)/2}, about 290 bits at n = 4.
+_PRIMES = (1000003, 999983, 2**31 - 1)
+_COMPLEX_Q_IJ = {"q11": "2/1000003", "q22": "-5/999983", "q12": "3/7", "q12_im": "-1/2147483647",
+                 "q21": "3/7", "q21_im": "1/2147483647"}
+
+
+def _large_prime_tensor():
+    """A complex, non-Hermitian tensor at d = 2 whose entries sit over the primes."""
+    entries = {}
+    for n, key in enumerate(product((1, 2), repeat=4)):
+        if n % 3:
+            p = _PRIMES[n % 3]
+            entries[key] = Scalar(rational(n * 7919 - 50000, p), rational(n - 8, _PRIMES[n % 2]))
+    return CoeffTensor(2, entries)
+
+
+@pytest.mark.parametrize("T", [_large_prime_tensor(),
+                               make_preset("q_ij", 2, **_COMPLEX_Q_IJ).tensor],
+                         ids=["large-primes", "complex-q_ij"])
+def test_gram_levels_equal_the_kron_reference_over_large_denominators(T):
+    assert _denominator(T.entries.values()) % (1000003 * 999983 * (2**31 - 1)) == 0
+    assert any(not c.is_real for c in T.entries.values())
+    assert list(gram_levels(T, 4)) == list(kron_gram_levels(T, 4))
 
 
 def test_p_6_is_built_without_kron_or_matrix_products(monkeypatch):
