@@ -11,7 +11,7 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _dense, _dense_over, _sparse_product, _sparse_rows
+from .linalg import Matrix, _dense, _dense_over, _psd_rank_over, _sparse_product, _sparse_rows
 from .scalars import ONE
 from .tensorops import (DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows,
                         braid_check, t_matrix)
@@ -138,29 +138,34 @@ def p_n_by_permutations(
     return Matrix._of(_dense_over(acc, dim, delta**top), dim, dim)
 
 
-def _permutation_kernel(T: CoeffTensor, n: int, cap: int) -> Matrix:
-    """The exact block matrix K[(π,σ)] = T(π⁻¹σ) of size n!·d^n, refused past
-    ``cap`` before anything is built."""
+def _kernel_rows(T: CoeffTensor, n: int, cap: int) -> tuple:
+    """(the ``{col: numerator}`` rows of the n!·d^n block matrix
+    K[(π,σ)] = T(π⁻¹σ) over δ^L, L = n(n−1)/2: each δ^ℓ·T(π) of the weak-order
+    walk weighted by δ^{L−ℓ}), refused past ``cap`` before anything is built."""
     if factorial(n) * T.d**n > cap:
         raise DimensionCapExceeded(f"n!·d^n = {factorial(n) * T.d**n} exceeds the dense cap {cap}")
     if not braid_check(T):
         raise ValueError("kernel matrix requires a braided tensor")
+    dim, top = T.d**n, n * (n - 1) // 2
     delta, products = _weak_order_products(T, n)
-    t_of = {perm: _dense_over(rows, T.d**n, delta ** permutation_length(perm))
-            for perm, rows in products.items()}
-    perms = list(_permutations(range(1, n + 1)))
-    data = [sum(rows, []) for pi in perms
-            for rows in zip(*(t_of[compose(inverse(pi), sigma)] for sigma in perms))]
-    return Matrix._of(data, len(data), len(data))
+    weight = {perm: delta ** (top - permutation_length(perm)) for perm in products}
+    perms, out = list(_permutations(range(1, n + 1))), []
+    for pi in perms:
+        blocks = [(weight[p], products[p]) for p in (compose(inverse(pi), s) for s in perms)]
+        out += [{s * dim + c: w * y for s, (w, rows) in enumerate(blocks) for c, y in rows[i].items()}
+                for i in range(dim)]
+    return out, delta**top
 
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
     """Float view of the block kernel K[(π,σ)] = T(π⁻¹σ)."""
-    return _permutation_kernel(T, n, cap).to_complex()
+    rows, den = _kernel_rows(T, n, cap)
+    return Matrix._of(_dense_over(rows, len(rows), den), len(rows), len(rows)).to_complex()
 
 
 def permutation_kernel_psd(T: CoeffTensor, n: int) -> bool:
-    """Exact PSD test of the block kernel (n ≤ 3); a non-Hermitian one raises ValueError."""
+    """Exact PSD test of the block kernel (n ≤ 3), decided on its integer rows
+    (:func:`~wickalg.linalg._psd_rank_over`); a non-Hermitian one raises ValueError."""
     if n > 3:
         raise ValueError("kernel PSD test is limited to n <= 3")
-    return _permutation_kernel(T, n, DEFAULT_DIM_CAP).psd_rank()[0]
+    return _psd_rank_over(*_kernel_rows(T, n, DEFAULT_DIM_CAP))[0]

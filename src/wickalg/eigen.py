@@ -5,12 +5,12 @@ numpy's ``linalg.eigvalsh``: LAPACK's ``dsyevd`` for a real input and
 ``zheevd`` for a complex one (Anderson et al., *LAPACK Users' Guide*, SIAM
 1999).  :func:`eigvalsh` checks its input, symmetrises it and hands a matrix
 with no imaginary part to LAPACK as real; when LAPACK reports that it did
-not converge, it raises ``ArithmeticError``.  A caller holding a
-:class:`~wickalg.linalg.Matrix` already proved exactly Hermitian may skip the
-Hermitian check and the symmetrisation, which change nothing on its float
-view (each part of an entry is rounded on its own, so the view is exactly
-mirrored, and (a + a*)/2 of it is a): it hands ``_as_array`` of the Matrix
-to ``_lapack_eigvalsh`` directly.
+not converge, it raises ``ArithmeticError``.  A caller holding an exact
+matrix already proved exactly Hermitian may skip the Hermitian check and the
+symmetrisation, which change nothing on its float view (each part of an
+entry is rounded on its own, so the view is exactly mirrored, and (a + a*)/2
+of it is a): it hands the view (``_as_array`` of a Matrix, or
+:func:`~wickalg.linalg._float_view` of integer rows) to ``_lapack_eigvalsh``.
 """
 
 from __future__ import annotations

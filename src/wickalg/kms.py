@@ -15,10 +15,10 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import _solve
+from .linalg import _psd_rank_over, _solve
 from .rewrite import DEFAULT_TERM_CAP, TermBudgetExceeded, _add, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar, rational_str
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, gram_levels
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _gram_rows
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
 
@@ -37,8 +37,8 @@ def _fugacity(lam) -> Scalar:
 
 
 def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> dict:
-    """Exact ranks of the level Gram operators, each from the Hermitian
-    elimination :meth:`~wickalg.linalg.Matrix.psd_rank`, and partial sums Σ λⁿ·rank.
+    """Exact ranks of the level Gram operators, each decided on the integer rows
+    of :func:`~wickalg.tensorops._gram_rows`, and partial sums Σ λⁿ·rank.
 
     Returns {"ranks": [rank P_0, …, rank P_{n_max}],
              "partial_sums": [Scalar, …]} (both lists of length n_max+1).
@@ -46,7 +46,7 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
     lam = _fugacity(lam)
     if not hermiticity_check(T):
         raise ValueError("kms_series requires a hermitian tensor")
-    ranks = [1] + [p.psd_rank()[1] for p in gram_levels(T, n_max, cap)]
+    ranks = [1] + [_psd_rank_over(rows, den)[1] for _, rows, den in _gram_rows(T, n_max, cap)]
     partial_sums = []
     acc = ZERO
     lam_pow = ONE

@@ -4,13 +4,13 @@ A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
 nonzeros of the right operand, and elimination runs on row dicts, so a pivot
 row reaches only the rows with an entry in its column.  The echelon forms
-keep ``{col: Scalar}`` rows; the Hermitian LDL* of :meth:`Matrix.psd_rank`
-keeps integer rows over one denominator each, as do the T-products that
-:func:`_dense_over` turns into a Matrix.  A basis is a matrix of columns
+keep ``{col: Scalar}`` rows; the Hermitian LDL* :func:`_psd_rank_over` keeps
+integer rows over one denominator each, those the T-products build or a
+Matrix's numerators.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
-Floating point enters only through :meth:`Matrix.to_complex`, the view
-consumed by the spectral routines.
+Floating point enters only through :func:`_float_view`, the view consumed by
+the spectral routines.
 """
 
 from __future__ import annotations
@@ -163,6 +163,99 @@ def _solve(rows: list, cols: int):
     return x
 
 
+def _psd_rank(u: list, dens: list) -> tuple:
+    """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
+    upper triangle on integer rows, consumed: row j of ``u`` holds the entries
+    at or right of the diagonal as ``{col: numerator}`` over ``dens[j]`` > 0
+    (ints, or Gaussian-integer Scalars for complex entries).  The diagonal
+    pivots are taken in order and never scaled.  A pivot N_k[k] > 0 updates
+    only the rows it reaches, x = N_k[j] ≠ 0: N_j ← a·N_j − b·N_k[j:] and
+    d_j ← a·d_j, with a = N_k[k]·d_k and b = d_j·conj(x) divided by their
+    gcd, and then the row by the gcd of d_j and its numerators.  A zero
+    diagonal with an empty row is skipped.  A pivot < 0, or a zero diagonal
+    whose row is not empty (a 2×2 minor −|x|²), shows the matrix is not PSD;
+    the rank of the Schur complement left at that point is then taken by
+    :func:`_echelon` on its full ``{col: Scalar}`` rows, each upper-triangle
+    entry mirrored by its conjugate."""
+    rank = 0
+    for k, row in enumerate(u):
+        p = row.get(k)
+        if p is None and not row:
+            continue
+        if type(p) is Scalar:  # a Gaussian integer, real on the diagonal
+            p = p.re._numerator
+        if p is None or p < 0:
+            rows = [{} for _ in range(len(u) - k)]
+            for r, (urow, den) in enumerate(zip(u[k:], dens[k:])):
+                for c, x in urow.items():
+                    x = _over(x, den)
+                    rows[r][c - k] = x
+                    rows[c - k][r] = x.conjugate()
+            return False, rank + len(_echelon(rows, len(rows))[1])
+        rank += 1
+        pd = p * dens[k]
+        items = sorted(row.items())  # items[0] is the pivot (k, p)
+        for i in range(1, len(items)):
+            j, x = items[i]
+            urow, dj = u[j], dens[j]
+            b = dj * x.conjugate()
+            g = _content(pd, (b,))
+            a, b = pd // g, _quotient(b, g)
+            if a != 1:
+                for c, v in urow.items():
+                    urow[c] = a * v
+                dj *= a
+            _subtract(urow, b, items[i:])
+            g = _content(dj, urow.values())
+            if g > 1:
+                _divide(urow, g)
+                dj //= g
+            dens[j] = dj
+    return True, rank
+
+
+def _hermitian(rows) -> bool:
+    """Whether each nonzero of the ``{col: value}`` rows of a square matrix
+    (Scalars, ints or Gaussian integers) has a mirror equal to its conjugate."""
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            if rows[c].get(r, 0) != (x if type(x) is int or not x.im._numerator
+                                     else x.conjugate()):
+                return False
+    return True
+
+
+def _psd_rank_over(rows, den: int) -> tuple:
+    """(is_psd, rank) of the ``{col: numerator}`` rows over the int den > 0,
+    checked by :func:`_hermitian`: :func:`_psd_rank` on each row's upper half
+    over den/g, g the gcd of den and its numerators."""
+    if not _hermitian(rows):
+        raise ValueError("psd_rank requires an exactly Hermitian matrix")
+    u, dens = [], []
+    for r, row in enumerate(rows):
+        upper = {c: x for c, x in row.items() if c >= r}
+        g = _content(den, upper.values())
+        if g > 1:
+            _divide(upper, g)
+        u.append(upper)
+        dens.append(den // g)
+    return _psd_rank(u, dens)
+
+
+def _float_view(rows, shape: tuple, den: int = 1):
+    """The numpy array of the ``{col: value}`` rows over the int den > 0, values
+    Scalars, or ints and Gaussian integers: each part its exact ratio rounded
+    once by int / int; float64 when every entry is real, complex128 otherwise."""
+    vals = np.array([x / den if type(x) is int
+                     else complex(x.re._numerator / (x.re._denominator * den),
+                                  x.im._numerator / (x.im._denominator * den)) if x.im._numerator
+                     else x.re._numerator / (x.re._denominator * den)
+                     for row in rows for x in row.values()])
+    a = np.zeros(shape[0] * shape[1], vals.dtype)
+    a[[r * shape[1] + c for r, row in enumerate(rows) for c in row]] = vals
+    return a.reshape(shape)
+
+
 class Matrix:
     """A matrix of exact complex-rational scalars, stored densely."""
 
@@ -252,82 +345,22 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_hermitian(self) -> bool:
-        """Each entry on or above the diagonal equals the conjugate of its mirror, slot
-        by slot on the canonical parts; a real entry that is its own mirror is skipped."""
-        if self.rows != self.cols:
-            return False
-        data = self.data
-        for r, row in enumerate(data):
-            for c in range(r, self.cols):
-                x, y = row[c], data[c][r]
-                a, b, ya, yb = x.re, x.im, y.re, y.im
-                if (x is not y or b._numerator) and (
-                        a._numerator != ya._numerator or a._denominator != ya._denominator
-                        or b._numerator != -yb._numerator or b._denominator != yb._denominator):
-                    return False
-        return True
+        """Square, with each nonzero equal to the conjugate of its mirror
+        (:func:`_hermitian` on the nonzeros)."""
+        return self.rows == self.cols and _hermitian(_sparse_rows(self.data))
 
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
         return len(_echelon(_sparse_rows(self.data), self.cols)[1])
 
     def psd_rank(self) -> tuple:
-        """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
-        upper triangle on integer rows: row j holds the entries at or right of
-        the diagonal as ``{col: numerator}`` over one denominator d_j > 0
-        (ints, or Gaussian-integer Scalars for complex entries).  The diagonal
-        pivots are taken in order and never scaled.  A pivot N_k[k] > 0 updates
-        only the rows it reaches, x = N_k[j] ≠ 0: N_j ← a·N_j − b·N_k[j:] and
-        d_j ← a·d_j, with a = N_k[k]·d_k and b = d_j·conj(x) divided by their
-        gcd, and then the row by the gcd of d_j and its numerators.  A zero
-        diagonal with an empty row is skipped.  A pivot < 0, or a zero diagonal
-        whose row is not empty (a 2×2 minor −|x|²), shows the matrix is not
-        PSD; the rank of the Schur complement left at that point is then taken
-        by :func:`_echelon` on its full ``{col: Scalar}`` rows, each
-        upper-triangle entry mirrored by its conjugate."""
-        if not self.is_hermitian():
+        """(is_psd, rank) of a Hermitian matrix by :func:`_psd_rank_over` on
+        its numerators over the lcm of its denominators."""
+        if self.rows != self.cols:
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
-        u, dens = [], []
-        for r, row in enumerate(self.data):
-            upper = [(c, x) for c, x in enumerate(row[r:], r) if x is not ZERO and x]
-            den = _denominator(x for _, x in upper)
-            u.append({c: _numerator(x, den) for c, x in upper})
-            dens.append(den)
-        rank = 0
-        for k, row in enumerate(u):
-            p = row.get(k)
-            if p is None and not row:
-                continue
-            if type(p) is Scalar:  # a Gaussian integer, real on the diagonal
-                p = p.re._numerator
-            if p is None or p < 0:
-                rows = [{} for _ in range(len(u) - k)]
-                for r, (urow, den) in enumerate(zip(u[k:], dens[k:])):
-                    for c, x in urow.items():
-                        x = _over(x, den)
-                        rows[r][c - k] = x
-                        rows[c - k][r] = x.conjugate()
-                return False, rank + len(_echelon(rows, len(rows))[1])
-            rank += 1
-            pd = p * dens[k]
-            items = sorted(row.items())  # items[0] is the pivot (k, p)
-            for i in range(1, len(items)):
-                j, x = items[i]
-                urow, dj = u[j], dens[j]
-                b = dj * x.conjugate()
-                g = _content(pd, (b,))
-                a, b = pd // g, _quotient(b, g)
-                if a != 1:
-                    for c, v in urow.items():
-                        urow[c] = a * v
-                    dj *= a
-                _subtract(urow, b, items[i:])
-                g = _content(dj, urow.values())
-                if g > 1:
-                    _divide(urow, g)
-                    dj //= g
-                dens[j] = dj
-        return True, rank
+        rows = _sparse_rows(self.data)
+        den = _denominator(x for row in rows for x in row.values())
+        return _psd_rank_over([{c: _numerator(x, den) for c, x in row.items()} for row in rows], den)
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
@@ -372,14 +405,8 @@ class Matrix:
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):
-        """Dense numpy view of the matrix in one pass, each part correctly
-        rounded (:meth:`~wickalg.scalars.Scalar.to_complex`): float64 when
-        every entry is real, complex128 otherwise."""
-        if not self.rows:
-            return np.zeros((0, self.cols))
-        return np.array([[0.0 if x is ZERO else x.re._numerator / x.re._denominator
-                          if not x.im._numerator else x.to_complex() for x in row]
-                         for row in self.data])
+        """Dense numpy view of the matrix (:func:`_float_view`)."""
+        return _float_view(_sparse_rows(self.data), self.shape)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

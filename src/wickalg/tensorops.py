@@ -14,7 +14,8 @@ from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
 from .eigen import _as_array, _lapack_eigvalsh, eigvalsh
-from .linalg import Matrix, _dense, _dense_over, _sparse_product, _sparse_rows, identity, zeros
+from .linalg import (Matrix, _dense, _dense_over, _float_view, _psd_rank_over, _sparse_product,
+                     _sparse_rows, identity, zeros)
 from .reports import Report
 from .scalars import _denominator, _numerator, rational_str
 
@@ -140,18 +141,17 @@ def braid_check(T: CoeffTensor) -> bool:
     return _sparse_product(t12, t1) == _sparse_product(t2, t12)
 
 
-def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
-    """Yield the Fock Gram operators P_1, …, P_{n_max}, each built from the
-    level before by P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and
-    A_0 = P_1 = I, so that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  The recursion
-    runs on integer rows: with δ·T from :func:`_t_rows`, it carries
-    δ^m·A_m = δ^m·I + (δT)₁·(I ⊗ δ^{m−1}·A_{m−1}) and N_m = D_m·P_m, with
-    N_{m+1} = (I ⊗ N_m)·δ^m·A_m and D_{m+1} = D_m·δ^m, so D_n = δ^{n(n−1)/2}.
-    Each is ``{col: numerator}`` rows (ints, or Gaussian integers for a complex
-    T); I ⊗ A is A's rows shifted, and block b of N_{m+1} is N_m times the
-    rows of δ^m·A_m in block b: no Kronecker product is formed.  A level is
-    yielded as a Matrix of ``N/D`` Scalars made once per nonzero, and the next
-    level does not read it.  n_max < 0 and d^n_max > ``cap`` are refused first."""
+def _gram_rows(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield (d^m, the ``{col: numerator}`` rows of N_m = D_m·P_m, D_m) for the
+    Fock Gram operators P_1, …, P_{n_max}, each built from the level before by
+    P_{m+1} = (I ⊗ P_m)·A_m, A_m = I + T₁·(I ⊗ A_{m−1}) and A_0 = P_1 = I, so
+    that A_m = I + T₁ + T₁T₂ + … + T₁⋯T_m.  With δ·T from :func:`_t_rows`,
+    the recursion carries δ^m·A_m = δ^m·I + (δT)₁·(I ⊗ δ^{m−1}·A_{m−1}) and
+    N_{m+1} = (I ⊗ N_m)·δ^m·A_m, D_{m+1} = D_m·δ^m, so D_n = δ^{n(n−1)/2}.
+    The numerators are nonzero ints, or Gaussian integers for a complex T;
+    I ⊗ A is A's rows shifted, and block b of N_{m+1} is N_m times the rows of
+    δ^m·A_m in block b: no Kronecker product is formed, and no yielded row is
+    read again.  n_max < 0 and d^n_max > ``cap`` are refused first."""
     d = T.d
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -168,7 +168,13 @@ def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
                 row[r] = row.get(r, 0) + lift
             nrows = [row for b in range(0, dim, dm) for row in _sparse_product(nrows, a[b:b + dm])]
             den *= lift
-        yield Matrix._of(_dense_over(nrows, dim, den), dim, dim)
+        yield dim, nrows, den
+
+
+def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield P_1, …, P_{n_max} as Matrices of the ``N/D`` Scalars of :func:`_gram_rows`."""
+    for dim, rows, den in _gram_rows(T, n_max, cap):
+        yield Matrix._of(_dense_over(rows, dim, den), dim, dim)
 
 
 def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
@@ -210,10 +216,12 @@ def positivity_report(
     """Which sufficient positivity criteria apply, operator bounds, and the
     PSD/rank status of P_n up to n_max.  Each yes/no is exact: ½I ± T ⪰ 0, T ⪰ 0,
     braid with I ± T ⪰ 0, and each bound is present iff I ± T (resp. I − T) ≻ 0.
-    Norms, bound values and ``eig_min`` are floats for information only."""
+    Norms, bound values and ``eig_min`` are floats for information only.  Each
+    P_n, n ≥ 2, is decided, and its float view made, on the integer rows of
+    :func:`_gram_rows`, with no Matrix of Scalars between."""
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
-    levels = gram_levels(T, n_max, cap)
+    levels = _gram_rows(T, n_max, cap)
     next(levels, None)  # P_1 = I; taking it refuses an oversized n_max first
     t0 = time.perf_counter()
     report = Report(tool="positivity")
@@ -239,12 +247,12 @@ def positivity_report(
     report.add_check("bounds", **bounds)
 
     p3_psd = True
-    for n, pn in enumerate(levels, 2):
-        s = spectral_summary(pn)
-        report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank,
-                         eig_min=s.t_minus, dim=pn.rows)
+    for n, (dim, rows, den) in enumerate(levels, 2):
+        is_psd, rank = _psd_rank_over(rows, den)
+        eig_min = float(_lapack_eigvalsh(_float_view(rows, (dim, dim), den))[0])
+        report.add_check(f"p_{n}", n=n, is_psd=is_psd, rank=rank, eig_min=eig_min, dim=dim)
         if n == 3:
-            p3_psd = s.is_psd
+            p3_psd = is_psd
 
     if n_max >= 3 and not p3_psd:
         _add_diagonal_witness(report, T, tm)

@@ -12,6 +12,7 @@ import wickalg.tensorops as tensorops
 from wickalg import (
     CoeffTensor,
     DimensionCapExceeded,
+    Matrix,
     Scalar,
     braid_check,
     identity,
@@ -261,6 +262,31 @@ def test_permutation_kernel_psd():
     assert permutation_kernel_psd(BRAIDED[2], 3)  # twisted_car
     with pytest.raises(ValueError):
         permutation_kernel_psd(BRAIDED[0], 4)
+
+
+def _kernel_matrix(T, n):
+    """The block kernel K[(π,σ)] = T(π⁻¹σ) as a Matrix of the blocks t_of_permutation."""
+    perms = list(permutations(range(1, n + 1)))
+    rows = []
+    for pi in perms:
+        blocks = [t_of_permutation(T, compose(inverse(pi), sigma)).data for sigma in perms]
+        rows += [sum((block[i] for block in blocks), []) for i in range(T.d**n)]
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("T", BRAIDED + [
+    make_preset("qccr", 2, q="3/2").tensor,
+    make_preset("q_ij", 2, q11="2/1000003", q22="-5/999983", q12="3/7", q12_im="-1/2147483647",
+                q21="3/7", q21_im="1/2147483647").tensor,
+    make_preset("q_ij", 2, q11="-1", q22="4", q12="1/2", q12_im="1/3", q21="1/2",
+                q21_im="-1/3").tensor,
+], ids=["qccr", "twisted_ccr", "twisted_car", "degenerate", "qccr-past-one",
+        "q_ij-large-primes", "q_ij-q22=4"])
+def test_permutation_kernel_psd_equals_the_matrix_path(T):
+    # The kernel is decided on its integer rows over one power of δ; the
+    # reference is psd_rank of the Matrix assembled from the blocks T(π⁻¹σ).
+    for n in (1, 2, 3):
+        assert permutation_kernel_psd(T, n) == _kernel_matrix(T, n).psd_rank()[0], n
 
 
 @pytest.mark.parametrize("q", ["1000000000001/1000000000000", "-1000000000001/1000000000000"])

@@ -256,19 +256,24 @@ def test_phi_errors_point_into_the_option(capsys, phi, message):
 @pytest.mark.parametrize("command", ["positivity", "kms", "braid"])
 def test_oversized_levels_refused_before_building(capsys, monkeypatch, command):
     # --nmax 20 at d=2 is past the default cap: one stderr line and exit 2,
-    # before any level is built.  The real gram_levels runs its cap check.
-    real_levels = tensorops.gram_levels
-
-    def no_level(*args, **kwargs):
-        for _ in real_levels(*args, **kwargs):
-            raise AssertionError("a level was built")
-        yield from ()
+    # before any level is built.  The real gram_levels and _gram_rows run
+    # their cap checks; the positivity report and the rank series read the
+    # integer rows of _gram_rows, the braid command the Matrices of gram_levels.
+    def no_level(real):
+        def levels(*args, **kwargs):
+            for _ in real(*args, **kwargs):
+                raise AssertionError("a level was built")
+            yield from ()
+        return levels
 
     def no_sum(*args, **kwargs):
         raise AssertionError("a permutation sum was built")
 
-    for module in (cli, kms, tensorops):
-        monkeypatch.setattr(module, "gram_levels", no_level)
+    real_levels, real_rows = tensorops.gram_levels, tensorops._gram_rows
+    for module in (cli, tensorops):
+        monkeypatch.setattr(module, "gram_levels", no_level(real_levels))
+    for module in (kms, tensorops):
+        monkeypatch.setattr(module, "_gram_rows", no_level(real_rows))
     monkeypatch.setattr(cli, "p_n_by_permutations", no_sum)
     code = main([command, *QCCR, "--nmax", "20"])
     err = capsys.readouterr().err

@@ -80,6 +80,23 @@ def test_is_hermitian_wants_conjugate_complex_mirrors():
     assert not Matrix([[1, half], [Scalar(1, rational(-1, 3)), 3]]).is_hermitian()
 
 
+def test_is_hermitian_reads_the_nonzeros_against_shared_zero_mirrors():
+    # Only the nonzeros are read, so a nonzero whose mirror is the shared ZERO
+    # must fail from either side of the diagonal; a zero that is not the
+    # shared ZERO is still zero.  A non-square matrix is not Hermitian.
+    for (r, c), x in [((0, 1), ONE), ((1, 0), ONE), ((0, 2), Scalar(0, 1)), ((2, 1), Scalar(1, 1))]:
+        m = zeros(3, 3)
+        m.data[r][c] = x
+        assert m.data[c][r] is ZERO and not m.is_hermitian()
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            m.psd_rank()
+    m = zeros(3, 3)
+    m.data[0][1] = Scalar(0)
+    assert m.data[0][1] is not ZERO and m.is_hermitian()
+    for bad in (zeros(2, 3), Matrix([[1, 0, 0], [0, 1, 0]]), zeros(3, 0)):
+        assert not bad.is_hermitian()
+
+
 def test_rank_kernel_inverse():
     m = Matrix([[1, 2], [2, 4]])
     assert m.rank() == 1

@@ -160,6 +160,74 @@ def test_gram_levels_equal_the_kron_reference_over_large_denominators(T):
     assert list(gram_levels(T, 4)) == list(kron_gram_levels(T, 4))
 
 
+def _hermitian_large_prime_tensor():
+    """:func:`_large_prime_tensor` made Hermitian: each entry's mirror
+    T_{ji}^{lk} set to its conjugate, a self-mirrored entry made real."""
+    entries = {}
+    for (i, j, k, l), c in sorted(_large_prime_tensor().entries.items()):
+        c = Scalar(c.re) if (i, k) == (j, l) else c
+        entries[(i, j, k, l)], entries[(j, i, l, k)] = c, c.conjugate()
+    return CoeffTensor(2, entries)
+
+
+# Every catalog family, a complex q_ij and a Hermitian tensor over the three
+# large primes, at n ≤ 5 (n ≤ 4 at d = 3 and over the primes).
+ROW_PATH_CASES = [
+    ("qccr", make_preset("qccr", 2, q="1/2").tensor, 5),
+    ("qccr-d3", make_preset("qccr", 3, q="-1/3").tensor, 4),
+    ("tlw", make_preset("tlw", 2, q="-1/2").tensor, 5),
+    ("twisted_ccr", make_preset("twisted_ccr", 2, mu="1/2").tensor, 5),
+    ("twisted_car", make_preset("twisted_car", 3, mu="1/3").tensor, 4),
+    ("snu2", make_preset("snu2", nu="-2").tensor, 5),
+    ("q_ij", make_preset("q_ij", 2, q11="1/2", q12="1/3", q12_im="1/4", q21="1/3",
+                         q21_im="-1/4", q22="-1/3").tensor, 5),
+    ("q_ij-large-primes", make_preset("q_ij", 2, **_COMPLEX_Q_IJ).tensor, 5),
+    ("degenerate", make_preset("degenerate", 2).tensor, 5),
+    ("usym", make_preset("usym", 2, q="1/2", lam="1/3").tensor, 5),
+    ("aklt", make_preset("aklt", lam="2").tensor, 4),
+    ("bs_ce", make_preset("bs_ce", tau="3/5").tensor, 5),
+    ("bp_ce", make_preset("bp_ce", 2, lam="12", eps="-1/10").tensor, 5),
+    ("large-primes", _hermitian_large_prime_tensor(), 4),
+]
+
+
+@pytest.mark.parametrize("T, n_max", [c[1:] for c in ROW_PATH_CASES],
+                         ids=[c[0] for c in ROW_PATH_CASES])
+def test_row_decisions_equal_the_matrix_path(T, n_max):
+    # The report and the rank series decide each level on the integer rows
+    # that built it; the reference is the Matrix of the same level:
+    # spectral_summary for the verdict, rank and eig_min (bit for bit), and
+    # to_complex for the float view (dtype and bytes).
+    levels = {c["name"]: c for c in positivity_report(T, n_max).checks}
+    ranks = kms_series(T, 1, n_max)["ranks"]
+    rows = tensorops._gram_rows(T, n_max)
+    for n, (pn, (dim, nrows, den)) in enumerate(zip(gram_levels(T, n_max), rows), 1):
+        view, want = linalg._float_view(nrows, (dim, dim), den), pn.to_complex()
+        assert (view.dtype, view.tobytes()) == (want.dtype, want.tobytes()), n
+        assert ranks[n] == pn.psd_rank()[1], n
+        if n >= 2:
+            s, got = spectral_summary(pn), levels[f"p_{n}"]
+            assert (got["is_psd"], got["rank"], got["dim"]) == (s.is_psd, s.rank, pn.rows), n
+            assert got["eig_min"].hex() == s.t_minus.hex(), n
+
+
+@pytest.mark.parametrize("T", [make_preset("snu2", nu="1/2").tensor,
+                               make_preset("q_ij", 2, **_COMPLEX_Q_IJ).tensor],
+                         ids=["ints", "gaussian"])
+def test_row_decision_refuses_rows_that_are_not_hermitian(T):
+    # Only the upper half enters the LDL*, so a lower entry off its mirror, or
+    # one with no upper partner at all, is caught by the Hermitian check alone.
+    *_, (dim, rows, den) = tensorops._gram_rows(T, 3)
+    assert linalg._psd_rank_over([dict(row) for row in rows], den) == p_n(T, 3).psd_rank()
+    off = next((r, c) for r, row in enumerate(rows) for c in row if c < r)
+    lone = next((r, c) for r in range(dim) for c in range(r) if c not in rows[r])
+    for (r, c), value in [(off, rows[off[0]][off[1]] + 1), (lone, 1)]:
+        bad = [dict(row) for row in rows]
+        bad[r][c] = value
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            linalg._psd_rank_over(bad, den)
+
+
 def test_p_6_is_built_without_kron_or_matrix_products(monkeypatch):
     def refused(*args):
         raise AssertionError("a dense product was formed")
