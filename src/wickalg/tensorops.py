@@ -196,10 +196,10 @@ class SpectralSummary:
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
-    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from one :meth:`Matrix.psd_rank`,
-    which also proves X exactly Hermitian, so its float view goes to LAPACK
-    without :func:`~wickalg.eigen.eigvalsh`'s Hermitian check and
-    symmetrisation; the float spectrum is for information and decides nothing."""
+    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from :meth:`Matrix.psd_rank`, which
+    proves X exactly Hermitian, so its float view skips :func:`~wickalg.eigen.eigvalsh`'s
+    Hermitian check and symmetrisation; the spectrum decides nothing.  A positivity
+    report takes the same steps on each level's integer rows, with no Matrix."""
     is_psd, rank = X.psd_rank()
     ev = _lapack_eigvalsh(_as_array(X))
     if ev.size == 0:
