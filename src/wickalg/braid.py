@@ -11,7 +11,7 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _dense, _dense_over, _psd_rank_over, _sparse_product, _sparse_rows
+from .linalg import Matrix, _dense, _dense_over, _float_view, _psd_rank_over, _sparse_product, _sparse_rows
 from .scalars import ONE
 from .tensorops import (DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows,
                         braid_check, t_matrix)
@@ -158,9 +158,9 @@ def _kernel_rows(T: CoeffTensor, n: int, cap: int) -> tuple:
 
 
 def permutation_kernel_matrix(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP):
-    """Float view of the block kernel K[(π,σ)] = T(π⁻¹σ)."""
+    """Float view of the block kernel K[(π,σ)] = T(π⁻¹σ), from its integer rows."""
     rows, den = _kernel_rows(T, n, cap)
-    return Matrix._of(_dense_over(rows, len(rows), den), len(rows), len(rows)).to_complex()
+    return _float_view(rows, (len(rows), len(rows)), den)
 
 
 def permutation_kernel_psd(T: CoeffTensor, n: int) -> bool:

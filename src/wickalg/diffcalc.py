@@ -4,7 +4,7 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense, _kernel, _sparse_product, _sparse_rows, identity
+from .linalg import Matrix, _dense, _integer_rows, _kernel, _sparse_product, _sparse_rows, identity
 from .rewrite import _check_generator_words, rewriter_for
 from .scalars import ONE
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, braid_check, t_matrix
@@ -52,9 +52,9 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
 def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield exact bases (as columns) of the constant-coefficient form spaces
     Ω^0, …, Ω^{p_max}, Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)},
-    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on ``{col: Scalar}``
-    rows (a row of I ⊗ B_{m−1} is a shifted row of B_{m−1}, the embed is
-    ``_slot_rows``, the kernel ``linalg._kernel``), each yielded as a Matrix.
+    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on sparse rows (a
+    row of I ⊗ B_{m−1} is a shifted row of B_{m−1}, the embed is ``_slot_rows``,
+    the kernel ``linalg._kernel`` of the product's integer rows), each yielded as a Matrix.
     The levels after an empty one are empty, and none of them builds slot rows
     or a kernel.  p_max < 0 and d^p_max > ``cap`` are refused first."""
     d = T.d
@@ -68,7 +68,7 @@ def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
             B = [{c + b * k: x for c, x in row.items()} for b in range(d) for row in B]
             k *= d
         if m > 1 and k:
-            K, k = _kernel(_sparse_product(_slot_rows(it, 1, m), B), k)
+            K, k = _kernel(_integer_rows(_sparse_product(_slot_rows(it, 1, m), B)), k)
             B = _sparse_product(B, K)
         yield Matrix._of(_dense(B, k), d**m, k)
 

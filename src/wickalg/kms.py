@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import _psd_rank_over, _solve
+from .linalg import _integer_rows, _psd_rank_over, _solve
 from .rewrite import DEFAULT_TERM_CAP, TermBudgetExceeded, _add, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar, rational_str
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _gram_rows
@@ -77,9 +77,9 @@ def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
 
 class KmsEvaluator:
     """Evaluates the gauge-KMS functional κ_λ (λ ≥ 0) on Wick-ordered polynomials,
-    solving each bidegree block (I − λⁿA)x = λⁿb once by ``linalg._solve``: row a_I·a_J†
-    is a_J†·a_I from the :func:`_exchanged_forms` of I, its (n, m) words in A and
-    lower ones in b.  Past ``cap``, d^(n+m) is refused before anything is built."""
+    solving each bidegree block (I − λⁿA)x = λⁿb once by ``linalg._solve`` on integer rows:
+    row a_I·a_J† is a_J†·a_I from the :func:`_exchanged_forms` of I, its (n, m) words in
+    A and lower ones in b.  Past ``cap``, d^(n+m) is refused before anything is built."""
 
     def __init__(self, T: CoeffTensor, lam, cap: int = DEFAULT_DIM_CAP):
         self.T = T
@@ -114,7 +114,7 @@ class KmsEvaluator:
                 if b:
                     row[size] = lam_n * b
                 rows.append(row)
-        sol = _solve(rows, size)
+        sol = _solve(_integer_rows(rows), size)
         if sol is None:
             raise KmsNonUniquenessError(f"bidegree ({n},{m}) system is singular at lambda="
                                         f"{rational_str(self.lam.re)}")

@@ -2,11 +2,12 @@
 
 A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
-nonzeros of the right operand, and elimination runs on row dicts, so a pivot
-row reaches only the rows with an entry in its column.  The echelon forms
-keep ``{col: Scalar}`` rows; the Hermitian LDL* :func:`_psd_rank_over` keeps
-integer rows over one denominator each, those the T-products build or a
-Matrix's numerators.  A basis is a matrix of columns
+nonzeros of the right operand.  Every elimination runs on integer rows,
+``{col: numerator}`` dicts of ints or Gaussian integers, through one row update
+(:func:`_update`) that never scales a pivot, so a pivot row reaches only the
+rows with an entry in its column.  The echelon forms read each row up to scale
+and make a Scalar only at output, as a ratio of two entries; the Hermitian
+LDL* :func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
 Floating point enters only through :func:`_float_view`, the view consumed by
@@ -15,11 +16,12 @@ the spectral routines.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
+from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient, _scaled
 
 __all__ = ["Matrix", "identity", "kron", "zeros"]
 
@@ -75,41 +77,50 @@ def _dense_over(rows, cols: int, den: int) -> list:
     return out
 
 
-def _subtract(row: dict, f, pitems) -> None:
-    """row -= f·prow in place, given the ``(col, value)`` items of prow,
-    dropping entries that cancel; the values are Scalars, or the ints and
-    Gaussian integers of :meth:`Matrix.psd_rank`."""
-    nf = -f
+def _update(row: dict, a, b, pitems, den: int = 0) -> int:
+    """The one row update of every elimination, in place, on ints or Gaussian
+    integers: row ← a·row − b·prow and den ← a·den (a an int if den ≠ 0), a and b
+    over their integer content and prow given by its ``(col, value)`` items,
+    then row and den over the gcd of den and the row's values.  Returns den."""
+    g = _content(0, (a, b))
+    if g > 1:
+        a, b = _quotient(a, g), _quotient(b, g)
+    if a != 1:
+        for c, v in row.items():
+            row[c] = a * v
+        den = a * den if den else 0
+    nb = -b
     for c, y in pitems:
         x = row.get(c)
-        v = nf * y if x is None else x + nf * y
+        v = nb * y if x is None else x + nb * y
         if v:
             row[c] = v
         else:
             del row[c]
-
-
-def _divide(row: dict, g: int) -> None:
-    """row /= g in place, for int or Gaussian-integer values that the int g divides."""
-    for c, x in row.items():
-        row[c] = x // g if type(x) is int else _quotient(x, g)
+    g = _content(den, row.values())
+    if g > 1:
+        for c, x in row.items():
+            row[c] = x // g if type(x) is int else _quotient(x, g)
+        den //= g
+    return den
 
 
 def _clear(a: list, p: int, col: int, rows) -> None:
-    """Clear ``col`` from ``rows`` of ``a`` with the pivot row ``a[p]`` (pivot 1)."""
+    """Clear ``col`` from ``rows`` of ``a``: x there gives piv·row − x·a[p] (:func:`_update`)."""
+    piv, pitems = a[p][col], a[p].items()
     for r in rows:
-        f = a[r].get(col)
-        if f is not None:
-            _subtract(a[r], f, a[p].items())
+        x = a[r].get(col)
+        if x is not None:
+            _update(a[r], piv, x, pitems)
 
 
 def _echelon(a: list, cols: int):
-    """Row echelon form, in place, of the ``{col: Scalar}`` rows ``a`` on the
-    columns ``0 … cols−1``; augment columns ``≥ cols`` ride along unpivoted.
-    The pivot of each column is the first row at or below the current one
-    with an entry there; it is scaled to 1 and the rows below it are cleared.
-    Returns (rows, pivot columns).  The augment columns lie in the span of
-    the rest iff no row past the pivots keeps an entry."""
+    """Row echelon form, in place, of the integer rows ``a`` (ints or Gaussian
+    integers, each row read up to scale) on the columns ``0 … cols−1``; augment
+    columns ``≥ cols`` ride along unpivoted.  The pivot of each column is the
+    first row at or below the current one with an entry there; :func:`_clear`
+    clears the rows below it.  Returns (rows, pivot columns).  The augment
+    columns lie in the span of the rest iff no row past the pivots keeps one."""
     pivots = []
     for col in range(cols):
         p = len(pivots)
@@ -117,50 +128,54 @@ def _echelon(a: list, cols: int):
         if sel is None:
             continue
         a[sel], a[p] = a[p], a[sel]
-        inv = ONE / a[p][col]
-        if inv != ONE:
-            a[p] = {c: inv * x for c, x in a[p].items()}
         _clear(a, p, col, range(p + 1, len(a)))
         pivots.append(col)
     return a, pivots
 
 
 def _reduced(a: list, cols: int):
-    """The reduced row echelon form: :func:`_echelon`, then each pivot
-    column cleared above its pivot, last pivot first."""
+    """The reduced row echelon form up to row scale (row p over its pivot is its row p):
+    :func:`_echelon`, then each pivot column cleared above its pivot, last pivot first."""
     a, pivots = _echelon(a, cols)
     for p in range(len(pivots) - 1, 0, -1):
         _clear(a, p, pivots[p], range(p))
     return a, pivots
 
 
+def _entry(n, d) -> Scalar:
+    """n/d as a Scalar, for ints or Gaussian integers n and d ≠ 0."""
+    if type(d) is not int:  # n/d = n·conj(d)/|d|²
+        n, d = n * d.conjugate(), d.re._numerator ** 2 + d.im._numerator ** 2
+    return _over(n, d) if d > 0 else _over(-n, -d)
+
+
+def _integer_rows(rows) -> list:
+    """The ``{col: Scalar}`` rows, each as its numerators over the lcm of its
+    denominators (:func:`~wickalg.scalars._scaled`): the same rows up to scale."""
+    return [_scaled(row)[0] for row in rows]
+
+
 def _kernel(rows: list, cols: int):
     """(the ``{j: Scalar}`` rows of a ``cols × k`` null space basis, k) of the
-    ``{col: Scalar}`` rows (consumed): column j, of the j-th free column f of the
-    reduced row echelon form, is 1 in row f and −(row of pivot p)[f] in row p."""
+    integer rows (consumed): column j, of the j-th free column f, is 1 in row f
+    and −x/piv in row p, x and piv the entries in columns f and p of the
+    :func:`_reduced` row with its pivot in column p."""
     a, pivots = _reduced(rows, cols)
     pset = set(pivots)
     free = {f: j for j, f in enumerate(c for c in range(cols) if c not in pset)}
     out = [{free[c]: ONE} if c in free else {} for c in range(cols)]
     for row, pcol in zip(a, pivots):  # a reduced pivot row: its pivot and free columns
-        out[pcol] = {free[c]: -x for c, x in row.items() if c != pcol}
+        out[pcol] = {free[c]: _entry(-x, row[pcol]) for c, x in row.items() if c != pcol}
     return out, len(free)
 
 
 def _solve(rows: list, cols: int):
-    """The unique x with A x = b, from the ``{col: Scalar}`` rows (consumed) of
-    [A | b], b in column ``cols``, or None if there is none or more than one:
-    :func:`_echelon`, then back substitution on the augment column."""
-    a, pivots = _echelon(rows, cols)
+    """The unique x with A x = b, x_c = rhs/piv of row c of :func:`_reduced` on the integer
+    rows (consumed) of [A | b], b in column ``cols``; None if no x or more than one."""
+    a, pivots = _reduced(rows, cols)
     if len(pivots) != cols or any(a[cols:]):
         return None
-    x = [ZERO] * cols  # unique: row c has its unit pivot in column c
-    for c in range(cols - 1, -1, -1):
-        x[c] = a[c].get(cols, ZERO)
-        for k, y in a[c].items():
-            if c < k < cols and x[k]:
-                x[c] = x[c] - y * x[k]
-    return x
+    return [_entry(row[cols], row[c]) if cols in row else ZERO for c, row in enumerate(a[:cols])]
 
 
 def _psd_rank(u: list, dens: list) -> tuple:
@@ -169,14 +184,14 @@ def _psd_rank(u: list, dens: list) -> tuple:
     at or right of the diagonal as ``{col: numerator}`` over ``dens[j]`` > 0
     (ints, or Gaussian-integer Scalars for complex entries).  The diagonal
     pivots are taken in order and never scaled.  A pivot N_k[k] > 0 updates
-    only the rows it reaches, x = N_k[j] ≠ 0: N_j ← a·N_j − b·N_k[j:] and
-    d_j ← a·d_j, with a = N_k[k]·d_k and b = d_j·conj(x) divided by their
-    gcd, and then the row by the gcd of d_j and its numerators.  A zero
-    diagonal with an empty row is skipped.  A pivot < 0, or a zero diagonal
-    whose row is not empty (a 2×2 minor −|x|²), shows the matrix is not PSD;
-    the rank of the Schur complement left at that point is then taken by
-    :func:`_echelon` on its full ``{col: Scalar}`` rows, each upper-triangle
-    entry mirrored by its conjugate."""
+    only the rows it reaches, x = N_k[j] ≠ 0, by :func:`_update`:
+    N_j ← a·N_j − b·N_k[j:] and d_j ← a·d_j, with a = N_k[k]·d_k and
+    b = d_j·conj(x) over their content, then the row over the gcd of d_j and
+    its numerators.  A zero diagonal with an empty row is skipped.  A pivot
+    < 0, or a zero diagonal whose row is not empty (a 2×2 minor −|x|²), shows
+    the matrix is not PSD; the rank of the Schur complement left at that point
+    is then taken by :func:`_echelon` on its full rows over lcm(dens[k:]),
+    each upper-triangle entry mirrored by its conjugate."""
     rank = 0
     for k, row in enumerate(u):
         p = row.get(k)
@@ -185,11 +200,11 @@ def _psd_rank(u: list, dens: list) -> tuple:
         if type(p) is Scalar:  # a Gaussian integer, real on the diagonal
             p = p.re._numerator
         if p is None or p < 0:
+            den = lcm(*dens[k:])
             rows = [{} for _ in range(len(u) - k)]
-            for r, (urow, den) in enumerate(zip(u[k:], dens[k:])):
+            for r, (urow, d) in enumerate(zip(u[k:], dens[k:])):
                 for c, x in urow.items():
-                    x = _over(x, den)
-                    rows[r][c - k] = x
+                    rows[r][c - k] = x = den // d * x
                     rows[c - k][r] = x.conjugate()
             return False, rank + len(_echelon(rows, len(rows))[1])
         rank += 1
@@ -197,20 +212,7 @@ def _psd_rank(u: list, dens: list) -> tuple:
         items = sorted(row.items())  # items[0] is the pivot (k, p)
         for i in range(1, len(items)):
             j, x = items[i]
-            urow, dj = u[j], dens[j]
-            b = dj * x.conjugate()
-            g = _content(pd, (b,))
-            a, b = pd // g, _quotient(b, g)
-            if a != 1:
-                for c, v in urow.items():
-                    urow[c] = a * v
-                dj *= a
-            _subtract(urow, b, items[i:])
-            g = _content(dj, urow.values())
-            if g > 1:
-                _divide(urow, g)
-                dj //= g
-            dens[j] = dj
+            dens[j] = _update(u[j], pd, dens[j] * x.conjugate(), items[i:], dens[j])
     return True, rank
 
 
@@ -228,18 +230,12 @@ def _hermitian(rows) -> bool:
 def _psd_rank_over(rows, den: int) -> tuple:
     """(is_psd, rank) of the ``{col: numerator}`` rows over the int den > 0,
     checked by :func:`_hermitian`: :func:`_psd_rank` on each row's upper half
-    over den/g, g the gcd of den and its numerators."""
+    over den/g, g the gcd of den and its numerators (:func:`_update` with a = 1
+    and b = 0)."""
     if not _hermitian(rows):
         raise ValueError("psd_rank requires an exactly Hermitian matrix")
-    u, dens = [], []
-    for r, row in enumerate(rows):
-        upper = {c: x for c, x in row.items() if c >= r}
-        g = _content(den, upper.values())
-        if g > 1:
-            _divide(upper, g)
-        u.append(upper)
-        dens.append(den // g)
-    return _psd_rank(u, dens)
+    u = [{c: x for c, x in row.items() if c >= r} for r, row in enumerate(rows)]
+    return _psd_rank(u, [_update(upper, 1, 0, (), den) for upper in u])
 
 
 def _float_view(rows, shape: tuple, den: int = 1):
@@ -351,7 +347,7 @@ class Matrix:
 
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
-        return len(_echelon(_sparse_rows(self.data), self.cols)[1])
+        return len(_echelon(_integer_rows(_sparse_rows(self.data)), self.cols)[1])
 
     def psd_rank(self) -> tuple:
         """(is_psd, rank) of a Hermitian matrix by :func:`_psd_rank_over` on
@@ -365,18 +361,19 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
         Matrix (``k = 0`` for a trivial kernel): :func:`_kernel` made dense."""
-        rows, k = _kernel(_sparse_rows(self.data), self.cols)
+        rows, k = _kernel(_integer_rows(_sparse_rows(self.data)), self.cols)
         return Matrix._of(_dense(rows, k), self.cols, k)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.cols
-        a = [{**row, n + r: ONE} for r, row in enumerate(_sparse_rows(self.data))]
-        a, pivots = _reduced(a, n)
+        a = [{**row, n + r: den} for r, (row, den) in enumerate(map(_scaled, _sparse_rows(self.data)))]
+        a, pivots = _reduced(a, n)  # [A | I], each row over its lcm: row r reads piv·[I | A⁻¹]
         if len(pivots) != n:
             raise ValueError("matrix is singular")
-        return Matrix._of([[row.get(n + c, ZERO) for c in range(n)] for row in a], n, n)
+        return Matrix._of([[_entry(row[n + c], row[r]) if n + c in row else ZERO for c in range(n)]
+                           for r, row in enumerate(a)], n, n)
 
     def solve(self, rhs: Sequence) -> list:
         """Solve A x = rhs exactly (:func:`_solve`); raises ValueError if
@@ -401,7 +398,7 @@ class Matrix:
         rhs = [Scalar.coerce(x) for x in rhs]
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        return _sparse_rows([row + [x] for row, x in zip(self.data, rhs)])
+        return _integer_rows(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]))
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):

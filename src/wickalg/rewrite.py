@@ -25,8 +25,8 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import _echelon
-from .scalars import _denominator, _numerator, _over
+from .linalg import _echelon, _integer_rows
+from .scalars import _denominator, _numerator, _over, _scaled
 
 __all__ = [
     "TermBudgetExceeded",
@@ -164,12 +164,7 @@ class Rewriter:
             out = cache[(k, g[:n])] = new
         return out
 
-    @staticmethod
-    def scaled(terms: dict) -> tuple:
-        """The scaled terms of {key: Scalar}: numerators over the lcm of the
-        denominators."""
-        den = _denominator(terms.values())
-        return {key: _numerator(c, den) for key, c in terms.items()}, den
+    scaled = staticmethod(_scaled)  # the scaled terms of {key: Scalar}
 
     @staticmethod
     def unscaled(scaled: tuple) -> dict:
@@ -340,9 +335,9 @@ def _in_ideal_span(targets, gens, max_deg: int) -> bool:
     With homogeneous generators every u·g·v is homogeneous, so each word
     length of the targets is a grade decided on its own; otherwise all
     lengths form one grade.  The span of a grade is built once, and the
-    targets' parts of that grade lie in it iff one echelon of its word rows,
-    the span vectors' columns followed by the targets' as augment columns,
-    leaves no entry in a row past its pivots.
+    targets' parts of that grade lie in it iff one echelon of its integer word
+    rows, the span vectors' columns followed by the targets' as augment
+    columns, leaves no entry in a row past its pivots.
     """
     gens = [g for g in gens if g]
     homogeneous = all(g.is_homogeneous() for g in gens)
@@ -370,7 +365,7 @@ def _in_ideal_span(targets, gens, max_deg: int) -> bool:
         for col, q in enumerate([*span.values(), *comps]):
             for w, c in q.items():
                 rows.setdefault(w, {})[col] = c
-        a, pivots = _echelon(list(rows.values()), len(span))
+        a, pivots = _echelon(_integer_rows(rows.values()), len(span))
         if any(a[len(pivots):]):
             return False
     return True

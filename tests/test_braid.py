@@ -33,7 +33,7 @@ from wickalg.braid import (
     permutation_length,
     reduced_word,
 )
-from wickalg.linalg import _sparse_rows
+from wickalg.linalg import _dense_over, _sparse_rows
 from wickalg.scalars import _denominator, _over
 from wickalg.tensorops import embed
 
@@ -215,7 +215,7 @@ def test_permutation_kernel_refused_before_anything_is_built(monkeypatch):
         raise AssertionError("built before the n!·d^n cap check")
 
     for target, name in ((braid, "braid_check"), (braid, "_weak_order_products"),
-                         (braid.Matrix, "_of"), (braid.Matrix, "to_complex")):
+                         (braid.Matrix, "_of"), (braid.Matrix, "to_complex"), (braid, "_float_view")):
         monkeypatch.setattr(target, name, built)
     T = BRAIDED[0]  # d = 2
     with pytest.raises(DimensionCapExceeded, match="3840"):
@@ -274,7 +274,7 @@ def _kernel_matrix(T, n):
     return Matrix(rows)
 
 
-@pytest.mark.parametrize("T", BRAIDED + [
+_KERNEL_TENSORS = pytest.mark.parametrize("T", BRAIDED + [
     make_preset("qccr", 2, q="3/2").tensor,
     make_preset("q_ij", 2, q11="2/1000003", q22="-5/999983", q12="3/7", q12_im="-1/2147483647",
                 q21="3/7", q21_im="1/2147483647").tensor,
@@ -282,11 +282,27 @@ def _kernel_matrix(T, n):
                 q21_im="-1/3").tensor,
 ], ids=["qccr", "twisted_ccr", "twisted_car", "degenerate", "qccr-past-one",
         "q_ij-large-primes", "q_ij-q22=4"])
+
+
+@_KERNEL_TENSORS
 def test_permutation_kernel_psd_equals_the_matrix_path(T):
     # The kernel is decided on its integer rows over one power of δ; the
     # reference is psd_rank of the Matrix assembled from the blocks T(π⁻¹σ).
     for n in (1, 2, 3):
         assert permutation_kernel_psd(T, n) == _kernel_matrix(T, n).psd_rank()[0], n
+
+
+@_KERNEL_TENSORS
+def test_permutation_kernel_matrix_is_the_matrix_view_bit_for_bit(T):
+    # The view is read off the integer rows; the reference makes the rows a
+    # Matrix of N/δ^L Scalars first and takes its to_complex.
+    for n in (1, 2, 3):
+        rows, den = braid._kernel_rows(T, n, tensorops.DEFAULT_DIM_CAP)
+        dim = len(rows)
+        want = Matrix._of(_dense_over(rows, dim, den), dim, dim).to_complex()
+        got = permutation_kernel_matrix(T, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, n
+        assert got.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("q", ["1000000000001/1000000000000", "-1000000000001/1000000000000"])

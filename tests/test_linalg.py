@@ -2,15 +2,15 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import scalars
-from wickalg import Matrix, Scalar, identity, kron, make_preset, p_n, rational
-from wickalg.linalg import _echelon, _sparse_rows, zeros
+from wickalg import Matrix, Polynomial, Scalar, ideal_membership, identity, kron, make_preset, p_n, rational
+from wickalg.linalg import _echelon, _integer_rows, _sparse_rows, zeros
 from wickalg.scalars import ONE, ZERO
 
 
@@ -457,10 +457,11 @@ def test_psd_rank_oracle_larger_matrices():
                  "q21": "1/3", "q21_im": "-1/4", "q22": "-1/3"}, 5),
 ])
 def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n):
-    # The LDL* runs on integer rows: a real P_n makes no Scalar product at all,
-    # and a complex one, on Gaussian integers, updates only the upper triangle
-    # and never scales a pivot row.
+    # Both eliminations run on integer rows: a real P_n makes no Scalar product
+    # at all, and on a complex one the LDL* updates only the upper triangle, so
+    # it makes at most 0.6 of the Gaussian-integer products of the echelon form.
     m = p_n(make_preset(family, d, **params).tensor, n)
+    rows = _integer_rows(_sparse_rows(m.data))
     mul, calls = Scalar.__mul__, []
 
     def counted(a, b):
@@ -471,9 +472,9 @@ def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n
     assert m.psd_rank() == (True, m.rows)
     ldl = len(calls)
     calls.clear()
-    assert len(_echelon(_sparse_rows(m.data), m.cols)[1]) == m.rows
+    assert len(_echelon(rows, m.cols)[1]) == m.rows
     if all(x.is_real for row in m.data for x in row):
-        assert ldl == 0
+        assert ldl == 0 == len(calls)
     else:
         assert ldl <= 0.6 * len(calls)
 
@@ -508,6 +509,128 @@ def test_psd_rank_matches_principal_minors_over_coprime_denominators():
                   any(e in dens or e * e in dens for e in _COPRIME)))
     assert len({key[:3] for key in seen}) >= 6
     assert any(key[3] and key[4] for key in seen)  # complex entries over the big denominators
+
+
+def _coprime_scalar(rng, complex_):
+    """A random Scalar whose parts sit over 1, 10^6 or 2^61 − 1."""
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1,) + _COPRIME))
+    return Scalar(part(), part() if complex_ else 0)
+
+
+def _coprime_system(rng, complex_):
+    """(A, rhs): A of 1–5 × 1–5 sparse entries over coprime denominators, at
+    times with a row in the span of two others or a zero row; rhs = A·x0 or a
+    random vector."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    a = [[_coprime_scalar(rng, complex_) if rng.random() < 0.7 else ZERO for _ in range(cols)]
+         for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(rows), 3)
+        s, t = _coprime_scalar(rng, complex_), _coprime_scalar(rng, complex_)
+        a[k] = [s * x + t * y for x, y in zip(a[i], a[j])]
+    if rng.random() < 0.25:
+        a[rng.randrange(rows)] = [ZERO] * cols
+    if rng.random() < 0.5:
+        x0 = [_coprime_scalar(rng, complex_) for _ in range(cols)]
+        return Matrix(a), [sum((x * y for x, y in zip(row, x0)), ZERO) for row in a]
+    return Matrix(a), [_coprime_scalar(rng, complex_) for _ in range(rows)]
+
+
+def test_exact_queries_match_fraction_gauss_jordan_over_coprime_denominators():
+    # rank, kernel_basis (entry for entry), inverse, solve, solve_any and
+    # solve_consistent against _ref_rref on (re, im) Fraction pairs.
+    rng = random.Random(20261027)
+    seen = set()
+    for trial in range(240):
+        m, rhs = _coprime_system(rng, complex_=trial % 2 == 1)
+        a = _pairs(m)
+        rref, pivots, aug = _ref_rref(a, m.cols, [[_pair(x)] for x in rhs])
+        rank = len(pivots)
+        assert m.rank() == rank, (trial, m.data)
+        kernel = []
+        for fc in (c for c in range(m.cols) if c not in pivots):
+            v = [_Z] * m.cols
+            v[fc] = (Fraction(1), Fraction(0))
+            for prow, pcol in enumerate(pivots):
+                v[pcol] = _sub(_Z, rref[prow][fc])
+            kernel.append(v)
+        kb = m.kernel_basis()
+        assert kb.shape == (m.cols, len(kernel))
+        assert [[_pair(x) for x in v] for v in kb.transpose().data] == kernel, trial
+
+        consistent = all(row[0] == _Z for row in aug[rank:])
+        x = [_Z] * m.cols  # the solution with every free variable 0
+        for prow, pcol in enumerate(pivots):
+            x[pcol] = aug[prow][0]
+        assert m.solve_consistent(rhs) == consistent
+        some = m.solve_any(rhs)
+        assert (None if some is None else [_pair(v) for v in some]) == (x if consistent else None)
+        if consistent and rank == m.cols:
+            kind = "unique"
+            assert [_pair(v) for v in m.solve(rhs)] == x
+        else:
+            kind = "underdetermined" if consistent else "inconsistent"
+            with pytest.raises(ValueError, match=kind):
+                m.solve(rhs)
+
+        if m.rows == m.cols:
+            _, _, inv = _ref_rref(a, m.cols, _pairs(identity(m.rows)))
+            if rank == m.cols:
+                assert _pairs(m.inverse()) == inv
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            seen.add(("inverse", rank == m.cols))
+        dens = {part.denominator for row in m.data for x in row for part in (x.re, x.im)}
+        seen |= {("complex", any(x.im for row in m.data for x in row)), ("solve", kind),
+                 ("zero row", any(not any(row) for row in m.data)),
+                 ("rank deficient", rank < min(m.shape)), ("2^61 - 1", (2**61 - 1) in dens)}
+    assert seen == {(key, value) for key in ("complex", "zero row", "rank deficient", "inverse",
+                                             "2^61 - 1") for value in (True, False)} | {
+        ("solve", kind) for kind in ("unique", "underdetermined", "inconsistent")}
+
+
+def test_ideal_membership_matches_fraction_rank_of_the_span():
+    # p lies in the span of {u·g·v : |u|+|v|+maxlen(g) ≤ max_deg} iff adding p
+    # to the span vectors leaves their rank (_ref_rref over all words) as it is.
+    rng = random.Random(20261028)
+    letters, max_deg, seen = (1, 2), 3, set()
+    for trial in range(60):
+        complex_ = trial % 2 == 1
+        gens = [Polynomial({tuple(rng.choice(letters) for _ in range(rng.randint(1, 2))):
+                            _coprime_scalar(rng, complex_) for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 2))]
+        span = []
+        for g in gens:
+            glen = g.max_word_len()
+            for n in range(max_deg - glen + 1):
+                for k in range(n + 1):
+                    for u in product(letters, repeat=k):
+                        for v in product(letters, repeat=n - k):
+                            span.append({u + w + v: c for w, c in g.terms.items()})
+        terms = {}
+        if trial % 4 < 2:  # a combination of two span vectors
+            for q in rng.sample(span, min(2, len(span))):
+                s = _coprime_scalar(rng, complex_)
+                for w, c in q.items():
+                    terms[w] = terms.get(w, ZERO) + s * c
+        else:
+            for _ in range(rng.randint(1, 3)):
+                w = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_deg)))
+                terms[w] = _coprime_scalar(rng, complex_)
+        p = Polynomial(terms)
+        words = sorted({w for q in span + [p.terms] for w in q})
+
+        def rank(vectors):
+            a = [[_pair(q.get(w, ZERO)) for w in words] for q in vectors]
+            return len(_ref_rref(a, len(words), [[] for _ in a])[1])
+
+        want = rank(span + [p.terms]) == rank(span)
+        assert ideal_membership(p, gens, max_deg) == want, trial
+        seen.add((complex_, all(g.is_homogeneous() for g in gens), want))
+    assert {(c, w) for c, _, w in seen} == {(c, w) for c in (True, False) for w in (True, False)}
+    assert {h for _, h, _ in seen} == {True, False}
 
 
 def test_psd_rank_is_invariant_under_scale_and_permutation():
