@@ -1,8 +1,8 @@
 """Braid-relation detection and the permutation expansion P_n = Σ_π T(π).
 
-Permutations are tuples of 1-based images: ``perm[p-1] = π(p)``.  The sum
-and the block kernel read each T(π) off one weak-order walk, T(π·s_i) = T(π)·T_i,
-run on the integer rows of δ·T (:func:`~wickalg.tensorops._t_rows`).
+Permutations are tuples of 1-based images: ``perm[p-1] = π(p)``.  Each T(π) is
+a product of the integer rows of δ·T (:func:`~wickalg.tensorops._t_rows`) over
+δ^{ℓ(π)}; the sum and the block kernel read all off one weak-order walk, T(π·s_i) = T(π)·T_i.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _dense, _dense_over, _float_view, _psd_rank_over, _sparse_product, _sparse_rows
-from .scalars import ONE
-from .tensorops import (DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows,
-                        braid_check, t_matrix)
+from .linalg import Matrix, _dense_over, _float_view, _psd_rank_over, _sparse_product
+from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows, braid_check
 
 __all__ = [
     "braid_check",
@@ -71,16 +69,17 @@ def inverse(perm) -> tuple:
 def t_of_permutation(
     T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP
 ) -> Matrix:
-    """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π; well defined only
-    under the braid relation, which is checked after d^len(π) ≤ ``cap``."""
+    """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π, as (δT)_{i₁}⋯(δT)_{i_k} over δ^k;
+    well defined only under the braid relation, checked after d^len(π) ≤ ``cap``."""
     n = len(perm)
     _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")
-    tm, rows = _sparse_rows(t_matrix(T).data), [{r: ONE} for r in range(T.d**n)]
-    for i in reduced_word(perm):
-        rows = _sparse_product(rows, _slot_rows(tm, i, n))
-    return Matrix._of(_dense(rows, T.d**n), T.d**n, T.d**n)
+    tn, delta = _t_rows(T)
+    word, rows = reduced_word(perm), [{r: 1} for r in range(T.d**n)]
+    for i in word:
+        rows = _sparse_product(rows, _slot_rows(tn, i, n))
+    return Matrix._of(_dense_over(rows, T.d**n, delta ** len(word)), T.d**n, T.d**n)
 
 
 def _weak_order_products(T: CoeffTensor, n: int) -> tuple:
@@ -88,7 +87,7 @@ def _weak_order_products(T: CoeffTensor, n: int) -> tuple:
     braided T, one sparse product per permutation: walking up the weak order,
     δ^{ℓ+1}·T(π·s_i) = δ^ℓ·T(π)·(δT)_i when π(i) < π(i+1), with (δT)_i the
     :func:`_slot_rows` of :func:`_t_rows`."""
-    delta, tn = _t_rows(T)
+    tn, delta = _t_rows(T)
     t_rows = [_slot_rows(tn, i, n) for i in range(1, n)]
     ident = tuple(range(1, n + 1))
     known = {ident: [{r: 1} for r in range(T.d**n)]}

@@ -4,10 +4,10 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense, _integer_rows, _kernel, _sparse_product, _sparse_rows, identity
+from .linalg import Matrix, _dense_over, _kernel, _sparse_product
 from .rewrite import _check_generator_words, rewriter_for
-from .scalars import ONE
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, braid_check, t_matrix
+from .scalars import _content, _quotient
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, _t_rows, braid_check, t_matrix
 
 __all__ = [
     "d_and_twist",
@@ -50,27 +50,29 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
 
 
 def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
-    """Yield exact bases (as columns) of the constant-coefficient form spaces
-    Ω^0, …, Ω^{p_max}, Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)},
-    by B_m = (I ⊗ B_{m−1})·ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on sparse rows (a
-    row of I ⊗ B_{m−1} is a shifted row of B_{m−1}, the embed is ``_slot_rows``,
-    the kernel ``linalg._kernel`` of the product's integer rows), each yielded as a Matrix.
-    The levels after an empty one are empty, and none of them builds slot rows
-    or a kernel.  p_max < 0 and d^p_max > ``cap`` are refused first."""
+    """Yield exact bases (as columns) of the constant-coefficient form spaces Ω^0, …, Ω^{p_max},
+    Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)}, by B_m = (I ⊗ B_{m−1})·
+    ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on integer rows over den_m (a row of I ⊗ B_{m−1} is a
+    shifted row of B_{m−1}, the embed the ``_slot_rows`` of δ(I+T) from ``_t_rows``, and B_m and
+    den_m = den_{m−1}·``linalg._kernel``'s den over their gcd), each yielded by ``_dense_over``.
+    Levels after an empty one are empty and build nothing.  Refused first: p_max < 0, d^p_max > ``cap``."""
     d = T.d
     if p_max < 0:
         raise ValueError("p must be >= 0")
     _check_cap(d, max(p_max, 1), cap)
-    it = _sparse_rows((identity(d * d) + t_matrix(T)).data)
-    B, k = [{0: ONE}], 1  # the rows of B_m and its column count
+    tn, delta = _t_rows(T)
+    it = [{**row, r: row.get(r, 0) + delta} for r, row in enumerate(tn)]  # a 0 drops out of the products
+    B, den, k = [{0: 1}], 1, 1  # the rows of B_m over den and its column count
     for m in range(p_max + 1):
         if m:  # the columns of I ⊗ B_{m−1} span H ⊗ Ω^{m−1}
             B = [{c + b * k: x for c, x in row.items()} for b in range(d) for row in B]
             k *= d
         if m > 1 and k:
-            K, k = _kernel(_integer_rows(_sparse_product(_slot_rows(it, 1, m), B)), k)
-            B = _sparse_product(B, K)
-        yield Matrix._of(_dense(B, k), d**m, k)
+            K, kden, k = _kernel(_sparse_product(_slot_rows(it, 1, m), B), k)
+            B, den = _sparse_product(B, K), den * kden
+            g = _content(den, [x for row in B for x in row.values()])  # B_m and den_m over their gcd
+            B, den = [{c: _quotient(x, g) for c, x in row.items()} for row in B], den // g
+        yield Matrix._of(_dense_over(B, k, den), d**m, k)
 
 
 def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:

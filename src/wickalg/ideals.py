@@ -8,10 +8,10 @@ from functools import reduce
 
 from .algebra import CoeffTensor, hermiticity_check
 from .diffcalc import d_and_twist
-from .linalg import Matrix, _dense, _sparse_product, _sparse_rows, identity
+from .linalg import Matrix, _dense_over, _scaled_rows, _sparse_product, _sparse_rows, identity
 from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, _t_rows, t_matrix
 
 __all__ = [
     "minus_one_eigenprojection",
@@ -48,8 +48,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     linear:    (I + T)·P = 0                       on H⊗H
     quadratic: (I⊗(I−P))·(T⊗I)(I⊗T)·(P⊗I) = 0     on H^{⊗3}
 
-    Both exact (the quadratic one on ``_slot_rows``), refused past the default
-    cap.  Returns {"linear": bool, "quadratic": bool}.
+    Both exact (the quadratic one on the ``_slot_rows`` of integer rows, zero at any
+    scale), refused past the default cap.  Returns {"linear": bool, "quadratic": bool}.
     """
     d = T.d
     if P.rows != d * d:
@@ -61,8 +61,8 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     eye2 = identity(d * d)
     linear = ((eye2 + tm) * P).is_zero()
     factors = [(eye2 - P, 2), (tm, 1), (tm, 2), (P, 1)]
-    quadratic = not any(reduce(_sparse_product,
-                               [_slot_rows(_sparse_rows(X.data), s, 3) for X, s in factors]))
+    rows = [_slot_rows(_scaled_rows(_sparse_rows(X.data))[0], s, 3) for X, s in factors]
+    quadratic = not any(reduce(_sparse_product, rows))
     return {"linear": linear, "quadratic": quadratic}
 
 
@@ -73,18 +73,19 @@ def ideal_generator_relations(
 
     Its matrix elements ⟨k₁k₂r₁r₂| · |i₁i₂s₁s₂⟩ give the commutation
     relations A†_{k₁k₂} A_{i₁i₂} = Σ coeff · A_{r₁r₂} A†_{s₁s₂} for the
-    quadratic generators A_{ij} = P(i⊗j).  The factors are multiplied as
-    :func:`~wickalg.tensorops._slot_rows`, and the product made dense once.
+    quadratic generators A_{ij} = P(i⊗j).  The factors are multiplied as the ``_slot_rows``
+    of the integer rows of δ·T and den_P·P, and the product made dense once over (den_P·δ)^4.
     """
     _check_cap(T.d, 4, cap)
     check = quadratic_ideal_check(T, P)
     if not (check["linear"] and check["quadratic"]):
         raise ValueError("P does not define a quadratic Wick ideal")
-    tm, pr = _sparse_rows(t_matrix(T).data), _sparse_rows(P.data)
+    tn, delta = _t_rows(T)
+    pr, den = _scaled_rows(_sparse_rows(P.data))
     p1, p3 = _slot_rows(pr, 1, 4), _slot_rows(pr, 3, 4)
-    t = {i: _slot_rows(tm, i, 4) for i in (1, 2, 3)}
+    t = {i: _slot_rows(tn, i, 4) for i in (1, 2, 3)}
     rows = reduce(_sparse_product, [p1, p3, t[2], t[1], t[3], t[2], p3, p1])
-    return Matrix._of(_dense(rows, T.d**4), T.d**4, T.d**4)
+    return Matrix._of(_dense_over(rows, T.d**4, (den * delta) ** 4), T.d**4, T.d**4)
 
 
 def wick_ideal_condition_check(

@@ -15,9 +15,9 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import CoeffTensor, Polynomial, hermiticity_check
-from .linalg import _integer_rows, _psd_rank_over, _solve
+from .linalg import _psd_rank_over, _solve
 from .rewrite import DEFAULT_TERM_CAP, TermBudgetExceeded, _add, rewriter_for, wick_order
-from .scalars import ONE, ZERO, Scalar, rational_str
+from .scalars import ONE, ZERO, Scalar, _denominator, _numerator, rational_str
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _gram_rows
 
 __all__ = ["KmsNonUniquenessError", "kms_series", "KmsEvaluator", "kms_evaluate"]
@@ -58,9 +58,9 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
 
 
 def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
-    """Yield (J, normal form of a_J†·a_gen as {(g, h): c}) for the adjoint words J
-    of ``dags`` in order, from one tree of ``Rewriter.dagger`` steps keyed by the
-    suffixes of J; the term budget is counted per word along its path."""
+    """Yield (J, normal form of a_J†·a_gen as scaled terms ({(g, h): c}, den)) for the
+    adjoint words J of ``dags`` in order, from one tree of ``Rewriter.dagger`` steps keyed
+    by the suffixes of J; the term budget is counted per word along its path."""
     rw = rewriter_for(T)
     tree = {(): (rw.scaled({(gen, ()): ONE}), 0)}  # suffix of J -> (scaled terms, work on its path)
     for J in dags:
@@ -72,14 +72,16 @@ def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
                 if work > DEFAULT_TERM_CAP:
                     raise TermBudgetExceeded(f"intermediate term count exceeded cap={DEFAULT_TERM_CAP}")
                 tree[J[s:]] = scaled, work
-        yield J, rw.unscaled(tree[J][0])
+        yield J, tree[J][0]
 
 
 class KmsEvaluator:
     """Evaluates the gauge-KMS functional κ_λ (λ ≥ 0) on Wick-ordered polynomials,
     solving each bidegree block (I − λⁿA)x = λⁿb once by ``linalg._solve`` on integer rows:
-    row a_I·a_J† is a_J†·a_I from the :func:`_exchanged_forms` of I, its (n, m) words in
-    A and lower ones in b.  Past ``cap``, d^(n+m) is refused before anything is built."""
+    row a_I·a_J† is a_J†·a_I from the :func:`_exchanged_forms` of I, terms c over den, its
+    (n, m) words in A and lower ones in b.  With λⁿ = p/q the row is q·den·(I − λⁿA), and a
+    nonzero b of denominator e scales it by e, with p·e·b in the augment column.  Past
+    ``cap``, d^(n+m) is refused before anything is built."""
 
     def __init__(self, T: CoeffTensor, lam, cap: int = DEFAULT_DIM_CAP):
         self.T = T
@@ -101,20 +103,21 @@ class KmsEvaluator:
             self._ensure(n - 1, m - 1)
         words = self._bidegree_words(n, m)
         idx = {w: a for a, w in enumerate(words)}
-        size, dm, lam_n = len(words), self.T.d**m, self.lam ** n
-        neg, rows = -lam_n, []  # the rows of I − λⁿA, with λⁿ·b as augment column ``size``
+        size, dm, lam_n = len(words), self.T.d**m, (self.lam ** n).re
+        p, q, rows = lam_n._numerator, lam_n._denominator, []  # augment column ``size``
         for gen in (w[:n] for w in words[::dm]):
-            for J, terms in _exchanged_forms(self.T, gen, [w[n:] for w in words[:dm]]):
-                row, b = {len(rows): ONE}, ZERO
-                for (g, h), c in terms.items():
+            for J, (terms, den) in _exchanged_forms(self.T, gen, [w[n:] for w in words[:dm]]):
+                row, b = {len(rows): q * den}, ZERO
+                for (g, h), c in terms.items() if p else ():  # λⁿ = 0: the diagonal alone
                     if len(g) == n and len(h) == m:
-                        _add(row, idx[g + h], neg * c)
+                        _add(row, idx[g + h], -p * c)
                     else:
                         b = b + c * self.known[g + h]
-                if b:
-                    row[size] = lam_n * b
+                if b:  # e·row, with p·e·b in the augment column
+                    e = _denominator((b,))
+                    row = {**{col: e * x for col, x in row.items()}, size: p * _numerator(b, e)}
                 rows.append(row)
-        sol = _solve(_integer_rows(rows), size)
+        sol = _solve(rows, size)
         if sol is None:
             raise KmsNonUniquenessError(f"bidegree ({n},{m}) system is singular at lambda="
                                         f"{rational_str(self.lam.re)}")

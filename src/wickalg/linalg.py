@@ -2,12 +2,13 @@
 
 A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
-nonzeros of the right operand.  Every elimination runs on integer rows,
-``{col: numerator}`` dicts of ints or Gaussian integers, through one row update
-(:func:`_update`) that never scales a pivot, so a pivot row reaches only the
-rows with an entry in its column.  The echelon forms read each row up to scale
-and make a Scalar only at output, as a ratio of two entries; the Hermitian
-LDL* :func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
+nonzeros of the right operand.  Below it the one sparse form is ``(rows, den)``:
+``{col: numerator}`` dicts of ints or Gaussian integers over one int den > 0,
+which each query makes once (:func:`_scaled_rows`).  Every elimination runs
+through one row update (:func:`_update`) that never scales a pivot, so a pivot
+row reaches only the rows with an entry in its column.  The echelon forms read
+each row up to scale, and a Scalar is made only at output; the Hermitian LDL*
+:func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
 Floating point enters only through :func:`_float_view`, the view consumed by
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient, _scaled
+from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
 
 __all__ = ["Matrix", "identity", "kron", "zeros"]
 
@@ -29,6 +30,13 @@ __all__ = ["Matrix", "identity", "kron", "zeros"]
 def _sparse_rows(data) -> list:
     """Each row as a ``{col: Scalar}`` dict of its nonzeros (``ZERO`` skipped by identity)."""
     return [{c: x for c, x in enumerate(row) if x is not ZERO and x} for row in data]
+
+
+def _scaled_rows(rows: list) -> tuple:
+    """(the ``{col: numerator}`` rows, den) of ``{col: Scalar}`` rows: each entry
+    times den, the lcm of all their denominators (:func:`~wickalg.scalars._numerator`)."""
+    den = _denominator(x for row in rows for x in row.values())
+    return [{c: _numerator(x, den) for c, x in row.items()} for row in rows], den
 
 
 def _product(arows, bnz: list, cols: int) -> list:
@@ -46,7 +54,7 @@ def _product(arows, bnz: list, cols: int) -> list:
 
 
 def _sparse_product(arows, brows) -> list:
-    """The ``{col: Scalar}`` rows of A·B from those of A and B, entries that cancel dropped."""
+    """The ``{col: numerator}`` rows of A·B from those of A and B, entries that cancel dropped."""
     out = []
     for arow in arows:
         orow = {}
@@ -55,15 +63,6 @@ def _sparse_product(arows, brows) -> list:
                 x = orow.get(c)
                 orow[c] = a * b if x is None else x + a * b
         out.append({c: x for c, x in orow.items() if x})
-    return out
-
-
-def _dense(rows, cols: int) -> list:
-    """Dense rows of ``cols`` entries from ``{col: Scalar}`` rows."""
-    out = [[ZERO] * cols for _ in rows]
-    for orow, row in zip(out, rows):
-        for c, x in row.items():
-            orow[c] = x
     return out
 
 
@@ -142,31 +141,34 @@ def _reduced(a: list, cols: int):
     return a, pivots
 
 
+def _reciprocal(piv) -> tuple:
+    """(m, r) with 1/piv = m/r, r > 0: (±1, |piv|) for an int, (conj(piv), |piv|²) otherwise."""
+    if type(piv) is int:
+        return (1, piv) if piv > 0 else (-1, -piv)
+    return piv.conjugate(), piv.re._numerator ** 2 + piv.im._numerator ** 2
+
+
 def _entry(n, d) -> Scalar:
     """n/d as a Scalar, for ints or Gaussian integers n and d ≠ 0."""
-    if type(d) is not int:  # n/d = n·conj(d)/|d|²
-        n, d = n * d.conjugate(), d.re._numerator ** 2 + d.im._numerator ** 2
-    return _over(n, d) if d > 0 else _over(-n, -d)
-
-
-def _integer_rows(rows) -> list:
-    """The ``{col: Scalar}`` rows, each as its numerators over the lcm of its
-    denominators (:func:`~wickalg.scalars._scaled`): the same rows up to scale."""
-    return [_scaled(row)[0] for row in rows]
+    m, r = _reciprocal(d)
+    return _over(n * m, r)
 
 
 def _kernel(rows: list, cols: int):
-    """(the ``{j: Scalar}`` rows of a ``cols × k`` null space basis, k) of the
-    integer rows (consumed): column j, of the j-th free column f, is 1 in row f
-    and −x/piv in row p, x and piv the entries in columns f and p of the
-    :func:`_reduced` row with its pivot in column p."""
+    """(the ``{j: numerator}`` rows of a ``cols × k`` null space basis, den, k) of
+    the integer rows (consumed): column j, of the j-th free column f, is 1 in row f
+    and −x/piv = −x·m/r in row p (:func:`_reciprocal`), x and piv the entries in
+    columns f and p of the :func:`_reduced` row with its pivot in column p; den is the lcm of the r's."""
     a, pivots = _reduced(rows, cols)
     pset = set(pivots)
     free = {f: j for j, f in enumerate(c for c in range(cols) if c not in pset)}
-    out = [{free[c]: ONE} if c in free else {} for c in range(cols)]
-    for row, pcol in zip(a, pivots):  # a reduced pivot row: its pivot and free columns
-        out[pcol] = {free[c]: _entry(-x, row[pcol]) for c, x in row.items() if c != pcol}
-    return out, len(free)
+    recips = [_reciprocal(row[pcol]) for row, pcol in zip(a, pivots)]
+    den = lcm(1, *(r for _, r in recips))
+    out = [{free[c]: den} if c in free else {} for c in range(cols)]
+    for row, pcol, (m, r) in zip(a, pivots, recips):  # a reduced pivot row: its pivot and free columns
+        f = -m * (den // r)
+        out[pcol] = {free[c]: f * x for c, x in row.items() if c != pcol}
+    return out, den, len(free)
 
 
 def _solve(rows: list, cols: int):
@@ -217,12 +219,11 @@ def _psd_rank(u: list, dens: list) -> tuple:
 
 
 def _hermitian(rows) -> bool:
-    """Whether each nonzero of the ``{col: value}`` rows of a square matrix
-    (Scalars, ints or Gaussian integers) has a mirror equal to its conjugate."""
+    """Whether each nonzero of the ``{col: numerator}`` rows of a square matrix
+    (ints or Gaussian integers) has a mirror equal to its conjugate."""
     for r, row in enumerate(rows):
         for c, x in row.items():
-            if rows[c].get(r, 0) != (x if type(x) is int or not x.im._numerator
-                                     else x.conjugate()):
+            if rows[c].get(r, 0) != (x if type(x) is int else x.conjugate()):
                 return False
     return True
 
@@ -238,14 +239,13 @@ def _psd_rank_over(rows, den: int) -> tuple:
     return _psd_rank(u, [_update(upper, 1, 0, (), den) for upper in u])
 
 
-def _float_view(rows, shape: tuple, den: int = 1):
-    """The numpy array of the ``{col: value}`` rows over the int den > 0, values
-    Scalars, or ints and Gaussian integers: each part its exact ratio rounded
-    once by int / int; float64 when every entry is real, complex128 otherwise."""
+def _float_view(rows, shape: tuple, den: int):
+    """The numpy array of the ``{col: numerator}`` rows (ints or Gaussian
+    integers) over the int den > 0: each part its exact ratio rounded once by
+    int / int; float64 unless an entry has a nonzero imaginary part."""
     vals = np.array([x / den if type(x) is int
-                     else complex(x.re._numerator / (x.re._denominator * den),
-                                  x.im._numerator / (x.im._denominator * den)) if x.im._numerator
-                     else x.re._numerator / (x.re._denominator * den)
+                     else complex(x.re._numerator / den, x.im._numerator / den) if x.im._numerator
+                     else x.re._numerator / den
                      for row in rows for x in row.values()])
     a = np.zeros(shape[0] * shape[1], vals.dtype)
     a[[r * shape[1] + c for r, row in enumerate(rows) for c in row]] = vals
@@ -341,35 +341,32 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def is_hermitian(self) -> bool:
-        """Square, with each nonzero equal to the conjugate of its mirror
-        (:func:`_hermitian` on the nonzeros)."""
-        return self.rows == self.cols and _hermitian(_sparse_rows(self.data))
+        """Square, each nonzero the conjugate of its mirror (:func:`_hermitian` of its numerators)."""
+        return self.rows == self.cols and _hermitian(_scaled_rows(_sparse_rows(self.data))[0])
 
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
-        return len(_echelon(_integer_rows(_sparse_rows(self.data)), self.cols)[1])
+        return len(_echelon(_scaled_rows(_sparse_rows(self.data))[0], self.cols)[1])
 
     def psd_rank(self) -> tuple:
-        """(is_psd, rank) of a Hermitian matrix by :func:`_psd_rank_over` on
-        its numerators over the lcm of its denominators."""
+        """(is_psd, rank) of a Hermitian matrix: :func:`_psd_rank_over` of its :func:`_scaled_rows`."""
         if self.rows != self.cols:
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
-        rows = _sparse_rows(self.data)
-        den = _denominator(x for row in rows for x in row.values())
-        return _psd_rank_over([{c: _numerator(x, den) for c, x in row.items()} for row in rows], den)
+        return _psd_rank_over(*_scaled_rows(_sparse_rows(self.data)))
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
         Matrix (``k = 0`` for a trivial kernel): :func:`_kernel` made dense."""
-        rows, k = _kernel(_integer_rows(_sparse_rows(self.data)), self.cols)
-        return Matrix._of(_dense(rows, k), self.cols, k)
+        rows, den, k = _kernel(_scaled_rows(_sparse_rows(self.data))[0], self.cols)
+        return Matrix._of(_dense_over(rows, k, den), self.cols, k)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.cols
-        a = [{**row, n + r: den} for r, (row, den) in enumerate(map(_scaled, _sparse_rows(self.data)))]
-        a, pivots = _reduced(a, n)  # [A | I], each row over its lcm: row r reads piv·[I | A⁻¹]
+        rows, den = _scaled_rows(_sparse_rows(self.data))
+        # den·[A | I]: row r of its reduced form reads piv·[I | A⁻¹]
+        a, pivots = _reduced([{**row, n + r: den} for r, row in enumerate(rows)], n)
         if len(pivots) != n:
             raise ValueError("matrix is singular")
         return Matrix._of([[_entry(row[n + c], row[r]) if n + c in row else ZERO for c in range(n)]
@@ -391,19 +388,20 @@ class Matrix:
     def solve_any(self, rhs: Sequence):
         """One exact solution of A x = rhs (free variables 0), or None: minus the first
         ``cols`` entries of the :func:`_kernel` vector of the rhs column, if it is free."""
-        basis, k = _kernel(self._augmented(rhs), self.cols + 1)
-        return [-row.get(k - 1, ZERO) for row in basis[:-1]] if basis[-1] else None
+        basis, den, k = _kernel(self._augmented(rhs), self.cols + 1)
+        return [_over(-row.get(k - 1, 0), den) for row in basis[:-1]] if basis[-1] else None
 
     def _augmented(self, rhs: Sequence) -> list:
         rhs = [Scalar.coerce(x) for x in rhs]
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        return _integer_rows(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]))
+        return _scaled_rows(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]))[0]
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):
-        """Dense numpy view of the matrix (:func:`_float_view`)."""
-        return _float_view(_sparse_rows(self.data), self.shape)
+        """Dense numpy view of the matrix (:func:`_float_view` of its :func:`_scaled_rows`)."""
+        rows, den = _scaled_rows(_sparse_rows(self.data))
+        return _float_view(rows, self.shape, den)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

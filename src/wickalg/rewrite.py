@@ -25,8 +25,8 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import _echelon, _integer_rows
-from .scalars import _denominator, _numerator, _over, _scaled
+from .linalg import _echelon, _scaled_rows
+from .scalars import ONE, _denominator, _numerator, _over
 
 __all__ = [
     "TermBudgetExceeded",
@@ -164,7 +164,11 @@ class Rewriter:
             out = cache[(k, g[:n])] = new
         return out
 
-    scaled = staticmethod(_scaled)  # the scaled terms of {key: Scalar}
+    @staticmethod
+    def scaled(terms: dict) -> tuple:
+        """The scaled terms of {key: Scalar}: its :func:`~wickalg.linalg._scaled_rows` as one row."""
+        (out,), den = _scaled_rows([terms])
+        return out, den
 
     @staticmethod
     def unscaled(scaled: tuple) -> dict:
@@ -251,7 +255,7 @@ class Rewriter:
         acc: dict = {}
         for w, c in p.terms.items():
             for sw, sc in self.normal_form_word(w).items():
-                _add(acc, sw, c * sc)
+                _add(acc, sw, sc if c is ONE else c * sc)
         return Polynomial._of(acc)
 
 
@@ -365,7 +369,7 @@ def _in_ideal_span(targets, gens, max_deg: int) -> bool:
         for col, q in enumerate([*span.values(), *comps]):
             for w, c in q.items():
                 rows.setdefault(w, {})[col] = c
-        a, pivots = _echelon(_integer_rows(rows.values()), len(span))
+        a, pivots = _echelon(_scaled_rows(list(rows.values()))[0], len(span))
         if any(a[len(pivots):]):
             return False
     return True

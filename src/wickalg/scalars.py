@@ -299,13 +299,6 @@ def _numerator(c: Scalar, den: int):
     return _scalar(_q(re, 1), _q(c.im._numerator * (den // c.im._denominator), 1))
 
 
-def _scaled(terms: dict) -> tuple:
-    """({key: numerator}, den) of {key: Scalar}: numerators over den, the lcm of
-    the denominators (:func:`_denominator`, :func:`_numerator`)."""
-    den = _denominator(terms.values())
-    return {key: _numerator(c, den) for key, c in terms.items()}, den
-
-
 def _content(g: int, values) -> int:
     """The gcd of the int g and the integer parts of ``values``, each an int or
     a Gaussian-integer Scalar as :func:`_numerator` makes them."""

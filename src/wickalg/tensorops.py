@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
-from .eigen import _as_array, _lapack_eigvalsh, eigvalsh
-from .linalg import (Matrix, _dense, _dense_over, _float_view, _psd_rank_over, _sparse_product,
+from .eigen import _lapack_eigvalsh, eigvalsh
+from .linalg import (Matrix, _dense_over, _float_view, _psd_rank_over, _scaled_rows, _sparse_product,
                      _sparse_rows, identity, zeros)
 from .reports import Report
-from .scalars import _denominator, _numerator, rational_str
+from .scalars import rational_str
 
 __all__ = [
     "DimensionCapExceeded",
@@ -99,13 +99,10 @@ def ttilde_matrix(T: CoeffTensor) -> Matrix:
 
 
 def _t_rows(T: CoeffTensor) -> tuple:
-    """(δ, the ``{col: numerator}`` rows of δ·T on H⊗H), δ the lcm of the
-    denominators of T's entries, real and imaginary parts both: each numerator
-    is an int, or a Gaussian-integer Scalar for a complex entry
-    (:func:`~wickalg.scalars._numerator`)."""
-    delta = _denominator(T.entries.values())
-    return delta, [{c: _numerator(x, delta) for c, x in row.items()}
-                   for row in _sparse_rows(t_matrix(T).data)]
+    """(the ``{col: numerator}`` rows of δ·T on H⊗H, δ) by :func:`~wickalg.linalg._scaled_rows`:
+    δ is the lcm of the denominators of T's entries, real and imaginary parts both,
+    and each numerator an int, or a Gaussian-integer Scalar for a complex entry."""
+    return _scaled_rows(_sparse_rows(t_matrix(T).data))
 
 
 def _slot_rows(xrows: list, slot: int, n: int) -> list:
@@ -120,14 +117,15 @@ def _slot_rows(xrows: list, slot: int, n: int) -> list:
 
 def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
     """The two-slot operator X (d²×d², d read off its shape) acting on adjacent
-    tensor slots (slot, slot+1) of H^{⊗n}: :func:`_slot_rows` made dense."""
+    tensor slots (slot, slot+1) of H^{⊗n}: :func:`_slot_rows` of its integer rows, made dense."""
     d = isqrt(X.rows)
     if X.rows != d * d or X.cols != X.rows:
         raise ValueError(f"embed expects a d²×d² two-slot operator, got {X.rows}x{X.cols}")
     if not (1 <= slot <= n - 1):
         raise ValueError(f"slot {slot} out of range 1..{n - 1}")
     _check_cap(d, n, cap)
-    return Matrix._of(_dense(_slot_rows(_sparse_rows(X.data), slot, n), d**n), d**n, d**n)
+    rows, den = _scaled_rows(_sparse_rows(X.data))
+    return Matrix._of(_dense_over(_slot_rows(rows, slot, n), d**n, den), d**n, d**n)
 
 
 def braid_check(T: CoeffTensor) -> bool:
@@ -135,7 +133,7 @@ def braid_check(T: CoeffTensor) -> bool:
     three products of the integer rows of δ·T (:func:`_t_rows`), so both sides
     are δ³ times theirs, with T₁T₂ shared by both."""
     _check_h3_cap(T.d, "braid check")
-    tn = _t_rows(T)[1]
+    tn = _t_rows(T)[0]
     t1, t2 = _slot_rows(tn, 1, 3), _slot_rows(tn, 2, 3)
     t12 = _sparse_product(t1, t2)
     return _sparse_product(t12, t1) == _sparse_product(t2, t12)
@@ -156,7 +154,7 @@ def _gram_rows(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_cap(d, n_max, cap)
-    delta, tn = _t_rows(T)
+    tn, delta = _t_rows(T)
     a, nrows, den = [{r: 1} for r in range(d)], [{r: 1} for r in range(d)], 1
     for m in range(n_max):
         dim = d ** (m + 1)
@@ -196,12 +194,14 @@ class SpectralSummary:
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
-    """Exact ``is_psd`` and ``rank`` of a self-adjoint X from :meth:`Matrix.psd_rank`, which
-    proves X exactly Hermitian, so its float view skips :func:`~wickalg.eigen.eigvalsh`'s
-    Hermitian check and symmetrisation; the spectrum decides nothing.  A positivity
-    report takes the same steps on each level's integer rows, with no Matrix."""
-    is_psd, rank = X.psd_rank()
-    ev = _lapack_eigvalsh(_as_array(X))
+    """Exact ``is_psd`` and ``rank`` of a self-adjoint X by :func:`_psd_rank_over`, which proves it
+    exactly Hermitian, and LAPACK's spectrum, which decides nothing, of the float view of the same
+    :func:`_scaled_rows`; a positivity report takes these steps on each level's integer rows."""
+    if X.rows != X.cols:
+        raise ValueError("psd_rank requires an exactly Hermitian matrix")
+    rows, den = _scaled_rows(_sparse_rows(X.data))
+    is_psd, rank = _psd_rank_over(rows, den)
+    ev = _lapack_eigvalsh(_float_view(rows, X.shape, den))
     if ev.size == 0:
         return SpectralSummary(0.0, 0.0, 0.0, 0, True)
     t_plus = float(ev[-1])

@@ -100,7 +100,7 @@ def test_t_of_permutation_refused_before_anything_is_built(monkeypatch):
     def built(*args, **kwargs):
         raise AssertionError("built before the d^n cap check")
 
-    for name in ("braid_check", "_slot_rows", "t_matrix"):
+    for name in ("braid_check", "_slot_rows", "_t_rows"):
         monkeypatch.setattr(braid, name, built)
     with pytest.raises(DimensionCapExceeded, match="16384"):
         t_of_permutation(BRAIDED[0], tuple(range(1, 15)))  # 2^14 past the default cap 4096

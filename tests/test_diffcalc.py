@@ -27,6 +27,7 @@ from wickalg import (
 )
 from wickalg.diffcalc import form_space_basis
 from wickalg.rewrite import _wick_order_strategy
+from wickalg.scalars import _denominator
 
 QCCR = make_preset("qccr", 2, q="1/3").tensor
 TCCR = make_preset("twisted_ccr", 2, mu="1/2").tensor
@@ -146,6 +147,9 @@ FORM_LAWS = [
     (make_preset("degenerate", 2).tensor, [2**p for p in range(6)]),
     (make_preset("tlw", 2, q="-1/2").tensor, [1, 2, 1, 0, 0, 0]),
     (QCCR, [1, 2, 0, 0, 0, 0]),
+    # |q12| = 1: complex bases from level 2 on, so every run meets a Gaussian pivot
+    (make_preset("q_ij", 2, q11="-1", q22="-1", q12="3/5", q12_im="4/5", q21="3/5",
+                 q21_im="-4/5").tensor, [1, 2, 3, 4, 5, 6]),
 ]
 
 
@@ -190,11 +194,29 @@ def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
     assert calls == {"slot_rows": 3, "kernel": 3}
 
 
+@pytest.mark.parametrize("T, p_max", [(make_preset("twisted_car", 3, mu="10/13").tensor, 5),
+                                      (FORM_LAWS[-1][0], 8)])
+def test_form_levels_carry_each_basis_over_its_least_denominator(monkeypatch, T, p_max):
+    # B_m and den_m are divided by their gcd at every level, so the den that reaches
+    # _dense_over is the lcm of the denominators of the level's entries.  Carried
+    # without it, den_8 of the |q12| = 1 law has 2255 bits, 2218 of them common.
+    dens = []
+    dense_over = diffcalc._dense_over
+
+    def spy(rows, cols, den):
+        dens.append(den)
+        return dense_over(rows, cols, den)
+
+    monkeypatch.setattr(diffcalc, "_dense_over", spy)
+    levels = list(form_levels(T, p_max))
+    assert dens == [_denominator([x for row in B.data for x in row]) for B in levels]
+
+
 def test_form_levels_refused_before_anything_is_built(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(diffcalc, "t_matrix", fail)
+    monkeypatch.setattr(diffcalc, "_t_rows", fail)
     monkeypatch.setattr(diffcalc, "_slot_rows", fail)
     with pytest.raises(ValueError, match=">= 0"):
         next(form_levels(QCCR, -1))

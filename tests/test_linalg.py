@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import scalars
-from wickalg import Matrix, Polynomial, Scalar, ideal_membership, identity, kron, make_preset, p_n, rational
-from wickalg.linalg import _echelon, _integer_rows, _sparse_rows, zeros
+from wickalg import (Matrix, Polynomial, Scalar, braid, diffcalc, ideal_membership, ideals, identity, kms,
+                     kms_evaluate, kms_series, kron, linalg, make_preset, p_n, parse_expression,
+                     positivity_report, rational, rewrite, states, t_matrix, t_of_permutation, tensorops,
+                     wick_ideal_condition_check)
+from wickalg.linalg import _echelon, _scaled_rows, _sparse_rows, zeros
 from wickalg.scalars import ONE, ZERO
 
 
@@ -461,7 +464,7 @@ def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n
     # at all, and on a complex one the LDL* updates only the upper triangle, so
     # it makes at most 0.6 of the Gaussian-integer products of the echelon form.
     m = p_n(make_preset(family, d, **params).tensor, n)
-    rows = _integer_rows(_sparse_rows(m.data))
+    rows = _scaled_rows(_sparse_rows(m.data))[0]
     mul, calls = Scalar.__mul__, []
 
     def counted(a, b):
@@ -665,3 +668,56 @@ def test_psd_rank_examples():
     assert zeros(0, 0).psd_rank() == (True, 0)
     with pytest.raises(ValueError):
         Matrix([[1, 1], [0, 1]]).psd_rank()
+
+
+_ROW_KERNELS = ("_sparse_product", "_echelon", "_reduced", "_kernel", "_solve", "_psd_rank",
+                "_hermitian", "_float_view")
+_GUARD_TENSORS = [
+    make_preset("twisted_car", 2, mu="2/3").tensor,
+    make_preset("q_ij", 2, q11="-1", q22="-1", q12="3/5", q12_im="4/5", q21="3/5",
+                q21_im="-4/5").tensor,
+]
+
+
+def _is_integer(x) -> bool:
+    return type(x) is int or (type(x) is Scalar and x.re.denominator == 1 == x.im.denominator)
+
+
+@pytest.mark.parametrize("T", _GUARD_TENSORS, ids=["real", "complex"])
+def test_row_kernels_take_integer_rows_only(monkeypatch, T):
+    # Every row that reaches a row kernel, from any module that binds it, holds
+    # ints or Gaussian integers: Scalar rows are converted before any kernel.
+    seen = set()
+
+    def checked(name, fn):
+        def wrapper(*args):
+            seen.add(name)
+            for arg in args:
+                for row in arg if type(arg) is list else ():
+                    bad = [x for x in (row.values() if type(row) is dict else [row]) if not _is_integer(x)]
+                    assert not bad, f"{name} got {bad[:3]}"
+            return fn(*args)
+        return wrapper
+
+    for name in _ROW_KERNELS:
+        fn = getattr(linalg, name)
+        for mod in (linalg, tensorops, kms, diffcalc, braid, ideals, rewrite, states):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, checked(name, fn))
+    x = parse_expression("2/3 a1 a2 a2* a1* + a1* a1 - 1/5 a2 a1 a2* a1*", T.d)
+    kms_evaluate(x, rational(2, 5), T)
+    kms_series(T, rational(1, 3), 3)
+    positivity_report(T, 3)
+    list(diffcalc.form_levels(T, 4))
+    P = ideals.minus_one_eigenprojection(T)
+    assert ideals.quadratic_ideal_check(T, P) == {"linear": True, "quadratic": True}
+    ideals.ideal_generator_relations(T, P)
+    t_of_permutation(T, (3, 1, 2))
+    braid.permutation_kernel_psd(T, 2)
+    gens = [parse_expression("a1 a1", T.d)]
+    wick_ideal_condition_check(T, gens, 3)
+    m = identity(4) + t_matrix(T).scale(rational(1, 3))
+    m.rank(), m.psd_rank(), m.kernel_basis(), m.inverse(), m.is_hermitian(), m.to_complex()
+    rhs = [rational(1, r + 2) for r in range(4)]
+    m.solve(rhs), m.solve_any(rhs), m.solve_consistent(rhs)
+    assert seen == set(_ROW_KERNELS)

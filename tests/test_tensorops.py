@@ -15,6 +15,7 @@ from wickalg import (
     Matrix,
     Scalar,
     cuntz_stability_predicate,
+    eigvalsh,
     embed,
     gram_levels,
     gram_matrix,
@@ -285,6 +286,29 @@ def test_spectral_summary():
     with pytest.raises(ValueError):
         spectral_summary(Matrix([[0, 1], [0, 0]]))
 
+
+
+def test_spectral_summary_converts_its_matrix_once(monkeypatch):
+    # The exact verdict and the float view read the same integer rows: one
+    # conversion, and neither Matrix.psd_rank nor Matrix.to_complex is called.
+    def fail(*args, **kwargs):
+        raise AssertionError("the Matrix was converted again")
+
+    T = make_preset("q_ij", 2, q11="1/2", q22="1/3", q12="1/5", q12_im="2/5",
+                    q21="1/5", q21_im="-2/5").tensor
+    mats = [t_matrix(T), p_n(T, 3)]
+    want = [(X.psd_rank(), float(eigvalsh(X)[0]), float(eigvalsh(X)[-1])) for X in mats]
+    calls = []
+    scaled_rows = tensorops._scaled_rows
+    monkeypatch.setattr(tensorops, "_scaled_rows", lambda rows: calls.append(1) or scaled_rows(rows))
+    monkeypatch.setattr(Matrix, "psd_rank", fail)
+    monkeypatch.setattr(Matrix, "to_complex", fail)
+    for X, w in zip(mats, want):
+        calls.clear()
+        s = spectral_summary(X)
+        assert calls == [1] and ((s.is_psd, s.rank), s.t_minus, s.t_plus) == w
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectral_summary(Matrix([[1, 0]]))
 
 def _check(report, name):
     return next(c for c in report.checks if c["name"] == name)
