@@ -84,16 +84,14 @@ def _relation_system(args) -> RelationSystem:
         )
     if args.preset:
         params = {}
-        d = None
         for kv in args.param:
             if "=" not in kv:
                 _usage_error(f"bad --param {kv!r}, expected K=V")
             k, v = kv.split("=", 1)
-            if k == "d":
-                d = _option_value("--param d", v, int)
-            else:
-                params[k] = _option_value(f"--param {k}", v, rational)
-        return make_preset(args.preset, d=d, **params)
+            if k in params:
+                _usage_error(f"--param {k} given twice")
+            params[k] = _option_value(f"--param {k}", v, int if k == "d" else rational)
+        return make_preset(args.preset, **params)
     _usage_error("a relation source is required: --relations FILE or --preset NAME")
 
 

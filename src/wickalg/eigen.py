@@ -11,11 +11,19 @@ symmetrisation, which change nothing on its float view (each part of an
 entry is rounded on its own, so the view is exactly mirrored, and (a + a*)/2
 of it is a): it hands the view (``_as_array`` of a Matrix, or
 :func:`~wickalg.linalg._float_view` of integer rows) to ``_lapack_eigvalsh``.
+
+numpy is imported inside these routines, not when the package loads: the exact
+paths never make a float, so ``import wickalg`` and every subcommand but
+``positivity`` run without it, and the first float view of a process pays its
+import (later calls find it in ``sys.modules``).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["eigvalsh", "singular_values", "operator_norm", "USING_NUMBA"]
 
@@ -26,6 +34,8 @@ USING_NUMBA = False
 def _as_array(mat) -> np.ndarray:
     """The float view of ``mat`` (float64 for a real Matrix, else complex128);
     an inf or nan entry raises ``ValueError``."""
+    import numpy as np
+
     a = mat.to_complex() if hasattr(mat, "to_complex") else np.asarray(mat, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -36,6 +46,8 @@ def _lapack_eigvalsh(a: np.ndarray) -> np.ndarray:
     """LAPACK's ascending eigenvalues of a finite Hermitian array, taken as
     real when it has no imaginary part; ``ArithmeticError`` when LAPACK
     does not converge."""
+    import numpy as np
+
     if a.dtype.kind == "c" and not a.imag.any():
         a = a.real
     try:
@@ -52,6 +64,8 @@ def eigvalsh(mat) -> np.ndarray:
     non-square, non-Hermitian or non-finite one raises ``ValueError``, and
     one on which LAPACK does not converge raises ``ArithmeticError``.
     """
+    import numpy as np
+
     a = _as_array(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -68,6 +82,8 @@ def singular_values(mat) -> np.ndarray:
     """Singular values (descending) via the eigenvalues of A†A, with A taken
     in units of max|a| so that forming A†A neither overflows nor underflows
     at that scale."""
+    import numpy as np
+
     a = _as_array(mat)
     unit = float(np.max(np.abs(a), initial=0.0)) or 1.0
     a = a / unit

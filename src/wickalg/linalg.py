@@ -4,23 +4,24 @@ A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
 nonzeros of the right operand.  Below it the one sparse form is ``(rows, den)``:
 ``{col: numerator}`` dicts of ints or Gaussian integers over one int den > 0,
-which each query makes once (:func:`_scaled_rows`).  Every elimination runs
-through one row update (:func:`_update`) that never scales a pivot, so a pivot
-row reaches only the rows with an entry in its column.  The echelon forms read
-each row up to scale, and a Scalar is made only at output; the Hermitian LDL*
+which each query makes once (:func:`_scaled_rows`); a query that reads each
+row only up to scale puts each row over its own lcm (:func:`_each_scaled`).
+Every elimination runs through one row update (:func:`_update`) that never
+scales a pivot, so a pivot row reaches only the rows with an entry in its
+column.  The echelon forms read each row up to scale, and a Scalar is made
+only at output; the Hermitian LDL*
 :func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
 Floating point enters only through :func:`_float_view`, the view consumed by
-the spectral routines.
+the spectral routines; it imports numpy on its first call, so exact work never
+loads it.
 """
 
 from __future__ import annotations
 
 from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
 
@@ -37,6 +38,17 @@ def _scaled_rows(rows: list) -> tuple:
     times den, the lcm of all their denominators (:func:`~wickalg.scalars._numerator`)."""
     den = _denominator(x for row in rows for x in row.values())
     return [{c: _numerator(x, den) for c, x in row.items()} for row in rows], den
+
+
+def _each_scaled(rows) -> list:
+    """The ``{col: numerator}`` rows of ``{col: Scalar}`` rows, each over the lcm of
+    its own denominators (:func:`_scaled_rows` of that row alone): for an elimination,
+    which reads each row only up to scale, so that no row carries another's denominators."""
+    out = []
+    for row in rows:
+        den = _denominator(row.values())
+        out.append({c: _numerator(x, den) for c, x in row.items()})
+    return out
 
 
 def _product(arows, bnz: list, cols: int) -> list:
@@ -243,6 +255,8 @@ def _float_view(rows, shape: tuple, den: int):
     """The numpy array of the ``{col: numerator}`` rows (ints or Gaussian
     integers) over the int den > 0: each part its exact ratio rounded once by
     int / int; float64 unless an entry has a nonzero imaginary part."""
+    import numpy as np
+
     vals = np.array([x / den if type(x) is int
                      else complex(x.re._numerator / den, x.im._numerator / den) if x.im._numerator
                      else x.re._numerator / den
@@ -346,7 +360,7 @@ class Matrix:
 
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
-        return len(_echelon(_scaled_rows(_sparse_rows(self.data))[0], self.cols)[1])
+        return len(_echelon(_each_scaled(_sparse_rows(self.data)), self.cols)[1])
 
     def psd_rank(self) -> tuple:
         """(is_psd, rank) of a Hermitian matrix: :func:`_psd_rank_over` of its :func:`_scaled_rows`."""
@@ -357,16 +371,16 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
         Matrix (``k = 0`` for a trivial kernel): :func:`_kernel` made dense."""
-        rows, den, k = _kernel(_scaled_rows(_sparse_rows(self.data))[0], self.cols)
+        rows, den, k = _kernel(_each_scaled(_sparse_rows(self.data)), self.cols)
         return Matrix._of(_dense_over(rows, k, den), self.cols, k)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.cols
-        rows, den = _scaled_rows(_sparse_rows(self.data))
-        # den·[A | I]: row r of its reduced form reads piv·[I | A⁻¹]
-        a, pivots = _reduced([{**row, n + r: den} for r, row in enumerate(rows)], n)
+        # Each row of [A | I] over its own lcm: row r of the reduced form reads piv·[I | A⁻¹]
+        a, pivots = _reduced(_each_scaled([{**row, n + r: ONE}
+                                           for r, row in enumerate(_sparse_rows(self.data))]), n)
         if len(pivots) != n:
             raise ValueError("matrix is singular")
         return Matrix._of([[_entry(row[n + c], row[r]) if n + c in row else ZERO for c in range(n)]
@@ -395,7 +409,7 @@ class Matrix:
         rhs = [Scalar.coerce(x) for x in rhs]
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        return _scaled_rows(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]))[0]
+        return _each_scaled(_sparse_rows([row + [x] for row, x in zip(self.data, rhs)]))
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import _echelon, _scaled_rows
+from .linalg import _each_scaled, _echelon, _scaled_rows
 from .scalars import ONE, _denominator, _numerator, _over
 
 __all__ = [
@@ -369,7 +369,7 @@ def _in_ideal_span(targets, gens, max_deg: int) -> bool:
         for col, q in enumerate([*span.values(), *comps]):
             for w, c in q.items():
                 rows.setdefault(w, {})[col] = c
-        a, pivots = _echelon(_scaled_rows(list(rows.values()))[0], len(span))
+        a, pivots = _echelon(_each_scaled(rows.values()), len(span))
         if any(a[len(pivots):]):
             return False
     return True

@@ -11,7 +11,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from wickalg import Matrix, braid, cli, diffcalc, eigen, ideals, kms, linalg, parse_expression, tensorops
+from wickalg import Matrix, braid, cli, diffcalc, ideals, kms, linalg, parse_expression, tensorops
 from wickalg.cli import main
 from wickalg.reports import scalar_from_json
 
@@ -204,6 +204,8 @@ QCCR = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
     ["order", "--preset", "bp_ce", "--param", "d=0", "a1"],
     ["order", "--preset", "bp_ce", "--param", "lam=1/2", "a1"],
     ["order", "--preset", "q_ij", "--param", "d=11", "--param", "q111=1/2", "a1"],
+    ["order", *QCCR, "--param", "q=1/3", "a1* a1"],  # a --param key given twice
+    ["order", "--preset", "qccr", "--param", "d=3", "--param", "d=2", "a1"],
 ])
 def test_bad_input_fails_clean(capsys, argv):
     # Exit code 2 and one stderr line, whether argument handling
@@ -323,7 +325,7 @@ def test_unconverged_spectrum_fails_clean(capsys, monkeypatch):
     def unconverged(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(eigen.np.linalg, "eigvalsh", unconverged)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
     code = main(["positivity", "--preset", "qccr", "--param", "d=2",
                  "--param", "q=1/2", "--nmax", "3"])
     out, err = capsys.readouterr()
@@ -438,3 +440,47 @@ def test_solve_paths_build_no_dense_operator(capsys, monkeypatch, argv, lines):
         monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("Matrix product"))
     code, out = run(capsys, *argv)
     assert code == 0 and out.count("\n") == lines
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _numpy_loaded_after(code: str) -> bool:
+    """Whether ``numpy`` is in ``sys.modules`` after ``import wickalg`` and
+    ``code`` in a fresh interpreter."""
+    script = f"import sys\nimport wickalg\n{code}\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.split()[-1]]
+
+
+def _cli_loads_numpy(argv: list) -> bool:
+    return _numpy_loaded_after(f"from wickalg.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not _numpy_loaded_after("")
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", *QCCR, "a1* a1"],
+    ["identity", *QCCR, "a1* a1", "1 + 1/2 a1 a1*"],
+    ["gram", *QCCR, "--nmax", "2", "--phi", "1/2, 1/3"],
+    ["braid", *QCCR, "--nmax", "3"],
+    ["ideal-check", "--preset", "twisted_car", "--param", "d=2", "--param", "mu=1/3"],
+    ["forms", *QCCR, "--nmax", "3"],
+    ["kms", *QCCR, "--lam", "1/3", "--nmax", "2", "a1 a1*"],
+    ["preset", *QCCR, "{tmp}"],
+], ids=lambda argv: argv[0])
+def test_exact_subcommands_leave_numpy_unloaded(tmp_path, argv):
+    # Only the float views load numpy; these subcommands make none, with or
+    # without a JSON report (preset writes none).
+    argv = [x.format(tmp=tmp_path / "rel.json") for x in argv]
+    assert not _cli_loads_numpy(argv)
+    if argv[0] != "preset":
+        assert not _cli_loads_numpy(argv + ["--json", str(tmp_path / "out.json")])
+
+
+def test_positivity_loads_numpy():
+    assert _cli_loads_numpy(["positivity", *QCCR])

@@ -162,7 +162,7 @@ def test_unconverged_sweeps_raise(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     a = random_hermitian(6, np.random.default_rng(6))
-    monkeypatch.setattr(eigen.np.linalg, "eigvalsh", unconverged)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
     for m in (a, Matrix([[2, 1], [1, 2]])):
         with pytest.raises(ArithmeticError, match="did not converge"):
             eigvalsh(m)

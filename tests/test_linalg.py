@@ -594,6 +594,35 @@ def test_exact_queries_match_fraction_gauss_jordan_over_coprime_denominators():
         ("solve", kind) for kind in ("unique", "underdetermined", "inconsistent")}
 
 
+def test_up_to_scale_eliminations_put_each_row_over_its_own_denominator(monkeypatch):
+    # rank, kernel_basis, inverse, solve, solve_any and ideal membership read each
+    # row only up to scale, so no row enters _echelon carrying the denominator of
+    # another: row i of m has every entry over the prime p_i, and its numerators
+    # are divisible by no other p_j.
+    primes = [1000003, 1000033, 1000037]
+    nums = [[2, -3, 5], [7, 0, 4], [-1, 6, 1]]
+    m = Matrix([[rational(n, p) for n in row] for row, p in zip(nums, primes)])
+    seen = []
+
+    def spy(a, cols):
+        seen.append([list(row.values()) for row in a])
+        return _echelon(a, cols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    monkeypatch.setattr(rewrite, "_echelon", spy)
+    queries = [m.rank, m.kernel_basis, m.inverse, lambda: m.solve([1, 2, 3]),
+               lambda: m.solve_any([1, 2, 3])]
+    for query in queries:
+        query()
+        rows = seen.pop()
+        for i, row in enumerate(rows[:3]):
+            assert all(x % p for x in row for j, p in enumerate(primes) if j != i), row
+    g = Polynomial({(1,): Scalar(rational(1, primes[0])), (2,): Scalar(rational(1, primes[1]))})
+    ideal_membership(Polynomial({(1, 1): ONE, (2, 1): Scalar(rational(1, primes[1]))}), [g], 2)
+    for row in seen.pop():  # a word's row: the entries of the span vectors and the target there
+        assert not any(all(x % p == 0 for x in row) for p in primes), row
+
+
 def test_ideal_membership_matches_fraction_rank_of_the_span():
     # p lies in the span of {u·g·v : |u|+|v|+maxlen(g) ≤ max_deg} iff adding p
     # to the span vectors leaves their rank (_ref_rref over all words) as it is.
