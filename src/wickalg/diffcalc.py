@@ -6,7 +6,7 @@ from __future__ import annotations
 from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix, _dense_over, _kernel, _sparse_product
 from .rewrite import _check_generator_words, rewriter_for
-from .scalars import _content, _quotient
+from .scalars import _content, _over, _quotient
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, _t_rows, braid_check, t_matrix
 
 __all__ = [
@@ -42,8 +42,9 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
     D, Theta = [], []
     for i in range(1, d + 1):
         parts = [{} for _ in range(d + 1)]  # parts[m]: D_i(f) at m = 0, else Θ_i^m(f)
-        for (g, h), c in rw.unscaled(rw.dagger(i, scaled)).items():
-            parts[-h[0] if h else 0][g] = c
+        terms, den = rw.dagger(i, scaled)
+        for (g, h), c in terms.items():
+            parts[-h[0] if h else 0][g] = _over(c, den)
         D.append(Polynomial._of(parts[0]))
         Theta.append([Polynomial._of(p) for p in parts[1:]])
     return {"D": D, "Theta": Theta}

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import _each_scaled, _echelon, _scaled_rows
+from .linalg import _each_scaled, _echelon
 from .scalars import ONE, _denominator, _numerator, _over
 
 __all__ = [
@@ -96,11 +96,12 @@ class Rewriter:
     for a real T every value is an int.  Normal ordering, the annihilators of
     ``states``, the twisted derivatives of ``diffcalc`` and the exchanged
     words of ``kms`` all read it through the methods below, and hold *scaled
-    terms* (terms, den): integer numerators over one common denominator.
-    :meth:`scaled` makes them from Scalars, :meth:`dagger` and
-    :meth:`annihilate` act on them, :meth:`unscaled` turns them back into
-    Scalars.  ``cap`` bounds the terms one :meth:`wick_order` call makes; it
-    is a per-call budget that :func:`wick_order` sets, not part of the memo.
+    terms* (terms, den): integer numerators over one common denominator,
+    made from Scalars by :meth:`scaled`.  :meth:`dagger` acts on them;
+    :meth:`annihilate` acts on scaled *columns* {g: {b: c}}, so that one
+    chain of annihilators carries every column of a Gram matrix.  ``cap``
+    bounds the terms one :meth:`wick_order` call makes; it is a per-call
+    budget that :func:`wick_order` sets, not part of the memo.
     """
 
     def __init__(self, T: CoeffTensor):
@@ -166,15 +167,9 @@ class Rewriter:
 
     @staticmethod
     def scaled(terms: dict) -> tuple:
-        """The scaled terms of {key: Scalar}: its :func:`~wickalg.linalg._scaled_rows` as one row."""
-        (out,), den = _scaled_rows([terms])
-        return out, den
-
-    @staticmethod
-    def unscaled(scaled: tuple) -> dict:
-        """{key: Scalar} of scaled terms."""
-        terms, den = scaled
-        return {key: _over(c, den) for key, c in terms.items()}
+        """The scaled terms of {key: Scalar}: numerators over the lcm of its denominators."""
+        den = _denominator(terms.values())
+        return {key: _numerator(c, den) for key, c in terms.items()}, den
 
     def dagger(self, k: int, scaled: tuple) -> tuple:
         """a_k†·Σ c·a_g·a_h† for the scaled terms {(g, h): c}, g generator and
@@ -201,24 +196,45 @@ class Rewriter:
         return out, den * delta ** top
 
     def annihilate(self, k: int, scaled: tuple, phi: tuple) -> tuple:
-        """λ_φ(a_k†) of the generator-only scaled terms {g: c}: a_k†·a_g by
-        :meth:`through` with each trailing a_m† replaced by φ_m, for φ given
-        as the scaled terms {m: numerator of φ_m} of its nonzero components
-        over its denominator ε.  A contracted term is lifted by ε, a term
-        with φ_m = 0 is never formed."""
+        """λ_φ(a_k†) of the generator-only scaled columns {g: {b: c}} (column b
+        is Σ_g c·a_g): a_k†·a_g by :meth:`through`, read once per g for all
+        columns, with each trailing a_m† replaced by φ_m, for φ the scaled terms
+        {m: numerator of φ_m} of its nonzero components over their denominator
+        ε.  A contracted term is lifted by ε; a term with φ_m = 0 is never formed."""
         terms, den = scaled
         nums, eps = phi
         top = max(map(len, terms)) if terms else 0
         out, through, delta = {}, self.through, self.delta
-        for g, c in terms.items():
-            if len(g) < top:
-                c = c * delta ** (top - len(g))
-            ce = c * eps
+        emptied = False
+        for g, col in terms.items():
+            lift = delta ** (top - len(g)) if len(g) < top else 1
+            lift_eps = lift * eps
             for (v, m), t in through(k, g).items():
-                if not m:
-                    _add(out, v, ce * t)
-                elif m in nums:
-                    _add(out, v, c * t * nums[m])
+                if m:
+                    if m not in nums:
+                        continue
+                    t = t * nums[m] if lift == 1 else t * nums[m] * lift
+                elif lift_eps != 1:
+                    t = t * lift_eps
+                acc = out.get(v)
+                if acc is None:  # c·t ≠ 0
+                    out[v] = acc = {}
+                    for b, c in col.items():
+                        acc[b] = c * t
+                    continue
+                for b, c in col.items():  # _add inlined, as in through
+                    s = acc.get(b)
+                    if s is None:
+                        acc[b] = c * t
+                    else:
+                        s += c * t
+                        if s:
+                            acc[b] = s
+                        else:
+                            del acc[b]
+                            emptied = True
+        if emptied:
+            out = {v: acc for v, acc in out.items() if acc}
         return out, den * delta ** top * eps
 
     def normal_form_word(self, w: Word) -> dict:

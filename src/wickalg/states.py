@@ -7,15 +7,15 @@ functional ω_φ a normal word a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}† evalu
 
 Inner products and Gram matrices never rewrite a product: ⟨F, G⟩ = ω_φ(F†G)
 is carried by the annihilators λ_φ(a_i†), applied to G one letter of F at a
-time along the prefix tree of F's words, and the product formula on the
-generator-only result.  Each annihilator is one contraction of the tensor's
-memo of how a_i† passes a generator word (:meth:`rewrite.Rewriter.annihilate`):
-a term c·a_v·a_m† of a_i†·a_u becomes c·φ_m·a_v, a contracted term (m = 0)
-stays c·a_v, and a term with φ_m = 0 is never formed.  The chains run on the
-rewriter's scaled terms, integer numerators over one denominator (φ lifted
-by the lcm of its denominators the same way), and only the values read turn
-back into Scalars.  :func:`coherent_functional` is Wick order, then the
-product formula.
+time along the prefixes of F's words, and the product formula on the
+generator-only result; a Gram matrix carries all its columns through one such
+chain.  Each annihilator is one contraction of the tensor's memo of how a_i†
+passes a generator word (:meth:`rewrite.Rewriter.annihilate`), read once per
+word for all columns: a term c·a_v·a_m† of a_i†·a_u becomes c·φ_m·a_v, a
+contracted term (m = 0) stays c·a_v, and a term with φ_m = 0 is never formed.
+All of it runs on integer numerators over one denominator (φ lifted by the
+lcm of its denominators), and each value read becomes one Scalar.
+:func:`coherent_functional` is Wick order, then the product formula.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix
-from .rewrite import _check_generator_words, rewriter_for, wick_order
-from .scalars import ONE, ZERO, Scalar
+from .linalg import Matrix, _dense_over
+from .rewrite import _add, _check_generator_words, rewriter_for, wick_order
+from .scalars import ONE, ZERO, Scalar, _denominator, _numerator, _over
 
 __all__ = [
     "CoherentParam",
@@ -90,35 +90,47 @@ def coherent_functional(p: Polynomial, phi: CoherentParam, T: CoeffTensor) -> Sc
     return _normal_value(wick_order(p, T), phi)
 
 
-def _prefix_tree(words) -> tuple:
-    """(links, node) for the nonempty prefixes of ``words``: node 0 is the
-    empty prefix, node i ≥ 1 is its parent node plus one letter, given as
-    links[i − 1] = (parent, letter), and node[w] is the node of prefix w."""
-    node, links = {(): 0}, []
+def _column(p: Polynomial) -> tuple:
+    """p as one scaled column: ({g: {0: numerator}}, den)."""
+    den = _denominator(p.terms.values())
+    return {g: {0: _numerator(c, den)} for g, c in p.terms.items()}, den
+
+
+def _rows(words, columns: tuple, phi: CoherentParam, rw):
+    """Yield (w, the scaled row {b: ω_φ(λ_φ(a_w†)x_b)}) once per distinct word w
+    of ``words``, for the scaled columns ``columns`` ({g: {b: c}} over one
+    denominator, x_b = Σ_g c·a_g); the caller has checked φ and the letters.
+
+    a_u† = a_{u_k}†⋯a_{u_1}†, so a prefix u is its parent plus one
+    :meth:`rewrite.Rewriter.annihilate` for all columns.  A node is expanded,
+    read (ω_φ(a_v) = Π_k conj(φ_{v_k}), on the integers) and dropped as it
+    leaves a stack that holds only the unexpanded siblings along one path."""
+    phi = nums, eps = rw.scaled({m: c for m, c in enumerate(phi.phi, 1) if c})
+    conj = {m: c.conjugate() for m, c in nums.items()}  # int or Gaussian integer
+    kids = {}  # prefix -> {next letter: None}, over the prefixes of longer words
     for w in words:
-        parent = 0
-        for k in range(1, len(w) + 1):
-            n = node.get(w[:k])
-            if n is None:
-                links.append((parent, w[k - 1]))
-                n = node[w[:k]] = len(links)
-            parent = n
-    return links, node
+        for k in range(len(w)):
+            kids.setdefault(w[:k], {})[w[k]] = None
 
+    def row(terms, den):
+        top = max(map(len, terms), default=0)
+        acc = {}
+        for v, col in terms.items():
+            if all(x in conj for x in v):
+                z = eps ** (top - len(v))
+                for x in v:
+                    z = z * conj[x]
+                for b, c in col.items():
+                    _add(acc, b, c * z)
+        return acc, den * eps ** top
 
-def _annihilator_chains(links, x: Polynomial, phi: CoherentParam, rw) -> list:
-    """The scaled terms of λ_φ(a_w†)x at every node w of the prefix tree
-    ``links`` (see :func:`_prefix_tree`), by the rewriter ``rw`` of the
-    tensor; the caller has checked φ, the letters and that x is generator-only.
-
-    a_w† = a_{w_n}†⋯a_{w_1}†, so w_1 acts first and each node is its parent
-    plus one annihilator; words that share a prefix share its chain.
-    """
-    phi = rw.scaled({m: c for m, c in enumerate(phi.phi, 1) if c})
-    chain = [rw.scaled(x.terms)]
-    for parent, letter in links:
-        chain.append(rw.annihilate(letter, chain[parent], phi))
-    return chain
+    words, stack = set(words), [((), columns)]
+    while stack:
+        u, state = stack.pop()
+        if u in words:
+            yield u, row(*state)
+        for x in kids.get(u, ()):
+            stack.append((u + (x,), rw.annihilate(x, state, phi)))
 
 
 def inner_product(
@@ -127,20 +139,16 @@ def inner_product(
     """⟨F, G⟩ = ω_φ(F†G) = Σ_w conj(f_w)·ω_φ(λ_φ(a_w†)G) for generator-only F, G."""
     _check_phi(phi, T)
     _check_generator_words([*F.terms, *G.terms], T.d)
-    rw = rewriter_for(T)
-    links, node = _prefix_tree(F.terms)
-    chain = _annihilator_chains(links, G, phi, rw)
-    prefix = {}
     total = ZERO
-    for w, c in F.terms.items():
-        value = Polynomial._of(rw.unscaled(chain[node[w]]))
-        total = total + c.conjugate() * _normal_value(value, phi, prefix)
+    for w, (row, den) in _rows(F.terms, _column(G), phi, rewriter_for(T)):
+        if row:
+            total = total + F.terms[w].conjugate() * _over(row[0], den)
     return total
 
 
 def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
-    """G[a][b] = ⟨words[a], words[b]⟩, exact: one chain of annihilators per
-    column, over the prefix tree of ``words`` built once.
+    """G[a][b] = ⟨words[a], words[b]⟩, exact: one chain of annihilators over
+    the prefixes of ``words`` carries every column at once.
 
     When the word list is all of H^{⊗n} in index order this equals the
     level-n Gram operator of tensorops.p_n (at φ = 0).
@@ -148,18 +156,15 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     _check_phi(phi, T)
     words = [tuple(w) for w in words]
     _check_generator_words(words, T.d)
-    rw = rewriter_for(T)
-    links, node = _prefix_tree(words)
-    rows = [node[w] for w in words]
+    columns = {}
+    for b, w in enumerate(words):
+        columns.setdefault(w, {})[b] = 1
     n = len(words)
-    data = [[ZERO] * n for _ in range(n)]
-    prefix = {}
-    for b, wb in enumerate(words):
-        chain = _annihilator_chains(links, Polynomial.monomial(wb), phi, rw)
-        for a, i in enumerate(rows):
-            if chain[i][0]:  # the scaled terms (terms, den) are not 0
-                value = Polynomial._of(rw.unscaled(chain[i]))
-                data[a][b] = _normal_value(value, phi, prefix)
+    data = [None] * n
+    for w, (row, den) in _rows(words, (columns, 1), phi, rewriter_for(T)):
+        dense, = _dense_over([row], n, den)
+        for a in columns[w]:
+            data[a] = dense[:]
     return Matrix._of(data, n, n)
 
 
@@ -177,4 +182,6 @@ def annihilator_apply(
         raise ValueError(f"generator index {i} out of range 1..{T.d}")
     _check_generator_words(x.terms, T.d)
     rw = rewriter_for(T)
-    return Polynomial._of(rw.unscaled(_annihilator_chains([(0, i)], x, phi, rw)[1]))
+    phi = rw.scaled({m: c for m, c in enumerate(phi.phi, 1) if c})
+    terms, den = rw.annihilate(i, _column(x), phi)
+    return Polynomial._of({v: _over(col[0], den) for v, col in terms.items()})

@@ -19,7 +19,7 @@ from wickalg import (
     rational,
     wick_order,
 )
-from wickalg.rewrite import _wick_order_strategy
+from wickalg.rewrite import Rewriter, _wick_order_strategy
 from wickalg.states import _normal_value
 
 TENSORS = sample_tensors()
@@ -242,3 +242,87 @@ def test_states_do_not_split(monkeypatch):
         assert annihilator_apply(1, g, phi, T) == _trailing_dag_to_phi(normal, phi)
     words = [index_to_word(k, 2, 2) for k in range(4)]
     assert gram_matrix(words, CoherentParam.zero(2), T).data == p_n(T, 2).data
+
+
+# Word lists with mixed lengths, a repeated word and the empty word.
+ORACLE_WORDS = {
+    2: [(), (1,), (2, 1), (1, 2, 2), (2, 1), (2,), (1, 1)],
+    3: [(), (3,), (1, 2), (2, 3, 1), (1, 2), (3, 3)],
+}
+COMPLEX_PHI = {
+    2: CoherentParam((Scalar(rational(1, 2), rational(1, 3)), Scalar(0, -1))),
+    3: CoherentParam((Scalar(0, 1), rational(-1, 2), Scalar(rational(1, 3), rational(2, 5)))),
+}
+
+
+@pytest.mark.parametrize("T", [CROSS_TENSORS[-1], make_preset("aklt", lam="3/2").tensor],
+                         ids=["q_ij_complex", "aklt"])
+@pytest.mark.parametrize("fock", [True, False], ids=["fock", "complex_phi"])
+def test_states_match_one_step_rewriter(T, fock):
+    # Every Gram entry, an inner product and the annihilators equal the
+    # one-step rewriter's value of u†·v; T is Hermitian, so the Gram matrix
+    # is Hermitian at every φ, complex ones included.
+    words = ORACLE_WORDS[T.d]
+    phi = CoherentParam.zero(T.d) if fock else COMPLEX_PHI[T.d]
+
+    def ref(p):
+        return _normal_value(_wick_order_strategy(p, T, "leftmost"), phi)
+
+    gram = gram_matrix(words, phi, T)
+    mono = [Polynomial.monomial(w) for w in words]
+    for a, u in enumerate(mono):
+        for b, v in enumerate(mono):
+            assert gram.data[a][b] == ref(u.adjoint() * v), (words[a], words[b])
+            assert gram.data[b][a] == gram.data[a][b].conjugate()
+    coeffs = [Scalar(rational(1, 2), 1), Scalar(-2), Scalar(0, rational(1, 3))]
+    F = mono[1] * Polynomial.monomial((), coeffs[0]) + mono[2] * Polynomial.monomial((), coeffs[1])
+    G = mono[0] * Polynomial.monomial((), coeffs[2]) + mono[3] + mono[5] * Polynomial.monomial((), coeffs[1])
+    assert inner_product(F, G, phi, T) == ref(F.adjoint() * G)
+    for i in range(1, T.d + 1):
+        normal = _wick_order_strategy(Polynomial.adjoint_generator(i) * G, T, "leftmost")
+        assert annihilator_apply(i, G, phi, T) == _trailing_dag_to_phi(normal, phi)
+
+
+def test_states_reject_bad_input():
+    T = CROSS_TENSORS[-1]
+    fock, wrong_length = CoherentParam.zero(2), CoherentParam.zero(3)
+    a1 = Polynomial.generator(1)
+    for bad in (Polynomial.monomial((-1,)), Polynomial.monomial((2, -1)),  # dagger letters
+                Polynomial.monomial((3,)), Polynomial.monomial((1, 0))):  # out of range
+        for call in (lambda: inner_product(bad, a1, fock, T),
+                     lambda: inner_product(a1, bad, fock, T),
+                     lambda: annihilator_apply(1, bad, fock, T)):
+            with pytest.raises(ValueError):
+                call()
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            annihilator_apply(i, a1, fock, T)
+    for call in (lambda: inner_product(a1, a1, wrong_length, T),
+                 lambda: annihilator_apply(1, a1, wrong_length, T),
+                 lambda: gram_matrix([(1,)], wrong_length, T)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_one_annihilator_per_prefix(monkeypatch):
+    # gram_matrix carries every column through one chain: one
+    # Rewriter.annihilate call per distinct nonempty prefix of its words
+    # (3 + 9 + 27 = 39 for all 3³ words), however many columns it has.
+    T = make_preset("twisted_ccr", 3, mu="1/3").tensor
+    real, calls = Rewriter.annihilate, []
+
+    def counting(self, k, scaled, phi):
+        calls.append(k)
+        return real(self, k, scaled, phi)
+
+    monkeypatch.setattr(Rewriter, "annihilate", counting)
+    words = [index_to_word(i, 3, 3) for i in range(27)]
+    for ws in (words, words + words[::-1], words + [(), (2,), (3, 1)]):
+        calls.clear()
+        gram = gram_matrix(ws, CoherentParam.zero(3), T)
+        assert len(calls) == 39, len(ws)
+        assert [row[:27] for row in gram.data[:27]] == p_n(T, 3).data
+    calls.clear()
+    f = Polynomial.monomial((1, 2)) + Polynomial.monomial((1, 3)) + Polynomial.monomial((2,))
+    inner_product(f, Polynomial.monomial((3, 2, 1)), COMPLEX_PHI[3], T)
+    assert len(calls) == 4  # (1,), (1, 2), (1, 3), (2,)
