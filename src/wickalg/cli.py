@@ -16,7 +16,7 @@ from typing import NoReturn
 from .algebra import Polynomial, RelationSystem, hermiticity_check, word_str
 from .braid import _check_permutation_cap, p_n_by_permutations
 from .catalog import make_preset, preset_names
-from .diffcalc import form_levels, wick_diff_star_algebra_exists
+from .diffcalc import _form_kernels, wick_diff_star_algebra_exists
 from .exprparse import parse_expression, print_polynomial
 from .ideals import (
     minus_one_eigenprojection,
@@ -206,7 +206,7 @@ def _cmd_ideal_check(args, rs: RelationSystem) -> tuple:
 
 def _cmd_forms(args, rs: RelationSystem) -> tuple:
     report = Report(tool="forms")
-    dims = [B.cols for B in form_levels(rs.tensor, args.nmax, cap=args.cap)]
+    dims = [k for k, _, _ in _form_kernels(rs.tensor, args.nmax, args.cap)]
     # the braid check may refuse H^{⊗3}: decided before any line is printed
     rec = wick_diff_star_algebra_exists(rs.tensor) if hermiticity_check(rs.tensor) else None
     for p, dim in enumerate(dims):

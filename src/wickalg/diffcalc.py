@@ -7,7 +7,7 @@ from .algebra import CoeffTensor, Polynomial
 from .linalg import Matrix, _dense_over, _kernel, _sparse_product
 from .rewrite import _check_generator_words, rewriter_for
 from .scalars import _content, _over, _quotient
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, _slot_rows, _t_rows, braid_check, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _t_rows, braid_check, t_matrix
 
 __all__ = [
     "d_and_twist",
@@ -50,27 +50,45 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
     return {"D": D, "Theta": Theta}
 
 
-def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
-    """Yield exact bases (as columns) of the constant-coefficient form spaces Ω^0, …, Ω^{p_max},
-    Ω^p = ∩_{r=1}^{p−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(p−r−1)}, by B_m = (I ⊗ B_{m−1})·
-    ker(embed(I+T, 1, m)·(I ⊗ B_{m−1})) on integer rows over den_m (a row of I ⊗ B_{m−1} is a
-    shifted row of B_{m−1}, the embed the ``_slot_rows`` of δ(I+T) from ``_t_rows``, and B_m and
-    den_m = den_{m−1}·``linalg._kernel``'s den over their gcd), each yielded by ``_dense_over``.
-    Levels after an empty one are empty and build nothing.  Refused first: p_max < 0, d^p_max > ``cap``."""
+def _form_kernels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield (k_m, the rows of C_m, den) for m = 0, …, p_max, where B_m = (I_d ⊗ B_{m−1})·C_m is a
+    basis of Ω^m = ∩_{r=1}^{m−1} H^{⊗(r−1)} ⊗ ker(I+T) ⊗ H^{⊗(m−r−1)}, B_0 = 1, C_1 = I_d.  As
+    (I+T)₁₂ commutes past I ⊗ I ⊗ B_{m−2}, whose columns are independent, C_m = ker(((I+T) ⊗ I_{k_{m−2}})·
+    (I_d ⊗ C_{m−1})): ``linalg._kernel`` of d²·k_{m−2} integer rows, its den the den of C_m, and no row
+    of H^{⊗m} is made.  Levels after an empty one take no kernel.  Refused first: p_max < 0, d^p_max > ``cap``."""
     d = T.d
     if p_max < 0:
         raise ValueError("p must be >= 0")
     _check_cap(d, max(p_max, 1), cap)
     tn, delta = _t_rows(T)
     it = [{**row, r: row.get(r, 0) + delta} for r, row in enumerate(tn)]  # a 0 drops out of the products
-    B, den, k = [{0: 1}], 1, 1  # the rows of B_m over den and its column count
+    C, den, lo, k = [{0: 1}], 1, 1, 1  # the rows of C_m over den, k_{m−1} and k_m
     for m in range(p_max + 1):
-        if m:  # the columns of I ⊗ B_{m−1} span H ⊗ Ω^{m−1}
-            B = [{c + b * k: x for c, x in row.items()} for b in range(d) for row in B]
-            k *= d
-        if m > 1 and k:
-            K, kden, k = _kernel(_sparse_product(_slot_rows(it, 1, m), B), k)
-            B, den = _sparse_product(B, K), den * kden
+        if m == 1:
+            C, k = [{b: 1} for b in range(d)], d
+        elif m > 1 and k:  # the rows of (I+T) ⊗ I_{k_{m−2}} and of I_d ⊗ C_{m−1}
+            x = [{c * lo + j: v for c, v in row.items()} for row in it for j in range(lo)]
+            shifted = [{c + b * k: v for c, v in row.items()} for b in range(d) for row in C]
+            lo, (C, den, k) = k, _kernel(_sparse_product(x, shifted), d * k)
+        elif m > 1:
+            C = []
+        yield k, C, den
+
+
+def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
+    """Yield exact bases (as columns) of the constant-coefficient form spaces Ω^0, …, Ω^{p_max}:
+    B_m = (I ⊗ B_{m−1})·C_m on integer rows over den_m, C_m from :func:`_form_kernels` (a row of
+    I ⊗ B_{m−1} is a shifted row of B_{m−1}), B_m and den_m = den_{m−1}·den over their gcd, each
+    yielded by ``_dense_over``.  Refused as :func:`_form_kernels` is, before anything is built."""
+    d = T.d
+    B, den = [{0: 1}], 1  # the rows of B_m over den
+    for m, (k, C, cden) in enumerate(_form_kernels(T, p_max, cap)):
+        if not k:
+            B, den = [{}] * d**m, 1
+        elif m:
+            kk = len(C) // d  # C_m has d·k_{m−1} rows
+            B = [{c + b * kk: x for c, x in row.items()} for b in range(d) for row in B]
+            B, den = _sparse_product(B, C), den * cden
             g = _content(den, [x for row in B for x in row.values()])  # B_m and den_m over their gcd
             B, den = [{c: _quotient(x, g) for c, x in row.items()} for row in B], den // g
         yield Matrix._of(_dense_over(B, k, den), d**m, k)
@@ -84,8 +102,9 @@ def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matr
 
 
 def form_space_dim(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> int:
-    """dim Ω^p_0 (1 for p=0, d for p=1, exact kernel intersection beyond)."""
-    return form_space_basis(T, p, cap).cols
+    """dim Ω^p_0 (1 for p=0, d for p=1, exact kernel intersection beyond): k_p of
+    :func:`_form_kernels`, with no basis built."""
+    return [k for k, _, _ in _form_kernels(T, p, cap)][-1]
 
 
 def wick_diff_star_algebra_exists(T: CoeffTensor) -> dict:

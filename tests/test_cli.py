@@ -138,6 +138,28 @@ def test_forms(capsys):
     assert dims == ["1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("argv, dims, star", [
+    (["--preset", "twisted_car", "--param", "d=3", "--param", "mu=2/5"],
+     [1, 3, 6, 10, 15, 21, 28, 36], (True, True, True)),
+    (["--preset", "aklt", "--param", "lam=2"], [1, 3, 4, 4, 4, 4, 4, 4], (False, True, False)),
+])
+def test_forms_output_is_pinned(tmp_path, capsys, argv, dims, star):
+    # stdout and the JSON report, byte for byte, as the build of every basis on H^{⊗p} printed them
+    report = tmp_path / "forms.json"
+    code, out = run(capsys, "forms", *argv, "--nmax", "7", "--json", str(report))
+    exists, invertible, braided = star
+    assert code == 0
+    assert out == "".join(f"dim of constant-coefficient {p}-forms: {k}\n" for p, k in enumerate(dims)) + (
+        f"differential *-algebra exists: {exists} (invertible={invertible}, braid={braided})\n")
+    params = dict(x.split("=") for x in argv[3::2] if not x.startswith("d="))
+    relation = {"name": argv[1], "d": 3, "params": params}
+    checks = [{"name": "form_dims", "dims": dims},
+              {"name": "star_algebra", "exists": exists, "invertible": invertible, "braid": braided}]
+    assert report.read_text() == json.dumps({"schema_version": 1, "tool_version": "0.1.0", "tool": "forms",
+                                             "relation": relation, "checks": checks, "timing": {}},
+                                            indent=2) + "\n"
+
+
 def test_kms(capsys):
     code, out = run(capsys, "kms", "--preset", "twisted_car", "--param", "d=2",
                     "--param", "mu=1/2", "--lam", "1/3", "--nmax", "3",
@@ -307,7 +329,7 @@ def test_over_cap_systems_refused_before_building(capsys, monkeypatch, argv):
         return call
 
     slot_rows = guarded(tensorops._slot_rows, lambda X, slot, n: isqrt(X.rows) ** n)
-    for module in (tensorops, braid, diffcalc, ideals):
+    for module in (tensorops, braid, ideals):
         monkeypatch.setattr(module, "_slot_rows", slot_rows)
     monkeypatch.setattr(tensorops, "identity", guarded(tensorops.identity, lambda n: n))
     monkeypatch.setattr(kms.KmsEvaluator, "_bidegree_words", guarded(

@@ -178,7 +178,8 @@ def test_form_levels_match_the_dense_kron_build(T):
 
 def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
     # twisted_ccr at d=3 has dims 1, 3, 3, 1, 0, 0: levels 2, 3 and 4 take one
-    # set of slot rows and one kernel each, and the empty level 5 takes neither.
+    # system product and one kernel each, and the empty level 5 takes neither.
+    # form_levels adds one basis product at each nonempty level from 1 on.
     calls = Counter()
 
     def counted(name, fn):
@@ -187,11 +188,53 @@ def test_form_levels_stop_building_past_an_empty_level(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(diffcalc, "_slot_rows", counted("slot_rows", diffcalc._slot_rows))
+    monkeypatch.setattr(diffcalc, "_sparse_product", counted("sparse_product", diffcalc._sparse_product))
     monkeypatch.setattr(diffcalc, "_kernel", counted("kernel", diffcalc._kernel))
     T = make_preset("twisted_ccr", 3, mu="1/3").tensor
+    assert [k for k, _, _ in diffcalc._form_kernels(T, 5)] == [1, 3, 3, 1, 0, 0]
+    assert calls == {"sparse_product": 3, "kernel": 3}
+    calls.clear()
     assert [B.cols for B in form_levels(T, 5)] == [1, 3, 3, 1, 0, 0]
-    assert calls == {"slot_rows": 3, "kernel": 3}
+    assert calls == {"sparse_product": 6, "kernel": 3}
+
+
+def _dims_agree(T, p_max, cap):
+    dims = [B.cols for B in form_levels(T, p_max, cap)]
+    assert [k for k, _, _ in diffcalc._form_kernels(T, p_max, cap)] == dims
+    assert [form_space_dim(T, p, cap) for p in range(p_max + 1)] == dims
+
+
+@pytest.mark.parametrize("T, dims", FORM_LAWS)
+def test_form_dims_equal_the_basis_column_counts(T, dims):
+    _dims_agree(T, 8, T.d**8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=tensors())
+def test_form_dims_equal_the_basis_column_counts_on_any_tensor(T):
+    _dims_agree(T, {1: 8, 2: 8, 3: 7}[T.d], 4096)  # 3^8 is past the default cap
+
+
+@pytest.mark.parametrize("T, p", [(make_preset("twisted_car", 3, mu="10/13").tensor, 7),
+                                  (FORM_LAWS[-1][0], 11)])
+def test_form_dims_solve_systems_of_d2_k_rows(monkeypatch, T, p):
+    # The dims path makes no row of H^{⊗m}: every product and kernel it asks for
+    # has at most d²·max k_m rows, 324 against 3^7 rows for twisted_car and 48
+    # against 2^11 for the |q12| = 1 law.
+    k_max = max(k for k, _, _ in diffcalc._form_kernels(T, p))
+    lengths = []
+
+    def spy(fn):
+        def wrapper(*args):
+            lengths.extend(len(x) for x in args if type(x) is list)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(diffcalc, "_sparse_product", spy(diffcalc._sparse_product))
+    monkeypatch.setattr(diffcalc, "_kernel", spy(diffcalc._kernel))
+    form_space_dim(T, p)
+    assert len(lengths) == 3 * (p - 1)  # two products' inputs and one kernel per level from 2 on
+    assert max(lengths) <= T.d**2 * k_max < T.d**p
 
 
 @pytest.mark.parametrize("T, p_max", [(make_preset("twisted_car", 3, mu="10/13").tensor, 5),
@@ -217,13 +260,16 @@ def test_form_levels_refused_before_anything_is_built(monkeypatch):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(diffcalc, "_t_rows", fail)
-    monkeypatch.setattr(diffcalc, "_slot_rows", fail)
+    monkeypatch.setattr(diffcalc, "_sparse_product", fail)
+    monkeypatch.setattr(diffcalc, "_kernel", fail)
     with pytest.raises(ValueError, match=">= 0"):
         next(form_levels(QCCR, -1))
     with pytest.raises(DimensionCapExceeded):
         next(form_levels(QCCR, 13))  # 2^13 > the default cap 4096
     with pytest.raises(DimensionCapExceeded):
         next(form_levels(QCCR, 4, cap=8))
+    with pytest.raises(DimensionCapExceeded):
+        form_space_dim(QCCR, 13)
 
 
 def test_star_algebra_existence():
