@@ -2,12 +2,13 @@
 the inductive per-bidegree evaluator.
 
 A normal word of bidegree (n, m) is a_{i₁}…a_{i_n} a_{j₁}†…a_{j_m}†.  The
-KMS exchange moves the n generator letters past the trace, giving
-κ_λ(X) = λⁿ·κ_λ(X̃) with X̃ the exchanged word; Wick ordering X̃ and
-splitting off lower bidegrees yields one exact linear system per bidegree.
-The (n, m) system has d^(n+m) unknowns, so it is refused, before it or any
-lower bidegree is built, when d^(n+m) exceeds the same dense cap that bounds
-the level Gram operators.
+KMS exchange moves one generator letter past the trace,
+κ_λ(a_i·a_{I'}a_J†) = λ·κ_λ(a_{I'}·a_J†a_i); Wick ordering a_J†·a_i gives
+(n, m) words a_{I'}a_l a_h†, the matrix Φ, and (n−1, m−1) words, whose values
+are known, the vector b, so each bidegree is one exact system
+(I − λΦ)x = λb.  The (n, m) system has d^(n+m) unknowns, so it is refused,
+before it or any lower bidegree is built, when d^(n+m) exceeds the same
+dense cap that bounds the level Gram operators.
 """
 
 from __future__ import annotations
@@ -57,12 +58,17 @@ def kms_series(T: CoeffTensor, lam, n_max: int, cap: int = DEFAULT_DIM_CAP) -> d
     return {"ranks": ranks, "partial_sums": partial_sums}
 
 
-def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
+def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list, tree: dict | None = None):
     """Yield (J, normal form of a_J†·a_gen as scaled terms ({(g, h): c}, den)) for the
     adjoint words J of ``dags`` in order, from one tree of ``Rewriter.dagger`` steps keyed
-    by the suffixes of J; the term budget is counted per word along its path."""
+    by the suffixes of J; the term budget is counted per word along its path.  ``tree``
+    (suffix -> (scaled terms, work on its path)), kept by the caller for one ``gen``, is
+    extended in place, so a later call starts from the suffixes already there."""
     rw = rewriter_for(T)
-    tree = {(): (rw.scaled({(gen, ()): ONE}), 0)}  # suffix of J -> (scaled terms, work on its path)
+    if tree is None:
+        tree = {}
+    if not tree:
+        tree[()] = rw.scaled({(gen, ()): ONE}), 0
     for J in dags:
         for s in range(len(J) - 1, -1, -1):
             if J[s:] not in tree:
@@ -77,11 +83,14 @@ def _exchanged_forms(T: CoeffTensor, gen: tuple, dags: list):
 
 class KmsEvaluator:
     """Evaluates the gauge-KMS functional κ_λ (λ ≥ 0) on Wick-ordered polynomials,
-    solving each bidegree block (I − λⁿA)x = λⁿb once by ``linalg._solve`` on integer rows:
-    row a_I·a_J† is a_J†·a_I from the :func:`_exchanged_forms` of I, terms c over den, its
-    (n, m) words in A and lower ones in b.  With λⁿ = p/q the row is q·den·(I − λⁿA), and a
-    nonzero b of denominator e scales it by e, with p·e·b in the augment column.  Past
-    ``cap``, d^(n+m) is refused before anything is built."""
+    solving each bidegree block (I − λΦ)x = λb once by ``linalg._solve`` on integer rows.
+    Row a_i a_{I'} a_J† is a_J†·a_i, terms c over den, from the :func:`_exchanged_forms`
+    tree of the letter i, which the evaluator keeps for every bidegree: its terms a_l a_h†
+    put −c at the word a_{I'}a_l a_h† of Φ, its contracted terms a_h† put c·κ(a_{I'}a_h†)
+    in b.  With λ = p/q the row is q·den·(I − λΦ), and a nonzero b of denominator e scales
+    it by e, with p·e·b in the augment column.  At n = 0 no letter moves, so every row of
+    the identity exchange is empty.  Past ``cap``, d^(n+m) is refused before anything is
+    built."""
 
     def __init__(self, T: CoeffTensor, lam, cap: int = DEFAULT_DIM_CAP):
         self.T = T
@@ -89,11 +98,20 @@ class KmsEvaluator:
         self.lam = _fugacity(lam)
         self.known: dict = {(): ONE}
         self._solved = {(0, 0)}
+        self._trees: dict = {}  # letter i -> the _exchanged_forms tree of a_J†·a_i
 
     # -- internals -------------------------------------------------------------
     def _bidegree_words(self, n: int, m: int) -> list:
         r = range(1, self.T.d + 1)
         return [g + tuple(-j for j in h) for g in product(r, repeat=n) for h in product(r, repeat=m)]
+
+    def _forms(self, i: int, dags: list) -> dict:
+        """The tree of letter i, holding a_J†·a_i for every J of ``dags``: each J asked
+        of :func:`_exchanged_forms` once, and only if no bidegree has built it yet."""
+        tree = self._trees.setdefault(i, {})
+        for _ in _exchanged_forms(self.T, (i,), [J for J in dags if J not in tree], tree):
+            pass
+        return tree
 
     def _ensure(self, n: int, m: int) -> None:
         if (n, m) in self._solved:
@@ -102,21 +120,25 @@ class KmsEvaluator:
         if n > 0 and m > 0:
             self._ensure(n - 1, m - 1)
         words = self._bidegree_words(n, m)
-        idx = {w: a for a, w in enumerate(words)}
-        size, dm, lam_n = len(words), self.T.d**m, (self.lam ** n).re
-        p, q, rows = lam_n._numerator, lam_n._denominator, []  # augment column ``size``
-        for gen in (w[:n] for w in words[::dm]):
-            for J, (terms, den) in _exchanged_forms(self.T, gen, [w[n:] for w in words[:dm]]):
-                row, b = {len(rows): q * den}, ZERO
-                for (g, h), c in terms.items() if p else ():  # λⁿ = 0: the diagonal alone
-                    if len(g) == n and len(h) == m:
-                        _add(row, idx[g + h], -p * c)
+        size = len(words)  # the augment column
+        rows = [{} for _ in words]  # n = 0: κ(a_J†) = κ(a_J†)
+        if n:
+            idx = {w: a for a, w in enumerate(words)}
+            dags = [w[n:] for w in words[:self.T.d**m]]
+            trees = {i: self._forms(i, dags) for i in range(1, self.T.d + 1)}
+            p, q = self.lam.re._numerator, self.lam.re._denominator
+            for a, w in enumerate(words):
+                (terms, den), head = trees[w[0]][w[n:]][0], w[1:n]
+                row, b = {a: q * den}, ZERO
+                for (g, h), c in terms.items() if p else ():  # λ = 0: the diagonal alone
+                    if g:
+                        _add(row, idx[head + g + h], -p * c)
                     else:
-                        b = b + c * self.known[g + h]
+                        b = b + c * self.known[head + h]
                 if b:  # e·row, with p·e·b in the augment column
                     e = _denominator((b,))
                     row = {**{col: e * x for col, x in row.items()}, size: p * _numerator(b, e)}
-                rows.append(row)
+                rows[a] = row
         sol = _solve(rows, size)
         if sol is None:
             raise KmsNonUniquenessError(f"bidegree ({n},{m}) system is singular at lambda="

@@ -20,7 +20,7 @@ loads it.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
@@ -184,12 +184,34 @@ def _kernel(rows: list, cols: int):
 
 
 def _solve(rows: list, cols: int):
-    """The unique x with A x = b, x_c = rhs/piv of row c of :func:`_reduced` on the integer
-    rows (consumed) of [A | b], b in column ``cols``; None if no x or more than one."""
-    a, pivots = _reduced(rows, cols)
+    """The unique x with A x = b, from the integer rows (consumed) of [A | b], b in column
+    ``cols``; None if no x or more than one.  Row r of a full-rank :func:`_echelon` has its
+    pivot in column r, so back substitution, last row first, reads x = X/D on numerators X
+    over one int D: with 1/piv = m/s (:func:`_reciprocal`), x_r = (rhs·D − Σ_{c>r} a_rc·X_c)·m
+    over D·s, and D grows to its lcm with that denominator, the X_c scaled with it."""
+    a, pivots = _echelon(rows, cols)
     if len(pivots) != cols or any(a[cols:]):
         return None
-    return [_entry(row[cols], row[c]) if cols in row else ZERO for c, row in enumerate(a[:cols])]
+    xs, den = [0] * cols, 1
+    for r in range(cols - 1, -1, -1):
+        row = a[r]
+        t = row.get(cols, 0) * den
+        for c, v in row.items():
+            if r < c < cols and xs[c]:
+                t -= v * xs[c]
+        if not t:
+            continue
+        m, s = _reciprocal(row[r])
+        t, s = t * m, s * den
+        g = _content(s, (t,))
+        if g > 1:
+            t, s = _quotient(t, g), s // g
+        f = s // gcd(den, s)
+        if f > 1:
+            xs = [x * f if x else 0 for x in xs]
+            den *= f
+        xs[r] = t * (den // s)
+    return [_over(x, den) if x else ZERO for x in xs]
 
 
 def _psd_rank(u: list, dens: list) -> tuple:

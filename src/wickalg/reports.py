@@ -150,9 +150,9 @@ def _field(obj: dict, key: str, kind: type, default):
 
 
 def save_relations(rs: RelationSystem, path) -> None:
+    text = json.dumps(relations_to_json(rs), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(relations_to_json(rs), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_relations(path, warn=None) -> RelationSystem:
@@ -161,9 +161,9 @@ def load_relations(path, warn=None) -> RelationSystem:
 
 
 def save_report(report: Report, path) -> None:
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_report(path) -> Report:

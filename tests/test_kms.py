@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -172,16 +173,17 @@ def test_bidegree_cap():
 
 def test_bidegree_system_refused_before_anything_is_built(monkeypatch):
     # The (n, m) system has d^(n+m) unknowns: (5,5) at d = 2 has 2^10 = 1024,
-    # one past cap 1023, and neither it nor a lower bidegree is built.
+    # one past cap 1023, and neither it, a lower bidegree nor a tree is built.
     def built(*args, **kwargs):
         raise AssertionError("built before the d^(n+m) cap check")
 
     monkeypatch.setattr(kms, "_solve", built)
+    monkeypatch.setattr(kms, "_exchanged_forms", built)
     monkeypatch.setattr(KmsEvaluator, "_bidegree_words", built)
     ev = KmsEvaluator(TCAR, LAM, cap=1023)
     with pytest.raises(DimensionCapExceeded, match="1024"):
         ev.evaluate(Polynomial.monomial((1,) * 5 + (-1,) * 5))
-    assert ev._solved == {(0, 0)}
+    assert ev._solved == {(0, 0)} and ev._trees == {}
     monkeypatch.undo()
     X = Polynomial.monomial((1, 2, -2, -1))  # (2,2): 2^4 = 16 unknowns
     with pytest.raises(DimensionCapExceeded, match="16"):
@@ -214,17 +216,21 @@ SYSTEMS = [make_preset("qccr", 2, q="1/2").tensor, make_preset("twisted_ccr", 2,
            TCAR, QIJ]
 
 
-@pytest.mark.parametrize("T", SYSTEMS)
+AKLT = make_preset("aklt", None, lam="4/3").tensor
+
+
+@pytest.mark.parametrize("T", SYSTEMS + [AKLT, QCCR3])
 @pytest.mark.parametrize("lam", [LAM, Scalar(rational(3, 2)), Scalar(1), Scalar(2)])
 def test_bidegree_values_match_the_dense_evaluator(T, lam):
-    # Every (n, m) block up to (3,3) solves to exactly the values of the dense
-    # build (identity matrix, one wick_order per exchanged word, Matrix.solve),
-    # or both refuse it with the same message: λ = 1/q = 2 makes the (1,1)
-    # block of qccr q=1/2 singular, and λ = 1 every unbalanced block.
+    # Every (n, m) block up to (3,3), (2,2) for aklt, solves to exactly the values
+    # of the dense build (identity matrix, one wick_order per n-letter exchanged word
+    # a_J†·a_I, Matrix.solve), or both refuse it with the same message: λ = 1/q = 2
+    # makes the (1,1) block of qccr q=1/2 singular, and λ = 1 every unbalanced block.
     ev, ref = KmsEvaluator(T, lam), DenseKmsEvaluator(T, lam)
+    top = 3 if T is not AKLT else 2
     singular = set()
-    for n in range(4):
-        for m in range(4) if lam == 1 else [n]:
+    for n in range(top + 1):
+        for m in range(top + 1) if lam == 1 else [n]:
             try:
                 ref._ensure(n, m)
             except KmsNonUniquenessError as exc:
@@ -236,6 +242,59 @@ def test_bidegree_values_match_the_dense_evaluator(T, lam):
     assert ev.known == ref.known and ev._solved == ref._solved
     if T is SYSTEMS[0] and lam == 2:
         assert (1, 1) in singular
+
+
+def _phi(T, n: int, m: int):
+    """Φ of the (n, m) block as a float matrix: row a_i a_{I'} a_J† holds the (n, m)
+    words of a_{I'}·a_J†a_i, each normal-ordered by wick_order."""
+    words = KmsEvaluator(T, LAM)._bidegree_words(n, m)
+    idx = {w: a for a, w in enumerate(words)}
+    phi = np.zeros((len(words), len(words)), dtype=complex)
+    for a, w in enumerate(words):
+        nf = wick_order(Polynomial.monomial(w[1:] + w[:1]), T)
+        for v, c in nf.terms.items():
+            if len(v) == n + m:
+                phi[a, idx[v]] += c.to_complex()
+    return phi
+
+
+@pytest.mark.parametrize("family, params, lam", [("qccr", {"q": "-1/2"}, 4),
+                                                  ("twisted_car", {"mu": "1/2"}, 2)])
+def test_negative_eigenvalue_of_phi_refused_as_before(family, params, lam):
+    # λΦ has the eigenvalue −1 at (2,2), which alone makes the n-letter system
+    # I − λ²Φ² singular; it has +1 as well, so the one-letter system I − λΦ refuses
+    # (2,2) too, with the same message.
+    T = make_preset(family, 2, **params).tensor
+    spectrum = np.linalg.eigvals(lam * _phi(T, 2, 2))
+    assert min(abs(spectrum + 1)) < 1e-9 and min(abs(spectrum - 1)) < 1e-9
+    ev, ref = KmsEvaluator(T, Scalar(lam)), DenseKmsEvaluator(T, Scalar(lam))
+    message = f"bidegree (2,2) system is singular at lambda={lam}"
+    for evaluator in (ref, ev):
+        with pytest.raises(KmsNonUniquenessError, match=re.escape(message)):
+            evaluator._ensure(2, 2)
+    assert ev.known == ref.known
+
+
+@pytest.mark.parametrize("lam", [LAM, Scalar(1)])
+def test_one_tree_per_letter_shared_by_every_bidegree(monkeypatch, lam):
+    # _exchanged_forms is asked only for one-letter words a_i, and for each letter
+    # at most once per adjoint word J over all bidegrees up to (3,3).
+    asked = []
+
+    def recording(T, gen, dags, tree=None):
+        asked.extend((gen, J) for J in dags)
+        return exchanged(T, gen, dags, tree)
+
+    exchanged = kms._exchanged_forms
+    monkeypatch.setattr(kms, "_exchanged_forms", recording)
+    ev = KmsEvaluator(SYSTEMS[1], lam)
+    for n, m in [(3, 3)] if lam != 1 else product(range(4), repeat=2):
+        try:
+            ev._ensure(n, m)
+        except KmsNonUniquenessError:
+            continue
+    assert (3, 3) in ev._solved and all(len(gen) == 1 for gen, _ in asked)
+    assert len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("T", SYSTEMS + [QCCR3])

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -592,6 +593,59 @@ def test_exact_queries_match_fraction_gauss_jordan_over_coprime_denominators():
     assert seen == {(key, value) for key in ("complex", "zero row", "rank deficient", "inverse",
                                              "2^61 - 1") for value in (True, False)} | {
         ("solve", kind) for kind in ("unique", "underdetermined", "inconsistent")}
+
+
+def _integer_system(rng, gaussian, kind):
+    """(the integer rows of [L·A | b], b in column ``cols``, cols): A of 1–9 columns
+    and up to two more rows, a quarter or 0.6 of its entries nonzero, ints or Gaussian
+    integers in −9…9, and b = A·x0 for an integer x0, so that x0/L, each entry over a
+    denominator among 1, 2, 3, 5, 7 of lcm L, solves it.  ``kind`` "singular" replaces a
+    row of a square A by a combination of two others, with b consistent;
+    "inconsistent" does the same with b moved off that combination."""
+    cols = rng.randint(1, 9)
+    rows = cols if kind != "nonsingular" else cols + rng.randint(0, 2)
+
+    def entry():
+        re, im = rng.randint(-9, 9), rng.randint(-9, 9) if gaussian else 0
+        return Scalar(re, im) if im else re
+
+    density = rng.choice((0.25, 0.6))
+    a = [[entry() if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    dens = [rng.choice((1, 2, 3, 5, 7)) for _ in range(cols)]
+    L = lcm(*dens)
+    x0 = [entry() * (L // den) for den in dens]
+    b = [sum((x * y for x, y in zip(row, x0)), 0) for row in a]
+    a = [[x * L for x in row] for row in a]
+    if kind != "nonsingular" and rows >= 3:
+        i, j, k = rng.sample(range(rows), 3)
+        s, t = entry() or 1, entry() or 1
+        a[k] = [s * x + t * y for x, y in zip(a[i], a[j])]
+        b[k] = s * b[i] + t * b[j] + (1 if kind == "inconsistent" else 0)
+    elif kind != "nonsingular":
+        a[-1] = [0] * cols
+        b[-1] = 1 if kind == "inconsistent" else 0
+    return [{c: x for c, x in enumerate(row + [y]) if x} for row, y in zip(a, b)], cols
+
+
+def test_solve_matches_fraction_gauss_jordan_on_integer_rows():
+    # _solve (forward echelon, then back substitution over one denominator) gives the
+    # unique x of _ref_rref, or None for a singular or an inconsistent system, on int
+    # and Gaussian-integer rows.
+    rng = random.Random(20261020)
+    seen = set()
+    for trial in range(300):
+        gaussian = trial % 2 == 1
+        kind = ("nonsingular", "singular", "inconsistent")[trial // 2 % 3]
+        rows, cols = _integer_system(rng, gaussian, kind)
+        a = [[_pair(Scalar.coerce(row.get(c, 0))) for c in range(cols)] for row in rows]
+        _, pivots, aug = _ref_rref(a, cols, [[_pair(Scalar.coerce(row.get(cols, 0)))] for row in rows])
+        unique = len(pivots) == cols and all(row[0] == _Z for row in aug[cols:])
+        got = linalg._solve([dict(row) for row in rows], cols)
+        assert (None if got is None else [_pair(x) for x in got]) == (
+            [row[0] for row in aug[:cols]] if unique else None), trial
+        seen.add((gaussian, kind, unique))
+    assert {(g, "nonsingular", True) for g in (False, True)} <= seen
+    assert {(g, kind, False) for g in (False, True) for kind in ("singular", "inconsistent")} <= seen
 
 
 def test_up_to_scale_eliminations_put_each_row_over_its_own_denominator(monkeypatch):

@@ -1,5 +1,6 @@
 """JSON serialization of scalars, relation systems, and reports."""
 
+import io
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_catalog import REPRESENTATIVES
+from wickalg import cli, reports
 from wickalg import (
     Report,
     Scalar,
@@ -148,6 +150,43 @@ def test_report_round_trip(tmp_path):
     assert got.relation == rep.relation
     assert got.timing == {"seconds": 0.25}
     assert got.schema_version == SCHEMA_VERSION
+
+
+def _dumped(obj) -> bytes:
+    """The bytes of ``json.dump(obj, fh, indent=2)`` then a newline, the streamed writer."""
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2)
+    return (buf.getvalue() + "\n").encode("utf-8")
+
+
+def test_reports_and_relations_written_in_one_write(tmp_path, monkeypatch):
+    # A kms report, a positivity report and a relations file each reach the file in
+    # one write, with the bytes the streamed json.dump wrote.
+    writes = []
+
+    class Counting(io.TextIOWrapper):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    def counting_open(path, mode="r", **kwargs):
+        return Counting(io.FileIO(path, mode), **kwargs)
+
+    monkeypatch.setattr(reports, "open", counting_open, raising=False)
+    qccr = ["--preset", "qccr", "--param", "d=2", "--param", "q=1/2"]
+    for argv in (["kms", *qccr, "--lam", "1/3", "--nmax", "2", "a1 a2 a2* a1*"],
+                 ["positivity", *qccr, "--nmax", "3"]):
+        path = tmp_path / f"{argv[0]}.json"
+        writes.clear()
+        assert cli.main([*argv, "--json", str(path)]) == 0
+        assert len(writes) == 1
+        assert path.read_bytes() == _dumped(load_report(path).to_json_dict())
+    rs = make_preset("q_ij", 2, q11="1/3", q22="1/4", q12="1/2", q12_im="1/2",
+                     q21="1/2", q21_im="-1/2")
+    writes.clear()
+    save_relations(rs, tmp_path / "rel.json")
+    assert len(writes) == 1
+    assert (tmp_path / "rel.json").read_bytes() == _dumped(relations_to_json(rs))
 
 
 # JSON-like values: leaves of every JSON type plus strings the loader parses,
