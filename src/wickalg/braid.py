@@ -66,12 +66,12 @@ def inverse(perm) -> tuple:
 # -- T(π) and the permutation sum ---------------------------------------------
 
 
-def t_of_permutation(
-    T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP
-) -> Matrix:
-    """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π, as (δT)_{i₁}⋯(δT)_{i_k} over δ^k;
-    well defined only under the braid relation, checked after d^len(π) ≤ ``cap``."""
+def t_of_permutation(T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP) -> Matrix:
+    """T(π) = T_{i₁}⋯T_{i_k} over a reduced word of π, a permutation of 1…n, as (δT)_{i₁}⋯(δT)_{i_k}
+    over δ^k; well defined only under the braid relation, checked after d^n ≤ ``cap``."""
     n = len(perm)
+    if set(perm) != set(range(1, n + 1)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{n}")
     _check_cap(T.d, n, cap)
     if not braid_check(T):
         raise ValueError("t_of_permutation requires a braided tensor")

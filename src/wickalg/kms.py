@@ -139,8 +139,8 @@ class KmsEvaluator:
                     e = _denominator((b,))
                     row = {**{col: e * x for col, x in row.items()}, size: p * _numerator(b, e)}
                 rows[a] = row
-        sol = _solve(rows, size)
-        if sol is None:
+        sol, unique = _solve(rows, size)
+        if not unique:
             raise KmsNonUniquenessError(f"bidegree ({n},{m}) system is singular at lambda="
                                         f"{rational_str(self.lam.re)}")
         self.known.update(zip(words, sol))
@@ -148,7 +148,10 @@ class KmsEvaluator:
 
     # -- public ------------------------------------------------------------------
     def value_of_word(self, w) -> Scalar:
+        """κ_λ(a_w) of a normal word w, its letters a_i (i > 0) before a_j† (−j < 0), 1 ≤ i, j ≤ d."""
         n = sum(1 for c in w if c > 0)
+        if any(c > 0 for c in w[n:]) or not all(0 < abs(c) <= self.T.d for c in w):
+            raise ValueError(f"{w} is not a normal word in letters ±1..±{self.T.d}")
         m = len(w) - n
         if n != m and self.lam != ONE:
             return ZERO  # gauge grading kills unbalanced words away from λ=1

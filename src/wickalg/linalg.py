@@ -8,8 +8,10 @@ which each query makes once (:func:`_scaled_rows`); a query that reads each
 row only up to scale puts each row over its own lcm (:func:`_each_scaled`).
 Every elimination runs through one row update (:func:`_update`) that never
 scales a pivot, so a pivot row reaches only the rows with an entry in its
-column.  The echelon forms read each row up to scale, and a Scalar is made
-only at output; the Hermitian LDL*
+column.  The echelon form reads each row up to scale, and a Scalar is made
+only at output.  Every exact solve (a null space, an inverse, a solution) is
+one forward :func:`_echelon` and one back substitution :func:`_back` of all
+its solution columns over one denominator; the Hermitian LDL*
 :func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
@@ -116,22 +118,13 @@ def _update(row: dict, a, b, pitems, den: int = 0) -> int:
     return den
 
 
-def _clear(a: list, p: int, col: int, rows) -> None:
-    """Clear ``col`` from ``rows`` of ``a``: x there gives piv·row − x·a[p] (:func:`_update`)."""
-    piv, pitems = a[p][col], a[p].items()
-    for r in rows:
-        x = a[r].get(col)
-        if x is not None:
-            _update(a[r], piv, x, pitems)
-
-
 def _echelon(a: list, cols: int):
-    """Row echelon form, in place, of the integer rows ``a`` (ints or Gaussian
-    integers, each row read up to scale) on the columns ``0 … cols−1``; augment
-    columns ``≥ cols`` ride along unpivoted.  The pivot of each column is the
-    first row at or below the current one with an entry there; :func:`_clear`
-    clears the rows below it.  Returns (rows, pivot columns).  The augment
-    columns lie in the span of the rest iff no row past the pivots keeps one."""
+    """Row echelon form, in place, of the integer rows ``a`` (ints or Gaussian integers,
+    each read up to scale) on the columns ``0 … cols−1``; augment columns ``≥ cols`` ride
+    along unpivoted.  The pivot of each column is the first row at or below the current one
+    with an entry there, and a row below it with x there becomes piv·row − x·prow
+    (:func:`_update`).  Returns (rows, pivot columns); the augment columns lie in the span
+    of the rest iff no row past the pivots keeps one."""
     pivots = []
     for col in range(cols):
         p = len(pivots)
@@ -139,17 +132,12 @@ def _echelon(a: list, cols: int):
         if sel is None:
             continue
         a[sel], a[p] = a[p], a[sel]
-        _clear(a, p, col, range(p + 1, len(a)))
+        piv, pitems = a[p][col], a[p].items()
+        for r in range(p + 1, len(a)):
+            x = a[r].get(col)
+            if x is not None:
+                _update(a[r], piv, x, pitems)
         pivots.append(col)
-    return a, pivots
-
-
-def _reduced(a: list, cols: int):
-    """The reduced row echelon form up to row scale (row p over its pivot is its row p):
-    :func:`_echelon`, then each pivot column cleared above its pivot, last pivot first."""
-    a, pivots = _echelon(a, cols)
-    for p in range(len(pivots) - 1, 0, -1):
-        _clear(a, p, pivots[p], range(p))
     return a, pivots
 
 
@@ -160,58 +148,66 @@ def _reciprocal(piv) -> tuple:
     return piv.conjugate(), piv.re._numerator ** 2 + piv.im._numerator ** 2
 
 
-def _entry(n, d) -> Scalar:
-    """n/d as a Scalar, for ints or Gaussian integers n and d ≠ 0."""
-    m, r = _reciprocal(d)
-    return _over(n * m, r)
+def _back(a: list, pivots: list, xs: list) -> int:
+    """The one back substitution, in place, of all solution columns j through the :func:`_echelon`
+    rows ``a`` and ``pivots``: ``xs[c]`` is ``{j: numerator}``, the nonzero values of variable c
+    over one int D, given (D = 1) at the columns no pivot takes and empty at the pivots.  Last
+    pivot row first, row p's pivot variable is −Σ_c a_pc·X_c over D·piv, i.e. −Σ_c a_pc·X_c·m
+    over D·s with 1/piv = m/s (:func:`_reciprocal`), both over their content; D grows to its
+    lcm with that denominator, every X scaled with it.  Returns D."""
+    den = 1
+    for p in range(len(pivots) - 1, -1, -1):
+        row, t = a[p], {}
+        for c, v in row.items():  # the pivot's own X is still empty
+            x = xs[c]
+            if x:
+                for j, y in x.items():
+                    y = t.get(j, 0) + v * y
+                    if y:
+                        t[j] = y
+                    else:
+                        del t[j]
+        if not t:
+            continue
+        m, s = _reciprocal(row[pivots[p]])
+        if type(m) is not int:
+            t, m = {j: y * m for j, y in t.items()}, 1
+        s *= den
+        g = _content(s, t.values())
+        if g > 1:
+            t, s = {j: _quotient(y, g) for j, y in t.items()}, s // g
+        f = s // gcd(den, s)
+        if f > 1:
+            for x in xs:
+                for j in x:
+                    x[j] *= f
+            den *= f
+        k = -m * (den // s)
+        xs[pivots[p]] = {j: y * k for j, y in t.items()}
+    return den
 
 
 def _kernel(rows: list, cols: int):
-    """(the ``{j: numerator}`` rows of a ``cols × k`` null space basis, den, k) of
-    the integer rows (consumed): column j, of the j-th free column f, is 1 in row f
-    and −x/piv = −x·m/r in row p (:func:`_reciprocal`), x and piv the entries in
-    columns f and p of the :func:`_reduced` row with its pivot in column p; den is the lcm of the r's."""
-    a, pivots = _reduced(rows, cols)
-    pset = set(pivots)
-    free = {f: j for j, f in enumerate(c for c in range(cols) if c not in pset)}
-    recips = [_reciprocal(row[pcol]) for row, pcol in zip(a, pivots)]
-    den = lcm(1, *(r for _, r in recips))
-    out = [{free[c]: den} if c in free else {} for c in range(cols)]
-    for row, pcol, (m, r) in zip(a, pivots, recips):  # a reduced pivot row: its pivot and free columns
-        f = -m * (den // r)
-        out[pcol] = {free[c]: f * x for c, x in row.items() if c != pcol}
-    return out, den, len(free)
+    """(the ``{j: numerator}`` rows of a ``cols × k`` null space basis, den, k) of the
+    integer rows (consumed): :func:`_back` through their :func:`_echelon` from a 1 in
+    column j at the j-th free column, so column j is 1 there and 0 at the other free columns."""
+    a, pivots = _echelon(rows, cols)
+    xs = [{} for _ in range(cols)]
+    for j, f in enumerate(sorted(set(range(cols)).difference(pivots))):
+        xs[f] = {j: 1}
+    return xs, _back(a, pivots, xs), cols - len(pivots)
 
 
 def _solve(rows: list, cols: int):
-    """The unique x with A x = b, from the integer rows (consumed) of [A | b], b in column
-    ``cols``; None if no x or more than one.  Row r of a full-rank :func:`_echelon` has its
-    pivot in column r, so back substitution, last row first, reads x = X/D on numerators X
-    over one int D: with 1/piv = m/s (:func:`_reciprocal`), x_r = (rhs·D − Σ_{c>r} a_rc·X_c)·m
-    over D·s, and D grows to its lcm with that denominator, the X_c scaled with it."""
+    """(x, unique) for A x = b, from the integer rows (consumed) of [A | b], b in column
+    ``cols``: :func:`_back` through their :func:`_echelon` from −1 at b, so x has every free
+    variable 0; x is None if the system is inconsistent, and unique is whether no variable is free."""
     a, pivots = _echelon(rows, cols)
-    if len(pivots) != cols or any(a[cols:]):
-        return None
-    xs, den = [0] * cols, 1
-    for r in range(cols - 1, -1, -1):
-        row = a[r]
-        t = row.get(cols, 0) * den
-        for c, v in row.items():
-            if r < c < cols and xs[c]:
-                t -= v * xs[c]
-        if not t:
-            continue
-        m, s = _reciprocal(row[r])
-        t, s = t * m, s * den
-        g = _content(s, (t,))
-        if g > 1:
-            t, s = _quotient(t, g), s // g
-        f = s // gcd(den, s)
-        if f > 1:
-            xs = [x * f if x else 0 for x in xs]
-            den *= f
-        xs[r] = t * (den // s)
-    return [_over(x, den) if x else ZERO for x in xs]
+    if any(a[len(pivots):]):
+        return None, len(pivots) == cols
+    xs = [{} for _ in range(cols)] + [{0: -1}]
+    den = _back(a, pivots, xs)
+    return [_over(x[0], den) if x else ZERO for x in xs[:cols]], len(pivots) == cols
 
 
 def _psd_rank(u: list, dens: list) -> tuple:
@@ -400,21 +396,21 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.cols
-        # Each row of [A | I] over its own lcm: row r of the reduced form reads piv·[I | A⁻¹]
-        a, pivots = _reduced(_each_scaled([{**row, n + r: ONE}
+        # Each row of [A | I] over its own lcm; [A | I]·(x, −e_c) = 0 puts column c of A⁻¹ in x
+        a, pivots = _echelon(_each_scaled([{**row, n + r: ONE}
                                            for r, row in enumerate(_sparse_rows(self.data))]), n)
         if len(pivots) != n:
             raise ValueError("matrix is singular")
-        return Matrix._of([[_entry(row[n + c], row[r]) if n + c in row else ZERO for c in range(n)]
-                           for r, row in enumerate(a)], n, n)
+        xs = [{} for _ in range(n)] + [{c: -1} for c in range(n)]
+        den = _back(a, pivots, xs)
+        return Matrix._of(_dense_over(xs[:n], n, den), n, n)
 
     def solve(self, rhs: Sequence) -> list:
         """Solve A x = rhs exactly (:func:`_solve`); raises ValueError if
         inconsistent or underdetermined (non-unique)."""
-        x = _solve(self._augmented(rhs), self.cols)
-        if x is None:
-            kind = "underdetermined" if self.solve_consistent(rhs) else "inconsistent"
-            raise ValueError(f"system is {kind}")
+        x, unique = _solve(self._augmented(rhs), self.cols)
+        if x is None or not unique:
+            raise ValueError(f"system is {'inconsistent' if x is None else 'underdetermined'}")
         return x
 
     def solve_consistent(self, rhs: Sequence) -> bool:
@@ -422,10 +418,8 @@ class Matrix:
         return self.solve_any(rhs) is not None
 
     def solve_any(self, rhs: Sequence):
-        """One exact solution of A x = rhs (free variables 0), or None: minus the first
-        ``cols`` entries of the :func:`_kernel` vector of the rhs column, if it is free."""
-        basis, den, k = _kernel(self._augmented(rhs), self.cols + 1)
-        return [_over(-row.get(k - 1, 0), den) for row in basis[:-1]] if basis[-1] else None
+        """One exact solution of A x = rhs, every free variable 0 (:func:`_solve`), or None."""
+        return _solve(self._augmented(rhs), self.cols)[0]
 
     def _augmented(self, rhs: Sequence) -> list:
         rhs = [Scalar.coerce(x) for x in rhs]

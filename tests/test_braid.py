@@ -108,6 +108,18 @@ def test_t_of_permutation_refused_before_anything_is_built(monkeypatch):
         t_of_permutation(BRAIDED[0], (2, 1, 3), cap=7)  # 2^3 = 8
 
 
+@pytest.mark.parametrize("perm", [(1, 1), (3, 1), (0, 1), (2, 2, 1)])
+def test_t_of_permutation_refuses_a_non_permutation_first(monkeypatch, perm):
+    # (1, 1) would give the identity and (3, 1) T_1; neither is T(π) of any π.
+    def built(*args, **kwargs):
+        raise AssertionError("built before the permutation check")
+
+    for name in ("_check_cap", "braid_check", "_slot_rows", "_t_rows"):
+        monkeypatch.setattr(braid, name, built)
+    with pytest.raises(ValueError, match="not a permutation"):
+        t_of_permutation(BRAIDED[0], perm)
+
+
 def test_braid_check_refused_past_the_default_cap(monkeypatch):
     # H^{⊗3} at d = 17 has 4913 > 4096 rows, whatever cap a caller uses elsewhere.
     def built(*args, **kwargs):

@@ -191,6 +191,21 @@ def test_bidegree_system_refused_before_anything_is_built(monkeypatch):
     assert KmsEvaluator(TCAR, LAM, cap=16).evaluate(X) == kms_evaluate(X, LAM, TCAR)
 
 
+@pytest.mark.parametrize("lam", [LAM, Scalar(1)])
+@pytest.mark.parametrize("w", [(-1, 1), (3, -3), (0,), (1, 0, -1)])
+def test_value_of_a_word_not_normal_refused_before_anything_is_built(monkeypatch, lam, w):
+    # A creator before an annihilator, a letter past d = 2, or a letter 0 names the
+    # word in a ValueError, at λ ≠ 1 as at λ = 1, and no system is built for it.
+    def built(*args, **kwargs):
+        raise AssertionError("built for a word that is not normal")
+
+    ev = KmsEvaluator(TCAR, lam)
+    monkeypatch.setattr(ev, "_ensure", built)
+    with pytest.raises(ValueError, match=re.escape(str(w))):
+        ev.value_of_word(w)
+    assert ev._solved == {(0, 0)} and ev._trees == {}
+
+
 def test_complex_lambda_rejected():
     with pytest.raises(ValueError):
         KmsEvaluator(TCAR, Scalar(0, 1))

@@ -15,7 +15,7 @@ from wickalg import (Matrix, Polynomial, Scalar, braid, diffcalc, ideal_membersh
                      positivity_report, rational, rewrite, states, t_matrix, t_of_permutation, tensorops,
                      wick_ideal_condition_check)
 from wickalg.linalg import _echelon, _scaled_rows, _sparse_rows, zeros
-from wickalg.scalars import ONE, ZERO
+from wickalg.scalars import ONE, ZERO, _content
 
 
 def small_matrices(rows, cols):
@@ -628,9 +628,10 @@ def _integer_system(rng, gaussian, kind):
 
 
 def test_solve_matches_fraction_gauss_jordan_on_integer_rows():
-    # _solve (forward echelon, then back substitution over one denominator) gives the
-    # unique x of _ref_rref, or None for a singular or an inconsistent system, on int
-    # and Gaussian-integer rows.
+    # _solve (forward echelon, then one back substitution over one denominator) gives
+    # (x, unique): x the solution of _ref_rref with every free variable 0, None for an
+    # inconsistent system, and unique whether every column has a pivot, on int and
+    # Gaussian-integer rows.
     rng = random.Random(20261020)
     seen = set()
     for trial in range(300):
@@ -639,13 +640,57 @@ def test_solve_matches_fraction_gauss_jordan_on_integer_rows():
         rows, cols = _integer_system(rng, gaussian, kind)
         a = [[_pair(Scalar.coerce(row.get(c, 0))) for c in range(cols)] for row in rows]
         _, pivots, aug = _ref_rref(a, cols, [[_pair(Scalar.coerce(row.get(cols, 0)))] for row in rows])
-        unique = len(pivots) == cols and all(row[0] == _Z for row in aug[cols:])
-        got = linalg._solve([dict(row) for row in rows], cols)
-        assert (None if got is None else [_pair(x) for x in got]) == (
-            [row[0] for row in aug[:cols]] if unique else None), trial
-        seen.add((gaussian, kind, unique))
+        consistent = all(row[0] == _Z for row in aug[len(pivots):])
+        want = [_Z] * cols  # every free variable 0
+        for prow, pcol in enumerate(pivots):
+            want[pcol] = aug[prow][0]
+        got, unique = linalg._solve([dict(row) for row in rows], cols)
+        assert unique == (len(pivots) == cols), trial
+        assert (None if got is None else [_pair(x) for x in got]) == (want if consistent else None), trial
+        seen.add((gaussian, kind, consistent and unique))
+        seen.add((gaussian, "singular consistent", consistent and not unique))
     assert {(g, "nonsingular", True) for g in (False, True)} <= seen
     assert {(g, kind, False) for g in (False, True) for kind in ("singular", "inconsistent")} <= seen
+    assert {(g, "singular consistent", True) for g in (False, True)} <= seen
+
+
+def test_kernel_den_is_the_least_common_denominator_of_its_entries():
+    # _back puts each new value over its content and grows D only to the lcm, so the
+    # den of a kernel is the lcm of the reduced denominators of its entries.
+    rng = random.Random(20261034)
+    for trial in range(120):
+        rows, cols = _integer_system(rng, trial % 2 == 1, ("nonsingular", "singular", "inconsistent")[trial % 3])
+        basis, den, k = linalg._kernel(rows, cols + 1)
+        want = lcm(1, *(den // _content(den, (x,)) for row in basis for x in row.values()))
+        assert den == want, trial
+
+
+def test_every_exact_solve_is_one_echelon_and_one_back_substitution(monkeypatch):
+    # solve (unique or underdetermined), solve_any, kernel_basis and inverse each run
+    # _echelon once and _back once, and an inconsistent solve _echelon alone: no second
+    # elimination names the kind of a refused system, and no answer is read another way.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_echelon", counted("echelon", linalg._echelon))
+    monkeypatch.setattr(linalg, "_back", counted("back", linalg._back))
+    m = Matrix([[1, 2, 0], [0, 1, 1], [1, 3, 1]])  # rank 2: its third row is the sum of the others
+    for rhs, kind, want in (([1, 1, 1], "inconsistent", ["echelon"]),
+                            ([1, 1, 2], "underdetermined", ["echelon", "back"])):
+        with pytest.raises(ValueError, match=kind):
+            m.solve(rhs)
+        assert calls == want, kind
+        calls.clear()
+    square = Matrix([[2, 1], [1, 1]])
+    for query in (lambda: square.solve([1, 2]), lambda: m.solve_any([1, 1, 2]), m.kernel_basis, square.inverse):
+        query()
+        assert calls == ["echelon", "back"]
+        calls.clear()
 
 
 def test_up_to_scale_eliminations_put_each_row_over_its_own_denominator(monkeypatch):
@@ -753,7 +798,7 @@ def test_psd_rank_examples():
         Matrix([[1, 1], [0, 1]]).psd_rank()
 
 
-_ROW_KERNELS = ("_sparse_product", "_echelon", "_reduced", "_kernel", "_solve", "_psd_rank",
+_ROW_KERNELS = ("_sparse_product", "_echelon", "_back", "_kernel", "_solve", "_psd_rank",
                 "_hermitian", "_float_view")
 _GUARD_TENSORS = [
     make_preset("twisted_car", 2, mu="2/3").tensor,
