@@ -4,7 +4,7 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense_over, _kernel, _sparse_product
+from .linalg import Matrix, _dense_over, _kernel, _shifted, _sparse_product
 from .rewrite import _check_generator_words, rewriter_for
 from .scalars import _content, _over, _quotient
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _t_rows, braid_check, t_matrix
@@ -31,23 +31,28 @@ def d_and_twist(f: Polynomial, T: CoeffTensor) -> dict:
         Θ_i^ℓ(x_j) = Σ_k T_{ij}^{ℓk}·x_k.
 
     Returns {"D": [d polynomials], "Theta": d×d nested list of polynomials};
-    all generator-only.  Each a_i†·f is one :meth:`~wickalg.rewrite.Rewriter.dagger`
-    step on f: its term c·a_g·a_m† goes to Θ_i^m(f), a contracted term
-    (m = 0) to D_i(f).
+    all generator-only, made from :func:`_dagger_parts`.
     """
-    d = T.d
-    _check_generator_words(f.terms, d)
+    parts, den = _dagger_parts(f, T)
+    wrap = [[Polynomial._of({g: _over(c, den) for g, c in p.get(m, {}).items()})
+             for m in range(T.d + 1)] for p in parts]
+    return {"D": [w[0] for w in wrap], "Theta": [w[1:] for w in wrap]}
+
+
+def _dagger_parts(f: Polynomial, T: CoeffTensor) -> tuple:
+    """([a_1†·f, …, a_d†·f], den), each a_k†·f one :meth:`~wickalg.rewrite.Rewriter.dagger` step
+    on f as {m: {g: numerator}} over the int den: c·a_g·a_m† at m, contracted at m = 0."""
+    _check_generator_words(f.terms, T.d)
     rw = rewriter_for(T)
     scaled = rw.scaled({(w, ()): c for w, c in f.terms.items()})
-    D, Theta = [], []
-    for i in range(1, d + 1):
-        parts = [{} for _ in range(d + 1)]  # parts[m]: D_i(f) at m = 0, else Θ_i^m(f)
-        terms, den = rw.dagger(i, scaled)
+    out = []
+    for k in range(1, T.d + 1):
+        parts = {}
+        terms, den = rw.dagger(k, scaled)
         for (g, h), c in terms.items():
-            parts[-h[0] if h else 0][g] = _over(c, den)
-        D.append(Polynomial._of(parts[0]))
-        Theta.append([Polynomial._of(p) for p in parts[1:]])
-    return {"D": D, "Theta": Theta}
+            parts.setdefault(-h[0] if h else 0, {})[g] = c
+        out.append(parts)
+    return out, den
 
 
 def _form_kernels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
@@ -60,8 +65,7 @@ def _form_kernels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
     if p_max < 0:
         raise ValueError("p must be >= 0")
     _check_cap(d, max(p_max, 1), cap)
-    tn, delta = _t_rows(T)
-    it = [{**row, r: row.get(r, 0) + delta} for r, row in enumerate(tn)]  # a 0 drops out of the products
+    it = _shifted(*_t_rows(T))  # the rows of δ·(I+T)
     C, den, lo, k = [{0: 1}], 1, 1, 1  # the rows of C_m over den, k_{m−1} and k_m
     for m in range(p_max + 1):
         if m == 1:

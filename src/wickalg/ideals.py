@@ -1,17 +1,19 @@
 """Quadratic Wick-ideal conditions, the −1-eigenprojection, generator
 commutation coefficients on H^{⊗4}, the general rewriting-based ideal
-condition, and coherent-annihilation checks."""
+condition, and coherent-annihilation checks, on integer ``(rows, den)`` from the
+input (P converted once, δ·T) to the verdict, with no ``Scalar`` between."""
 
 from __future__ import annotations
 
 from functools import reduce
 
 from .algebra import CoeffTensor, hermiticity_check
-from .diffcalc import d_and_twist
-from .linalg import Matrix, _dense_over, _scaled_rows, _sparse_product, _sparse_rows, identity
+from .diffcalc import _dagger_parts
+from .linalg import (Matrix, _dense_over, _hermitian, _kernel, _scaled_rows, _shifted,
+                     _sparse_product, _sparse_rows)
 from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
-from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, _t_rows, t_matrix
+from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, _t_rows
 
 __all__ = [
     "minus_one_eigenprojection",
@@ -27,19 +29,33 @@ def minus_one_eigenprojection(T: CoeffTensor) -> Matrix:
     """Orthogonal projection onto ker(I + T) on H⊗H, exact.
 
     Computed as P = B(B*B)⁻¹B* from the exact kernel basis B (its columns),
-    which avoids irrational normalization; an empty kernel gives P = 0
-    through the 0-column B and the 0×0 inverse.
+    which avoids irrational normalization, on integer rows: B and then the
+    first k rows of ker[B*B | −B*] = ((B*B)⁻¹B*; I) by ``_kernel``, whose
+    scales cancel, and one Matrix at the end; an empty kernel gives P = 0.
     """
     if not hermiticity_check(T):
         raise ValueError("minus_one_eigenprojection requires a hermitian tensor")
-    B = (identity(T.d**2) + t_matrix(T)).kernel_basis()
-    Bs = B.adjoint()
-    return B * (Bs * B).inverse() * Bs
+    n = T.d**2
+    B, _, k = _kernel(_shifted(*_t_rows(T)), n)
+    bs = [{r: x if type(x := row[j]) is int else x.conjugate() for r, row in enumerate(B) if j in row}
+          for j in range(k)]  # the rows of B*
+    aug = [{**g, **{k + c: -x for c, x in b.items()}} for g, b in zip(_sparse_product(bs, B), bs)]
+    X, den, _ = _kernel(aug, k + n)  # [B*B | −B*]
+    return Matrix._of(_dense_over(_sparse_product(B, X[:k]), n, den), n, n)
+
+
+def _projection_rows(P: Matrix):
+    """(the ``_scaled_rows`` of P, den) if P = P* = P², else None: P's rows times
+    themselves are den times P's."""
+    pr, den = _scaled_rows(_sparse_rows(P.data))
+    den_p = [{c: den * x for c, x in row.items()} for row in pr]
+    square = P.rows == P.cols and _hermitian(pr) and _sparse_product(pr, pr) == den_p
+    return (pr, den) if square else None
 
 
 def is_projection(P: Matrix) -> bool:
     """Exact test P = P† = P²."""
-    return P.rows == P.cols and P == P.adjoint() and P * P == P
+    return _projection_rows(P) is not None
 
 
 def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
@@ -48,20 +64,20 @@ def quadratic_ideal_check(T: CoeffTensor, P: Matrix) -> dict:
     linear:    (I + T)·P = 0                       on H⊗H
     quadratic: (I⊗(I−P))·(T⊗I)(I⊗T)·(P⊗I) = 0     on H^{⊗3}
 
-    Both exact (the quadratic one on the ``_slot_rows`` of integer rows, zero at any
-    scale), refused past the default cap.  Returns {"linear": bool, "quadratic": bool}.
+    Both exact on the integer rows of den·P and δ·T (the quadratic one on their ``_slot_rows``),
+    zero at any scale, refused past the default cap.  Returns {"linear": bool, "quadratic": bool}.
     """
     d = T.d
     if P.rows != d * d:
         raise ValueError("P must act on H⊗H")
-    if not is_projection(P):
+    proj = _projection_rows(P)
+    if proj is None:
         raise ValueError("P is not an orthogonal projection")
     _check_h3_cap(d, "quadratic-ideal check")
-    tm = t_matrix(T)
-    eye2 = identity(d * d)
-    linear = ((eye2 + tm) * P).is_zero()
-    factors = [(eye2 - P, 2), (tm, 1), (tm, 2), (P, 1)]
-    rows = [_slot_rows(_scaled_rows(_sparse_rows(X.data))[0], s, 3) for X, s in factors]
+    (pr, den), (tn, delta) = proj, _t_rows(T)
+    linear = not any(_sparse_product(_shifted(tn, delta), pr))
+    ip = _shifted([{c: -x for c, x in row.items()} for row in pr], den)
+    rows = [_slot_rows(x, s, 3) for x, s in [(ip, 2), (tn, 1), (tn, 2), (pr, 1)]]
     quadratic = not any(reduce(_sparse_product, rows))
     return {"linear": linear, "quadratic": quadratic}
 
@@ -104,11 +120,9 @@ def wick_ideal_condition_check(
             raise ValueError("generators must be generator-only and homogeneous")
     if max_deg < max(g.max_word_len() for g in gens) + 1:
         raise ValueError("max_deg must exceed the longest generator")
-    parts = []
-    for g in gens:
-        dt = d_and_twist(g, T)
-        parts += [q for D, row in zip(dt["D"], dt["Theta"]) for q in (D, *row)]
-    return _in_ideal_span(parts, gens, max_deg)
+    # membership reads a column only up to scale, so the den of the parts is dropped
+    targets = [q for g in gens for parts in _dagger_parts(g, T)[0] for q in parts.values()]
+    return _in_ideal_span(targets, gens, max_deg)
 
 
 def coherent_annihilation_check(gens, phi: CoherentParam) -> bool:

@@ -148,7 +148,9 @@ class KmsEvaluator:
 
     # -- public ------------------------------------------------------------------
     def value_of_word(self, w) -> Scalar:
-        """κ_λ(a_w) of a normal word w, its letters a_i (i > 0) before a_j† (−j < 0), 1 ≤ i, j ≤ d."""
+        """κ_λ(a_w) of a normal word w (read as a tuple), its letters a_i (i > 0) before
+        a_j† (−j < 0), 1 ≤ i, j ≤ d."""
+        w = tuple(w)
         n = sum(1 for c in w if c > 0)
         if any(c > 0 for c in w[n:]) or not all(0 < abs(c) <= self.T.d for c in w):
             raise ValueError(f"{w} is not a normal word in letters ±1..±{self.T.d}")

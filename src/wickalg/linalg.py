@@ -80,6 +80,16 @@ def _sparse_product(arows, brows) -> list:
     return out
 
 
+def _shifted(rows: list, s) -> list:
+    """The ``{col: numerator}`` rows of X + s·I from those of a square X, no zero kept."""
+    out = [dict(row) for row in rows]
+    for r, row in enumerate(out):
+        row[r] = row.get(r, 0) + s
+        if not row[r]:
+            del row[r]
+    return out
+
+
 def _dense_over(rows, cols: int, den: int) -> list:
     """Dense Scalar rows of ``cols`` entries from ``{col: numerator}`` rows over
     the int ``den`` > 0, each nonzero made once by :func:`~wickalg.scalars._over`."""

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import CoeffTensor, Polynomial, Word
-from .linalg import _each_scaled, _echelon
+from .linalg import _echelon, _update
 from .scalars import ONE, _denominator, _numerator, _over
 
 __all__ = [
@@ -346,46 +346,47 @@ def verify_identity(p: Polynomial, q: Polynomial, T: CoeffTensor, cap: int = DEF
 
 
 def _in_ideal_span(targets, gens, max_deg: int) -> bool:
-    """True iff every generator-only target lies in the span of
-    {u·g·v : g in gens, u, v generator words, |u|+|v|+maxlen(g) ≤ max_deg}.
+    """True iff every generator-only target column {word: numerator}, read up to scale, lies in
+    the span of {u·g·v : g in gens, u, v generator words, |u|+|v|+maxlen(g) ≤ max_deg}.
 
     Words over the letters of the targets and generators decide it: the
     projection onto those words maps each u·g·v to itself or to 0.
 
     With homogeneous generators every u·g·v is homogeneous, so each word
     length of the targets is a grade decided on its own; otherwise all
-    lengths form one grade.  The span of a grade is built once, and the
-    targets' parts of that grade lie in it iff one echelon of its integer word
-    rows, the span vectors' columns followed by the targets' as augment
-    columns, leaves no entry in a row past its pivots.
+    lengths form one grade.  The span of a grade is built once, from the integer
+    generators, and the targets' parts of that grade lie in it iff one echelon
+    of its integer word rows, each over its content, the span vectors' columns
+    followed by the targets' as augment columns, leaves every row past its pivots empty.
     """
-    gens = [g for g in gens if g]
     homogeneous = all(g.is_homogeneous() for g in gens)
+    gens = [(g.max_word_len(), Rewriter.scaled(g.terms)[0]) for g in gens if g]
     parts: dict = {}
     for p in targets:
         comps: dict = {}
-        for w, c in p.terms.items():
+        for w, c in p.items():
             comps.setdefault(len(w) if homogeneous else 0, {})[w] = c
         for grade, comp in comps.items():
             parts.setdefault(grade, []).append(comp)
-    letters = sorted({c for q in [*targets, *gens] for w in q.terms for c in w})
+    letters = sorted({c for q in [*targets, *(g for _, g in gens)] for w in q for c in w})
     for grade, comps in parts.items():
         span: dict = {}
-        for g in gens:
-            glen = g.max_word_len()
+        for glen, g in gens:
             for n in range(max_deg - glen + 1):  # n = |u| + |v|
                 if homogeneous and n + glen != grade:
                     continue
                 for a in range(n + 1):
                     for u in product(letters, repeat=a):
                         for v in product(letters, repeat=n - a):
-                            q = {u + w + v: c for w, c in g.terms.items()}
+                            q = {u + w + v: c for w, c in g.items()}
                             span.setdefault(frozenset(q.items()), q)
-        rows: dict = {}  # word -> {col: Scalar}, the span vectors then the targets
+        rows: dict = {}  # word -> {col: numerator}, the span vectors then the targets
         for col, q in enumerate([*span.values(), *comps]):
             for w, c in q.items():
                 rows.setdefault(w, {})[col] = c
-        a, pivots = _echelon(_each_scaled(rows.values()), len(span))
+        for row in rows.values():
+            _update(row, 1, 0, ())  # the row over its content
+        a, pivots = _echelon(list(rows.values()), len(span))
         if any(a[len(pivots):]):
             return False
     return True
@@ -404,4 +405,4 @@ def ideal_membership(p: Polynomial, gens: Iterable[Polynomial], max_deg: int) ->
         raise ValueError("ideal_membership requires generator-only polynomials")
     if p.max_word_len() > max_deg:
         raise ValueError("p has monomials longer than max_deg")
-    return _in_ideal_span([p], gens, max_deg)
+    return _in_ideal_span([Rewriter.scaled(p.terms)[0]], gens, max_deg)

@@ -1,6 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
 import random
+from itertools import product
 from math import comb  # noqa: F401  (re-exported for tests)
 
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from wickalg import (
     CoeffTensor,
     KmsEvaluator,
     KmsNonUniquenessError,
+    Matrix,
     Polynomial,
     Scalar,
     embed,
@@ -135,6 +137,48 @@ def dense_generator_relations(T, P):
     p1, p3 = embed(P, 1, 4), embed(P, 3, 4)
     t = {i: embed(tm, i, 4) for i in (1, 2, 3)}
     return p1 * p3 * t[2] * t[1] * t[3] * t[2] * p3 * p1
+
+
+def dense_eigenprojection(T):
+    """B(B*B)⁻¹B* on H⊗H, B the ``kernel_basis`` of the dense I + T and every
+    product a dense ``Matrix`` product."""
+    B = (identity(T.d**2) + t_matrix(T)).kernel_basis()
+    Bs = B.adjoint()
+    return B * (Bs * B).inverse() * Bs
+
+
+def dense_is_projection(P):
+    """P = P* = P² by dense ``Matrix`` equality and product."""
+    return P.rows == P.cols and P == P.adjoint() and P * P == P
+
+
+def dense_quadratic_ideal_check(T, P):
+    """(I + T)·P = 0 and (I⊗(I−P))·(T⊗I)(I⊗T)·(P⊗I) = 0 as dense ``Matrix``
+    products, each two-slot operator on H^{⊗3} a dense Kronecker product."""
+    tm, eye, eye2 = t_matrix(T), identity(T.d), identity(T.d**2)
+    chain = kron(eye, eye2 - P) * kron(tm, eye) * kron(eye, tm) * kron(P, eye)
+    return {"linear": ((eye2 + tm) * P).is_zero(), "quadratic": chain.is_zero()}
+
+
+def dense_ideal_membership(p, gens, max_deg: int, d: int) -> bool:
+    """Whether p lies in the span of every u·g·v, u and v words in all the letters
+    1..d with |u|+|v|+maxlen(g) ≤ max_deg, by the ranks of two dense ``Matrix``es
+    over all words: the span vectors, and the span vectors with p."""
+    vectors = []
+    for g in gens:
+        for n in range(max_deg - g.max_word_len() + 1):
+            for a in range(n + 1):
+                for u in product(range(1, d + 1), repeat=a):
+                    for v in product(range(1, d + 1), repeat=n - a):
+                        vectors.append({u + w + v: c for w, c in g.terms.items()})
+    if not p.terms:
+        return True
+    words = sorted({w for q in vectors + [p.terms] for w in q})
+
+    def rank(vs):
+        return Matrix([[q.get(w, 0) for w in words] for q in vs]).rank() if vs else 0
+
+    return rank(vectors + [p.terms]) == rank(vectors)
 
 
 class DenseKmsEvaluator(KmsEvaluator):

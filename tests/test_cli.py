@@ -453,13 +453,12 @@ TCAR3 = ["--preset", "twisted_car", "--param", "d=3", "--param", "mu=2/5"]
     (["ideal-check", *TCAR3], 3),
 ])
 def test_solve_paths_build_no_dense_operator(capsys, monkeypatch, argv, lines):
-    # Form spaces, KMS systems and the quadratic ideal check run on sparse rows:
-    # no Kronecker product and no dense slot operator, and forms and KMS take
-    # no dense Matrix product either.
+    # Form spaces, KMS systems, the −1-eigenprojection and the ideal checks run on
+    # sparse rows: no Kronecker product, no dense slot operator and no dense
+    # Matrix product.
     _refused_everywhere(monkeypatch, linalg.kron)
     _refused_everywhere(monkeypatch, tensorops.embed)
-    if argv[0] != "ideal-check":  # the −1-eigenprojection is B(B*B)⁻¹B* on H⊗H
-        monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("Matrix product"))
+    monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("Matrix product"))
     code, out = run(capsys, *argv)
     assert code == 0 and out.count("\n") == lines
 

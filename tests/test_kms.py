@@ -206,6 +206,13 @@ def test_value_of_a_word_not_normal_refused_before_anything_is_built(monkeypatch
     assert ev._solved == {(0, 0)} and ev._trees == {}
 
 
+@pytest.mark.parametrize("lam", [LAM, Scalar(rational(2, 5))])
+@pytest.mark.parametrize("w", [(1, -1), (2, 1, -1, -2), (1, 2, -1), ()])
+def test_value_of_a_word_given_as_a_list_equals_the_tuple(lam, w):
+    # value_of_word reads any sequence as a tuple: a list is no unhashable key.
+    assert KmsEvaluator(TCAR, lam).value_of_word(list(w)) == KmsEvaluator(TCAR, lam).value_of_word(w)
+
+
 def test_complex_lambda_rejected():
     with pytest.raises(ValueError):
         KmsEvaluator(TCAR, Scalar(0, 1))
