@@ -11,7 +11,7 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from .algebra import CoeffTensor
-from .linalg import Matrix, _dense_over, _float_view, _psd_rank_over, _sparse_product
+from .linalg import Matrix, _float_view, _from_rows, _psd_rank_over, _sparse_product
 from .tensorops import DEFAULT_DIM_CAP, DimensionCapExceeded, _check_cap, _slot_rows, _t_rows, braid_check
 
 __all__ = [
@@ -79,7 +79,7 @@ def t_of_permutation(T: CoeffTensor, perm, cap: int = DEFAULT_DIM_CAP) -> Matrix
     word, rows = reduced_word(perm), [{r: 1} for r in range(T.d**n)]
     for i in word:
         rows = _sparse_product(rows, _slot_rows(tn, i, n))
-    return Matrix._of(_dense_over(rows, T.d**n, delta ** len(word)), T.d**n, T.d**n)
+    return _from_rows(rows, T.d**n, delta ** len(word))
 
 
 def _weak_order_products(T: CoeffTensor, n: int) -> tuple:
@@ -134,7 +134,7 @@ def p_n_by_permutations(
         for row, mrow in zip(acc, rows):
             for c, y in mrow.items():
                 row[c] = row[c] + w * y if c in row else w * y
-    return Matrix._of(_dense_over(acc, dim, delta**top), dim, dim)
+    return _from_rows(acc, dim, delta**top)
 
 
 def _kernel_rows(T: CoeffTensor, n: int, cap: int) -> tuple:

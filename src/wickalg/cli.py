@@ -143,14 +143,14 @@ def _cmd_gram(args, rs: RelationSystem) -> tuple:
     labels = [word_str(w) for w in words]
     print(f"Gram matrix over all {len(words)} length-{n} words:")
     for r, lab in enumerate(labels):
-        entries = (print_polynomial(Polynomial.monomial((), c)) for c in g.data[r])
+        entries = (print_polynomial(Polynomial.monomial((), g[r, c])) for c in range(g.cols))
         print(f"  {lab}: " + "  ".join(entries))
     report = Report(tool="gram")
     report.add_check(
         "gram",
         n=n,
         words=labels,
-        matrix=[[scalar_to_json(c) for c in row] for row in g.data],
+        matrix=[[scalar_to_json(g[r, c]) for c in range(g.cols)] for r in range(g.rows)],
     )
     return 0, report
 
@@ -185,7 +185,7 @@ def _cmd_ideal_check(args, rs: RelationSystem) -> tuple:
     if hermiticity_check(rs.tensor):
         P = minus_one_eigenprojection(rs.tensor)
         qc = quadratic_ideal_check(rs.tensor, P)
-        rank = P.psd_rank()[1]  # P is an orthogonal projection
+        rank = int(sum(P[i, i].re for i in range(P.rows)))  # P is an orthogonal projection: tr P
         print(f"-1 eigenprojection rank: {rank}")
         print(f"quadratic ideal conditions: linear={qc['linear']} "
               f"quadratic={qc['quadratic']}")

@@ -4,7 +4,7 @@ dimensions, and the differential *-algebra existence predicate."""
 from __future__ import annotations
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense_over, _kernel, _shifted, _sparse_product
+from .linalg import Matrix, _from_rows, _kernel, _shifted, _sparse_product
 from .rewrite import _check_generator_words, rewriter_for
 from .scalars import _content, _over, _quotient
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _t_rows, braid_check, t_matrix
@@ -83,7 +83,7 @@ def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield exact bases (as columns) of the constant-coefficient form spaces Ω^0, …, Ω^{p_max}:
     B_m = (I ⊗ B_{m−1})·C_m on integer rows over den_m, C_m from :func:`_form_kernels` (a row of
     I ⊗ B_{m−1} is a shifted row of B_{m−1}), B_m and den_m = den_{m−1}·den over their gcd, each
-    yielded by ``_dense_over``.  Refused as :func:`_form_kernels` is, before anything is built."""
+    yielded by ``linalg._from_rows``.  Refused as :func:`_form_kernels` is, before anything is built."""
     d = T.d
     B, den = [{0: 1}], 1  # the rows of B_m over den
     for m, (k, C, cden) in enumerate(_form_kernels(T, p_max, cap)):
@@ -95,7 +95,7 @@ def form_levels(T: CoeffTensor, p_max: int, cap: int = DEFAULT_DIM_CAP):
             B, den = _sparse_product(B, C), den * cden
             g = _content(den, [x for row in B for x in row.values()])  # B_m and den_m over their gcd
             B, den = [{c: _quotient(x, g) for c, x in row.items()} for row in B], den // g
-        yield Matrix._of(_dense_over(B, k, den), d**m, k)
+        yield _from_rows(B, k, den)
 
 
 def form_space_basis(T: CoeffTensor, p: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:

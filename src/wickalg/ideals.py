@@ -1,7 +1,7 @@
 """Quadratic Wick-ideal conditions, the −1-eigenprojection, generator
 commutation coefficients on H^{⊗4}, the general rewriting-based ideal
 condition, and coherent-annihilation checks, on integer ``(rows, den)`` from the
-input (P converted once, δ·T) to the verdict, with no ``Scalar`` between."""
+input (P converted once by ``linalg._to_rows``, δ·T) to the verdict, with no ``Scalar`` between."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from functools import reduce
 
 from .algebra import CoeffTensor, hermiticity_check
 from .diffcalc import _dagger_parts
-from .linalg import (Matrix, _dense_over, _hermitian, _kernel, _scaled_rows, _shifted,
-                     _sparse_product, _sparse_rows)
+from .linalg import Matrix, _from_rows, _hermitian, _kernel, _shifted, _sparse_product, _to_rows
 from .rewrite import _check_generator_words, _in_ideal_span
 from .states import CoherentParam, _normal_value
 from .tensorops import DEFAULT_DIM_CAP, _check_cap, _check_h3_cap, _slot_rows, _t_rows
@@ -41,13 +40,13 @@ def minus_one_eigenprojection(T: CoeffTensor) -> Matrix:
           for j in range(k)]  # the rows of B*
     aug = [{**g, **{k + c: -x for c, x in b.items()}} for g, b in zip(_sparse_product(bs, B), bs)]
     X, den, _ = _kernel(aug, k + n)  # [B*B | −B*]
-    return Matrix._of(_dense_over(_sparse_product(B, X[:k]), n, den), n, n)
+    return _from_rows(_sparse_product(B, X[:k]), n, den)
 
 
 def _projection_rows(P: Matrix):
-    """(the ``_scaled_rows`` of P, den) if P = P* = P², else None: P's rows times
+    """(the ``_to_rows`` of P, den) if P = P* = P², else None: P's rows times
     themselves are den times P's."""
-    pr, den = _scaled_rows(_sparse_rows(P.data))
+    pr, den = _to_rows(P)
     den_p = [{c: den * x for c, x in row.items()} for row in pr]
     square = P.rows == P.cols and _hermitian(pr) and _sparse_product(pr, pr) == den_p
     return (pr, den) if square else None
@@ -97,11 +96,11 @@ def ideal_generator_relations(
     if not (check["linear"] and check["quadratic"]):
         raise ValueError("P does not define a quadratic Wick ideal")
     tn, delta = _t_rows(T)
-    pr, den = _scaled_rows(_sparse_rows(P.data))
+    pr, den = _to_rows(P)
     p1, p3 = _slot_rows(pr, 1, 4), _slot_rows(pr, 3, 4)
     t = {i: _slot_rows(tn, i, 4) for i in (1, 2, 3)}
     rows = reduce(_sparse_product, [p1, p3, t[2], t[1], t[3], t[2], p3, p1])
-    return Matrix._of(_dense_over(rows, T.d**4, (den * delta) ** 4), T.d**4, T.d**4)
+    return _from_rows(rows, T.d**4, (den * delta) ** 4)
 
 
 def wick_ideal_condition_check(

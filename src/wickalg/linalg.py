@@ -3,9 +3,11 @@
 A :class:`Matrix` stores its :class:`~wickalg.scalars.Scalar` entries densely
 but does arithmetic on nonzero entries only: sums and products visit the
 nonzeros of the right operand.  Below it the one sparse form is ``(rows, den)``:
-``{col: numerator}`` dicts of ints or Gaussian integers over one int den > 0,
-which each query makes once (:func:`_scaled_rows`); a query that reads each
-row only up to scale puts each row over its own lcm (:func:`_each_scaled`).
+``{col: numerator}`` dicts of ints or Gaussian integers over one int den > 0.
+Only this module knows how a Matrix is stored: every other module goes from a
+Matrix to its rows by :func:`_to_rows`, once per query, and from rows over one
+den, or one den per row, to a Matrix by :func:`_from_rows`.  A query that
+reads each row only up to scale puts each row over its own lcm (:func:`_each_scaled`).
 Every elimination runs through one row update (:func:`_update`) that never
 scales a pivot, so a pivot row reaches only the rows with an entry in its
 column.  The echelon form reads each row up to scale, and a Scalar is made
@@ -35,16 +37,28 @@ def _sparse_rows(data) -> list:
     return [{c: x for c, x in enumerate(row) if x is not ZERO and x} for row in data]
 
 
-def _scaled_rows(rows: list) -> tuple:
-    """(the ``{col: numerator}`` rows, den) of ``{col: Scalar}`` rows: each entry
-    times den, the lcm of all their denominators (:func:`~wickalg.scalars._numerator`)."""
+def _to_rows(m: "Matrix") -> tuple:
+    """(the ``{col: numerator}`` rows of m, den): each nonzero entry times den, the lcm
+    of all their denominators (:func:`~wickalg.scalars._numerator`)."""
+    rows = _sparse_rows(m.data)
     den = _denominator(x for row in rows for x in row.values())
     return [{c: _numerator(x, den) for c, x in row.items()} for row in rows], den
 
 
+def _from_rows(rows: list, cols: int, den) -> "Matrix":
+    """The Matrix of the ``{col: numerator}`` rows over den, an int > 0 or a list of one
+    per row: each nonzero made once by :func:`~wickalg.scalars._over`."""
+    dens = den if type(den) is list else [den] * len(rows)
+    out = [[ZERO] * cols for _ in rows]
+    for orow, row, d in zip(out, rows, dens):
+        for c, x in row.items():
+            orow[c] = _over(x, d)
+    return Matrix._of(out, len(rows), cols)
+
+
 def _each_scaled(rows) -> list:
     """The ``{col: numerator}`` rows of ``{col: Scalar}`` rows, each over the lcm of
-    its own denominators (:func:`_scaled_rows` of that row alone): for an elimination,
+    its own denominators (:func:`_to_rows` of that row alone): for an elimination,
     which reads each row only up to scale, so that no row carries another's denominators."""
     out = []
     for row in rows:
@@ -87,16 +101,6 @@ def _shifted(rows: list, s) -> list:
         row[r] = row.get(r, 0) + s
         if not row[r]:
             del row[r]
-    return out
-
-
-def _dense_over(rows, cols: int, den: int) -> list:
-    """Dense Scalar rows of ``cols`` entries from ``{col: numerator}`` rows over
-    the int ``den`` > 0, each nonzero made once by :func:`~wickalg.scalars._over`."""
-    out = [[ZERO] * cols for _ in rows]
-    for orow, row in zip(out, rows):
-        for c, x in row.items():
-            orow[c] = _over(x, den)
     return out
 
 
@@ -384,23 +388,23 @@ class Matrix:
 
     def is_hermitian(self) -> bool:
         """Square, each nonzero the conjugate of its mirror (:func:`_hermitian` of its numerators)."""
-        return self.rows == self.cols and _hermitian(_scaled_rows(_sparse_rows(self.data))[0])
+        return self.rows == self.cols and _hermitian(_to_rows(self)[0])
 
     # -- elimination-based queries ---------------------------------------------
     def rank(self) -> int:
         return len(_echelon(_each_scaled(_sparse_rows(self.data)), self.cols)[1])
 
     def psd_rank(self) -> tuple:
-        """(is_psd, rank) of a Hermitian matrix: :func:`_psd_rank_over` of its :func:`_scaled_rows`."""
+        """(is_psd, rank) of a Hermitian matrix: :func:`_psd_rank_over` of its :func:`_to_rows`."""
         if self.rows != self.cols:
             raise ValueError("psd_rank requires an exactly Hermitian matrix")
-        return _psd_rank_over(*_scaled_rows(_sparse_rows(self.data)))
+        return _psd_rank_over(*_to_rows(self))
 
     def kernel_basis(self) -> "Matrix":
         """Basis of the right null space, as the columns of a ``cols × k``
-        Matrix (``k = 0`` for a trivial kernel): :func:`_kernel` made dense."""
+        Matrix (``k = 0`` for a trivial kernel): :func:`_from_rows` of :func:`_kernel`."""
         rows, den, k = _kernel(_each_scaled(_sparse_rows(self.data)), self.cols)
-        return Matrix._of(_dense_over(rows, k, den), self.cols, k)
+        return _from_rows(rows, k, den)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -413,7 +417,7 @@ class Matrix:
             raise ValueError("matrix is singular")
         xs = [{} for _ in range(n)] + [{c: -1} for c in range(n)]
         den = _back(a, pivots, xs)
-        return Matrix._of(_dense_over(xs[:n], n, den), n, n)
+        return _from_rows(xs[:n], n, den)
 
     def solve(self, rhs: Sequence) -> list:
         """Solve A x = rhs exactly (:func:`_solve`); raises ValueError if
@@ -439,8 +443,8 @@ class Matrix:
 
     # -- views -----------------------------------------------------------------
     def to_complex(self):
-        """Dense numpy view of the matrix (:func:`_float_view` of its :func:`_scaled_rows`)."""
-        rows, den = _scaled_rows(_sparse_rows(self.data))
+        """Dense numpy view of the matrix (:func:`_float_view` of its :func:`_to_rows`)."""
+        rows, den = _to_rows(self)
         return _float_view(rows, self.shape, den)
 
     def __repr__(self):
@@ -452,10 +456,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m.data[i][i] = ONE
-    return m
+    return _from_rows([{i: 1} for i in range(n)], n, 1)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CoeffTensor, Polynomial
-from .linalg import Matrix, _dense_over
+from .linalg import Matrix, _from_rows
 from .rewrite import _add, _check_generator_words, rewriter_for, wick_order
 from .scalars import ONE, ZERO, Scalar, _denominator, _numerator, _over
 
@@ -159,13 +159,8 @@ def gram_matrix(words, phi: CoherentParam, T: CoeffTensor) -> Matrix:
     columns = {}
     for b, w in enumerate(words):
         columns.setdefault(w, {})[b] = 1
-    n = len(words)
-    data = [None] * n
-    for w, (row, den) in _rows(words, (columns, 1), phi, rewriter_for(T)):
-        dense, = _dense_over([row], n, den)
-        for a in columns[w]:
-            data[a] = dense[:]
-    return Matrix._of(data, n, n)
+    rows = dict(_rows(words, (columns, 1), phi, rewriter_for(T)))  # word: (row, den)
+    return _from_rows([rows[w][0] for w in words], len(words), [rows[w][1] for w in words])
 
 
 def annihilator_apply(

@@ -14,10 +14,9 @@ from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
 from .eigen import _lapack_eigvalsh, eigvalsh
-from .linalg import (Matrix, _dense_over, _float_view, _psd_rank_over, _scaled_rows, _sparse_product,
-                     _sparse_rows, identity, zeros)
+from .linalg import Matrix, _float_view, _from_rows, _psd_rank_over, _shifted, _sparse_product, _to_rows, identity
 from .reports import Report
-from .scalars import rational_str
+from .scalars import _denominator, _numerator, rational_str
 
 __all__ = [
     "DimensionCapExceeded",
@@ -81,28 +80,30 @@ def _check_h3_cap(d: int, check: str) -> None:
 
 
 def t_matrix(T: CoeffTensor) -> Matrix:
-    """The operator on H⊗H with ⟨ij| · |kl⟩ = T_{ik}^{lj}."""
-    d = T.d
-    m = zeros(d * d, d * d)
-    for (i, k, l, j), c in T.entries.items():
-        m.data[(i - 1) * d + (j - 1)][(k - 1) * d + (l - 1)] = c
-    return m
+    """The operator on H⊗H with ⟨ij| · |kl⟩ = T_{ik}^{lj}: the rows of :func:`_t_rows` over δ."""
+    rows, delta = _t_rows(T)
+    return _from_rows(rows, T.d**2, delta)
 
 
 def ttilde_matrix(T: CoeffTensor) -> Matrix:
-    """The exchange operator on H⊗H: column (i,j) ↦ Σ_{kl} T_{ij}^{kl} row (l,k)."""
-    d = T.d
-    m = zeros(d * d, d * d)
-    for (i, j, k, l), c in T.entries.items():
-        m.data[(l - 1) * d + (k - 1)][(i - 1) * d + (j - 1)] = c
-    return m
+    """The exchange operator on H⊗H: column (i,j) ↦ Σ_{kl} T_{ij}^{kl} row (l,k), so its
+    entry at ((l,k),(i,j)) is that of T at ((i,l),(j,k))."""
+    (tn, delta), d = _t_rows(T), T.d
+    rows = [{} for _ in tn]
+    for r, row in enumerate(tn):
+        for c, x in row.items():
+            rows[r % d * d + c % d][r // d * d + c // d] = x
+    return _from_rows(rows, d * d, delta)
 
 
 def _t_rows(T: CoeffTensor) -> tuple:
-    """(the ``{col: numerator}`` rows of δ·T on H⊗H, δ) by :func:`~wickalg.linalg._scaled_rows`:
-    δ is the lcm of the denominators of T's entries, real and imaginary parts both,
-    and each numerator an int, or a Gaussian-integer Scalar for a complex entry."""
-    return _scaled_rows(_sparse_rows(t_matrix(T).data))
+    """(the ``{col: numerator}`` rows of δ·T on H⊗H, δ) from ``T.entries``, δ the lcm of their
+    denominators: each numerator an int, or a Gaussian integer for a complex entry."""
+    d, delta = T.d, _denominator(T.entries.values())
+    rows = [{} for _ in range(d * d)]
+    for (i, k, l, j), c in T.entries.items():
+        rows[(i - 1) * d + (j - 1)][(k - 1) * d + (l - 1)] = _numerator(c, delta)
+    return rows, delta
 
 
 def _slot_rows(xrows: list, slot: int, n: int) -> list:
@@ -117,15 +118,15 @@ def _slot_rows(xrows: list, slot: int, n: int) -> list:
 
 def embed(X: Matrix, slot: int, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
     """The two-slot operator X (d²×d², d read off its shape) acting on adjacent
-    tensor slots (slot, slot+1) of H^{⊗n}: :func:`_slot_rows` of its integer rows, made dense."""
+    tensor slots (slot, slot+1) of H^{⊗n}: :func:`_slot_rows` of its integer rows."""
     d = isqrt(X.rows)
     if X.rows != d * d or X.cols != X.rows:
         raise ValueError(f"embed expects a d²×d² two-slot operator, got {X.rows}x{X.cols}")
     if not (1 <= slot <= n - 1):
         raise ValueError(f"slot {slot} out of range 1..{n - 1}")
     _check_cap(d, n, cap)
-    rows, den = _scaled_rows(_sparse_rows(X.data))
-    return Matrix._of(_dense_over(_slot_rows(rows, slot, n), d**n, den), d**n, d**n)
+    rows, den = _to_rows(X)
+    return _from_rows(_slot_rows(rows, slot, n), d**n, den)
 
 
 def braid_check(T: CoeffTensor) -> bool:
@@ -172,7 +173,7 @@ def _gram_rows(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
 def gram_levels(T: CoeffTensor, n_max: int, cap: int = DEFAULT_DIM_CAP):
     """Yield P_1, …, P_{n_max} as Matrices of the ``N/D`` Scalars of :func:`_gram_rows`."""
     for dim, rows, den in _gram_rows(T, n_max, cap):
-        yield Matrix._of(_dense_over(rows, dim, den), dim, dim)
+        yield _from_rows(rows, dim, den)
 
 
 def p_n(T: CoeffTensor, n: int, cap: int = DEFAULT_DIM_CAP) -> Matrix:
@@ -194,14 +195,17 @@ class SpectralSummary:
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
-    """Exact ``is_psd`` and ``rank`` of a self-adjoint X by :func:`_psd_rank_over`, which proves it
-    exactly Hermitian, and LAPACK's spectrum, which decides nothing, of the float view of the same
-    :func:`_scaled_rows`; a positivity report takes these steps on each level's integer rows."""
+    """:func:`_summary` of the :func:`~wickalg.linalg._to_rows` of a self-adjoint X."""
     if X.rows != X.cols:
         raise ValueError("psd_rank requires an exactly Hermitian matrix")
-    rows, den = _scaled_rows(_sparse_rows(X.data))
+    return _summary(*_to_rows(X), X.rows)
+
+
+def _summary(rows, den: int, dim: int) -> SpectralSummary:
+    """Exact ``is_psd`` and ``rank`` of dim × dim rows over den by :func:`_psd_rank_over`, which
+    proves them exactly Hermitian, and LAPACK's spectrum, which decides nothing, of their float view."""
     is_psd, rank = _psd_rank_over(rows, den)
-    ev = _lapack_eigvalsh(_float_view(rows, X.shape, den))
+    ev = _lapack_eigvalsh(_float_view(rows, (dim, dim), den))
     if ev.size == 0:
         return SpectralSummary(0.0, 0.0, 0.0, 0, True)
     t_plus = float(ev[-1])
@@ -216,24 +220,26 @@ def positivity_report(
     """Which sufficient positivity criteria apply, operator bounds, and the
     PSD/rank status of P_n up to n_max.  Each yes/no is exact: ½I ± T ⪰ 0, T ⪰ 0,
     braid with I ± T ⪰ 0, and each bound is present iff I ± T (resp. I − T) ≻ 0.
-    Norms, bound values and ``eig_min`` are floats for information only.  Each
-    P_n, n ≥ 2, is decided, and its float view made, on the integer rows of
-    :func:`_gram_rows`, with no Matrix of Scalars between."""
+    Norms, bound values and ``eig_min`` are floats for information only.  T, I ± kT (½I ± T
+    as I ± 2T) and each P_n, n ≥ 2, are decided on the integer rows of :func:`_t_rows`, shifted,
+    and of :func:`_gram_rows`, with no Matrix of Scalars between."""
     if not hermiticity_check(T):
         raise ValueError("positivity_report requires a hermitian tensor")
     levels = _gram_rows(T, n_max, cap)
     next(levels, None)  # P_1 = I; taking it refuses an oversized n_max first
     t0 = time.perf_counter()
     report = Report(tool="positivity")
-    tm = t_matrix(T)
-    ts = spectral_summary(tm)
+    tn, delta = _t_rows(T)
+    ts = _summary(tn, delta, T.d**2)
     braided = braid_check(T)
     report.add_check("t_spectrum", **vars(ts))  # norm, t_plus, t_minus, rank, is_psd
-    eye, two_t = identity(tm.rows), tm.scale(2)
-    plus, minus = (eye + tm).psd_rank(), (eye - tm).psd_rank()
-    definite = plus == minus == (True, tm.rows)  # I ± T ≻ 0, implied by ½I ± T ⪰ 0
+
+    def psd_rank_of(k):  # of δ·(I + kT)
+        return _psd_rank_over(_shifted([{c: x * k for c, x in row.items()} for row in tn], delta), delta)
+    plus, minus = psd_rank_of(1), psd_rank_of(-1)
+    definite = plus == minus == (True, T.d**2)  # I ± T ≻ 0, implied by ½I ± T ⪰ 0
     criteria = {
-        "norm_le_half": definite and (eye + two_t).psd_rank()[0] and (eye - two_t).psd_rank()[0],
+        "norm_le_half": definite and psd_rank_of(2)[0] and psd_rank_of(-2)[0],
         "t_positive": ts.is_psd,
         "braid_and_norm_le_one": braided and plus[0] and minus[0],
     }
@@ -242,20 +248,19 @@ def positivity_report(
     bounds = {}
     if definite:  # inf where the float norm rounded up to 1
         bounds["operator_bound"] = 1.0 / (1.0 - ts.norm) if ts.norm < 1.0 else inf
-    if minus == (True, tm.rows):
+    if minus == (True, T.d**2):
         bounds["collective_bound"] = 1.0 / (1.0 - ts.t_plus) if ts.t_plus < 1.0 else inf
     report.add_check("bounds", **bounds)
 
     p3_psd = True
     for n, (dim, rows, den) in enumerate(levels, 2):
-        is_psd, rank = _psd_rank_over(rows, den)
-        eig_min = float(_lapack_eigvalsh(_float_view(rows, (dim, dim), den))[0])
-        report.add_check(f"p_{n}", n=n, is_psd=is_psd, rank=rank, eig_min=eig_min, dim=dim)
+        s = _summary(rows, den, dim)
+        report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank, eig_min=s.t_minus, dim=dim)
         if n == 3:
-            p3_psd = is_psd
+            p3_psd = s.is_psd
 
     if n_max >= 3 and not p3_psd:
-        _add_diagonal_witness(report, T, tm)
+        _add_diagonal_witness(report, T, t_matrix(T))
 
     report.timing["seconds"] = time.perf_counter() - t0
     return report
@@ -269,8 +274,7 @@ def _witness_diagonal(tm: Matrix, d: int):
         inv = (identity(d * d) + tm).inverse()
     except ValueError:
         return None
-    return [inv.data[w % (d * d)][w % (d * d)] + tm.data[w // d][w // d]
-            for w in range(d**3)]
+    return [inv[w % (d * d), w % (d * d)] + tm[w // d, w // d] for w in range(d**3)]
 
 
 def _add_diagonal_witness(report: Report, T: CoeffTensor, tm: Matrix) -> None:

@@ -4,6 +4,8 @@ import random
 from itertools import product
 from math import comb  # noqa: F401  (re-exported for tests)
 
+from math import inf
+
 from hypothesis import strategies as st
 
 from wickalg import (
@@ -13,8 +15,10 @@ from wickalg import (
     Matrix,
     Polynomial,
     Scalar,
+    eigvalsh,
     embed,
     identity,
+    index_to_word,
     kron,
     make_preset,
     rational,
@@ -113,6 +117,57 @@ def kron_gram_levels(T, n_max: int):
             a = identity(T.d ** (m + 1)) + t1 * kron(eye, a)
             p = kron(eye, p) * a
         yield p
+
+
+def entry_t_matrix(T):
+    """T's operator on H⊗H written entry by entry from ``T.get``: ⟨ij| · |kl⟩ = T_{ik}^{lj}."""
+    pairs = list(product(range(1, T.d + 1), repeat=2))
+    return Matrix([[T.get(i, k, l, j) for k, l in pairs] for i, j in pairs])
+
+
+def entry_ttilde_matrix(T):
+    """The exchange operator on H⊗H entry by entry from ``T.get``: ⟨lk| · |ij⟩ = T_{ij}^{kl}."""
+    pairs = list(product(range(1, T.d + 1), repeat=2))
+    return Matrix([[T.get(i, j, k, l) for i, j in pairs] for l, k in pairs])
+
+
+def dense_positivity_checks(T, n_max: int) -> dict:
+    """The ``t_spectrum``, ``sufficient_criteria``, ``bounds`` and ``p3_diagonal_witness``
+    checks of ``positivity_report(T, n_max)``, by name, from :func:`entry_t_matrix`: dense
+    ``Matrix`` sums and scalings, ``psd_rank`` and ``eigvalsh``, the braid relation of dense
+    Kronecker products, P_3 from :func:`kron_gram_levels` and the witness on H^{⊗3}."""
+    tm, d = entry_t_matrix(T), T.d
+    eye, t1, t2 = identity(d * d), kron(tm, identity(d)), kron(identity(d), tm)
+    is_psd, rank = tm.psd_rank()
+    ev = eigvalsh(tm)
+    t_plus, t_minus = float(ev[-1]), float(ev[0])
+    norm = max(abs(t_plus), abs(t_minus))
+    plus, minus = (eye + tm).psd_rank(), (eye - tm).psd_rank()
+    definite = plus == minus == (True, d * d)
+    criteria = {
+        "norm_le_half": definite and (eye + tm.scale(2)).psd_rank()[0] and (eye - tm.scale(2)).psd_rank()[0],
+        "t_positive": is_psd,
+        "braid_and_norm_le_one": t1 * t2 * t1 == t2 * t1 * t2 and plus[0] and minus[0],
+    }
+    bounds = {}
+    if definite:
+        bounds["operator_bound"] = 1.0 / (1.0 - norm) if norm < 1.0 else inf
+    if minus == (True, d * d):
+        bounds["collective_bound"] = 1.0 / (1.0 - t_plus) if t_plus < 1.0 else inf
+    checks = {
+        "t_spectrum": {"norm": norm, "t_plus": t_plus, "t_minus": t_minus, "rank": rank, "is_psd": is_psd},
+        "sufficient_criteria": {**criteria, "any_fires": any(criteria.values())},
+        "bounds": bounds,
+    }
+    if n_max >= 3 and not list(kron_gram_levels(T, 3))[-1].psd_rank()[0]:
+        try:
+            m = (identity(d**3) + t2).inverse() + t1
+        except ValueError:
+            return checks
+        best, w = min((m[w, w].re, w) for w in range(d**3))
+        checks["p3_diagonal_witness"] = {"value": rational_str(best), "value_float": float(best),
+                                         "basis_word": list(index_to_word(w, d, 3)), "negative": best < 0}
+    return checks
 
 
 def kron_form_levels(T, p_max: int):

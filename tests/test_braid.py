@@ -33,7 +33,7 @@ from wickalg.braid import (
     permutation_length,
     reduced_word,
 )
-from wickalg.linalg import _dense_over, _sparse_rows
+from wickalg.linalg import _from_rows, _sparse_rows
 from wickalg.scalars import _denominator, _over
 from wickalg.tensorops import embed
 
@@ -311,7 +311,7 @@ def test_permutation_kernel_matrix_is_the_matrix_view_bit_for_bit(T):
     for n in (1, 2, 3):
         rows, den = braid._kernel_rows(T, n, tensorops.DEFAULT_DIM_CAP)
         dim = len(rows)
-        want = Matrix._of(_dense_over(rows, dim, den), dim, dim).to_complex()
+        want = _from_rows(rows, dim, den).to_complex()
         got = permutation_kernel_matrix(T, n)
         assert got.dtype == want.dtype and got.shape == want.shape, n
         assert got.tobytes() == want.tobytes(), n

@@ -241,16 +241,16 @@ def test_form_dims_solve_systems_of_d2_k_rows(monkeypatch, T, p):
                                       (FORM_LAWS[-1][0], 8)])
 def test_form_levels_carry_each_basis_over_its_least_denominator(monkeypatch, T, p_max):
     # B_m and den_m are divided by their gcd at every level, so the den that reaches
-    # _dense_over is the lcm of the denominators of the level's entries.  Carried
+    # linalg._from_rows is the lcm of the denominators of the level's entries.  Carried
     # without it, den_8 of the |q12| = 1 law has 2255 bits, 2218 of them common.
     dens = []
-    dense_over = diffcalc._dense_over
+    from_rows = diffcalc._from_rows
 
     def spy(rows, cols, den):
         dens.append(den)
-        return dense_over(rows, cols, den)
+        return from_rows(rows, cols, den)
 
-    monkeypatch.setattr(diffcalc, "_dense_over", spy)
+    monkeypatch.setattr(diffcalc, "_from_rows", spy)
     levels = list(form_levels(T, p_max))
     assert dens == [_denominator([x for row in B.data for x in row]) for B in levels]
 

@@ -276,9 +276,10 @@ def test_ideal_membership_of_twisted_parts_with_an_inhomogeneous_generator():
 
 def test_wick_ideal_condition_check_makes_no_scalar(monkeypatch):
     # The dagger parts and the word rows stay integers: no Scalar is made from
-    # numerators (scalars._over) and no row is put on integers twice (_each_scaled).
+    # numerators (scalars._over) and no row is put on integers twice (_each_scaled,
+    # or linalg._to_rows, the one way from a Matrix to integer rows).
     calls = []
-    for fn in (scalars._over, linalg._each_scaled):
+    for fn in (scalars._over, linalg._each_scaled, linalg._to_rows):
         def spy(*args, _fn=fn):
             calls.append(_fn.__name__)
             return _fn(*args)

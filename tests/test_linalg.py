@@ -1,9 +1,11 @@
 """Exact dense linear algebra."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from wickalg import (Matrix, Polynomial, Scalar, braid, diffcalc, ideal_membersh
                      kms_evaluate, kms_series, kron, linalg, make_preset, p_n, parse_expression,
                      positivity_report, rational, rewrite, states, t_matrix, t_of_permutation, tensorops,
                      wick_ideal_condition_check)
-from wickalg.linalg import _echelon, _scaled_rows, _sparse_rows, zeros
+from wickalg.linalg import _echelon, _to_rows, zeros
 from wickalg.scalars import ONE, ZERO, _content
 
 
@@ -465,7 +467,7 @@ def test_psd_rank_half_the_products_of_echelon(monkeypatch, family, d, params, n
     # at all, and on a complex one the LDL* updates only the upper triangle, so
     # it makes at most 0.6 of the Gaussian-integer products of the echelon form.
     m = p_n(make_preset(family, d, **params).tensor, n)
-    rows = _scaled_rows(_sparse_rows(m.data))[0]
+    rows = _to_rows(m)[0]
     mul, calls = Scalar.__mul__, []
 
     def counted(a, b):
@@ -849,3 +851,19 @@ def test_row_kernels_take_integer_rows_only(monkeypatch, T):
     rhs = [rational(1, r + 2) for r in range(4)]
     m.solve(rhs), m.solve_any(rhs), m.solve_consistent(rhs)
     assert seen == set(_ROW_KERNELS)
+
+
+def test_only_linalg_knows_how_a_matrix_is_stored():
+    # Every other module goes between a Matrix and integer rows by linalg._to_rows and
+    # linalg._from_rows: none reads or writes Matrix.data or takes a storage helper.
+    helpers = {"_sparse_rows", "_scaled_rows", "_each_scaled", "_dense_over"}
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in helpers | {"data"}:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name in helpers]
+    assert found == []

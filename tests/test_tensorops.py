@@ -1,13 +1,14 @@
 """Tensor-power operators, the level Gram recursion, positivity reports."""
 
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kron_gram_levels, tensors
+from conftest import dense_positivity_checks, entry_t_matrix, entry_ttilde_matrix, kron_gram_levels, tensors
 from wickalg import linalg, tensorops
-from wickalg.scalars import _denominator
+from wickalg.scalars import _denominator, _over
 from wickalg import (
     CoeffTensor,
     CoherentParam,
@@ -30,6 +31,7 @@ from wickalg import (
     rational,
     spectral_summary,
     t_matrix,
+    ttilde_matrix,
     word_to_index,
 )
 
@@ -299,8 +301,8 @@ def test_spectral_summary_converts_its_matrix_once(monkeypatch):
     mats = [t_matrix(T), p_n(T, 3)]
     want = [(X.psd_rank(), float(eigvalsh(X)[0]), float(eigvalsh(X)[-1])) for X in mats]
     calls = []
-    scaled_rows = tensorops._scaled_rows
-    monkeypatch.setattr(tensorops, "_scaled_rows", lambda rows: calls.append(1) or scaled_rows(rows))
+    to_rows = tensorops._to_rows
+    monkeypatch.setattr(tensorops, "_to_rows", lambda m: calls.append(1) or to_rows(m))
     monkeypatch.setattr(Matrix, "psd_rank", fail)
     monkeypatch.setattr(Matrix, "to_complex", fail)
     for X, w in zip(mats, want):
@@ -345,10 +347,29 @@ def test_positivity_report_negative_case_with_witness():
     ("twisted_car", 3, {"mu": "1/2"}),
     ("snu2", None, {"nu": "1/2"}),
     ("usym", 2, {"q": "1/2", "lam": "1/3"}),
+    # from here on every other catalog family at d = 2 and 3
+    ("bp_ce", 3, {"lam": "1/2", "eps": "-1/3"}),
+    ("bs_ce", None, {"tau": "3/5"}),
+    ("degenerate", 2, {}),
+    ("degenerate", 3, {}),
+    ("qccr", 3, {"q": "-2/3"}),
+    ("tlw", 2, {"q": "-1/5"}),
+    ("twisted_ccr", 2, {"mu": "1/2"}),
+    ("twisted_ccr", 3, {"mu": "2/5"}),
+    ("twisted_car", 2, {"mu": "2/3"}),
+    ("usym", 3, {"q": "1/4", "lam": "-1/5"}),
+    # complex, every entry over its own denominator
+    ("q_ij", 2, {"q11": "1/2", "q22": "1/3", "q12": "1/5", "q12_im": "2/7",
+                 "q21": "1/5", "q21_im": "-2/7"}),
+    ("q_ij", 3, {"q11": "1/2", "q22": "-1/3", "q33": "1/11", "q12": "1/5", "q12_im": "2/7",
+                 "q21": "1/5", "q21_im": "-2/7", "q13": "-3/13", "q31": "-3/13",
+                 "q23_im": "4/17", "q32_im": "-4/17"}),
 ])
 def test_witness_diagonal_matches_h3(family, d, params):
     # The P_3 witness from d²×d² pieces against (I+T₂)⁻¹ + T₁ built on H^{⊗3};
-    # both are None where I+T is singular (aklt, twisted_car).
+    # both are None where I+T is singular.  t_matrix, ttilde_matrix, the rows of
+    # δ·T and the report's checks on T equal references written entry by entry
+    # from T.entries, the report's made by dense Matrix sums, products and psd_rank.
     T = make_preset(family, d, **params).tensor
     tm, d = t_matrix(T), T.d
     try:
@@ -357,7 +378,16 @@ def test_witness_diagonal_matches_h3(family, d, params):
     except ValueError:
         oracle = None
     assert tensorops._witness_diagonal(tm, d) == oracle
-    assert (oracle is None) == (family in ("aklt", "twisted_car"))
+    assert (oracle is None) == (family in ("aklt", "twisted_car", "twisted_ccr", "degenerate"))
+    ref = entry_t_matrix(T)
+    assert tm == ref and ttilde_matrix(T) == entry_ttilde_matrix(T)
+    rows, delta = tensorops._t_rows(T)
+    assert delta == lcm(*(part.denominator for c in T.entries.values() for part in (c.re, c.im)))
+    assert [{c: _over(x, delta) for c, x in row.items()} for row in rows] == [
+        {c: ref[r, c] for c in range(d * d) if ref[r, c]} for r in range(d * d)]
+    checks = {c["name"]: {k: v for k, v in c.items() if k != "name"}
+              for c in positivity_report(T, 3).checks if not c["name"].startswith("p_")}
+    assert checks == dense_positivity_checks(T, 3)
 
 
 # Reports pinned before the spectra came from the parallel Jacobi kernel: the
