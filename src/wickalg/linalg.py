@@ -14,17 +14,18 @@ column.  The echelon form reads each row up to scale, and a Scalar is made
 only at output.  Every exact solve (a null space, an inverse, a solution) is
 one forward :func:`_echelon` and one back substitution :func:`_back` of all
 its solution columns over one denominator; the Hermitian LDL*
-:func:`_psd_rank_over` keeps one denominator per row.  A basis is a matrix of columns
+:func:`_psd_rank` keeps one denominator per row.  A basis is a matrix of columns
 (:meth:`Matrix.kernel_basis`); an empty one has 0 columns and passes through
 ``kron``, products, ``adjoint`` and the 0×0 ``inverse`` like any other.
 Floating point enters only through :func:`_float_view`, the view consumed by
-the spectral routines; it imports numpy on its first call, so exact work never
-loads it.
+the spectral routines and by :func:`_certify_pd`, whose float Cholesky proposes a
+proof of positive definiteness that :func:`_pd_check` accepts or not in integers;
+numpy is imported on the first such call, so exact work never loads it.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import ceil, floor, frexp, gcd, lcm, log2
 from typing import Sequence
 
 from .scalars import ONE, ZERO, Scalar, _content, _denominator, _numerator, _over, _quotient
@@ -224,13 +225,12 @@ def _solve(rows: list, cols: int):
     return [_over(x[0], den) if x else ZERO for x in xs[:cols]], len(pivots) == cols
 
 
-def _psd_rank(u: list, dens: list) -> tuple:
-    """(is_psd, rank) of a Hermitian matrix by an LDL* elimination of its
-    upper triangle on integer rows, consumed: row j of ``u`` holds the entries
-    at or right of the diagonal as ``{col: numerator}`` over ``dens[j]`` > 0
-    (ints, or Gaussian-integer Scalars for complex entries).  The diagonal
-    pivots are taken in order and never scaled.  A pivot N_k[k] > 0 updates
-    only the rows it reaches, x = N_k[j] ≠ 0, by :func:`_update`:
+def _psd_rank(rows, den: int) -> tuple:
+    """(is_psd, rank) of Hermitian ``{col: numerator}`` rows over the int den > 0 (ints, or
+    Gaussian-integer Scalars for complex entries) by an LDL* elimination of their upper
+    triangle: row j of ``u`` holds the entries at or right of the diagonal over ``dens[j]``,
+    den over its gcd with them.  The diagonal pivots are taken in order and never scaled.
+    A pivot N_k[k] > 0 updates only the rows it reaches, x = N_k[j] ≠ 0, by :func:`_update`:
     N_j ← a·N_j − b·N_k[j:] and d_j ← a·d_j, with a = N_k[k]·d_k and
     b = d_j·conj(x) over their content, then the row over the gcd of d_j and
     its numerators.  A zero diagonal with an empty row is skipped.  A pivot
@@ -238,7 +238,8 @@ def _psd_rank(u: list, dens: list) -> tuple:
     the matrix is not PSD; the rank of the Schur complement left at that point
     is then taken by :func:`_echelon` on its full rows over lcm(dens[k:]),
     each upper-triangle entry mirrored by its conjugate."""
-    rank = 0
+    u = [{c: x for c, x in row.items() if c >= r} for r, row in enumerate(rows)]
+    rank, dens = 0, [_update(upper, 1, 0, (), den) for upper in u]
     for k, row in enumerate(u):
         p = row.get(k)
         if p is None and not row:
@@ -273,14 +274,66 @@ def _hermitian(rows) -> bool:
 
 
 def _psd_rank_over(rows, den: int) -> tuple:
-    """(is_psd, rank) of the ``{col: numerator}`` rows over the int den > 0,
-    checked by :func:`_hermitian`: :func:`_psd_rank` on each row's upper half
-    over den/g, g the gcd of den and its numerators (:func:`_update` with a = 1
-    and b = 0)."""
+    """:func:`_psd_rank` of the ``{col: numerator}`` rows over the int den > 0, proved Hermitian first."""
     if not _hermitian(rows):
         raise ValueError("psd_rank requires an exactly Hermitian matrix")
-    u = [{c: x for c, x in row.items() if c >= r} for r, row in enumerate(rows)]
-    return _psd_rank(u, [_update(upper, 1, 0, (), den) for upper in u])
+    return _psd_rank(rows, den)
+
+
+def _certify_pd(rows, den: int, a, lam_min: float) -> bool:
+    """Whether the real symmetric ``{col: numerator}`` rows over den are proved positive definite by
+    Rump's certificate (BIT 46, 2006) from a, their float view (consumed), and lam_min, its least eigenvalue:
+    a blocked float Cholesky LLᵀ of a − cI, c = 2^e ≤ lam_min/2, in place, and :func:`_pd_check` of rint(L·2^s),
+    s = log2(n·√max|a|/c) − 2 (2 bits past the least that passed on the catalog levels), 4^s·max|a| < 2^60."""
+    import numpy as np
+
+    if a.dtype.kind == "c" or not lam_min > 0:
+        return False
+    n, e, top = len(a), floor(log2(lam_min)) - 1, log2(max(a.max(), -a.min()))
+    s = max(0, min(ceil(log2(n) + top / 2) - e - 2, floor((60 - top) / 2)))
+    a.flat[::n + 1] -= 2.0**e
+    try:
+        for j in range(0, n, 256):
+            J, K = slice(j, j + 256), slice(j + 256, None)
+            a[j:, J] -= a[j:, :j] @ a[J, :j].T
+            a[J, J] = np.linalg.cholesky(a[J, J])
+            if j + 256 < n:
+                a[K, J], a[J, K] = np.linalg.solve(a[J, J], a[K, J].T).T, 0
+    except np.linalg.LinAlgError:
+        return False
+    a *= 2.0**s
+    return _pd_check(rows, den, np.rint(a, out=a), s)
+
+
+def _pd_check(rows, den: int, l, s: int) -> bool:
+    """Whether l, a float64 array of integers, proves P = N/D of the real symmetric ``{col: numerator}`` rows
+    over den positive definite: diag(l) > 0 and, with G = l·lᵀ and R = ⌊2^{2s}·N/D⌋ on the nonzeros of N, each
+    row of M = R − G has M_ii > Σ_{j≠i} (|M_ij| + [N_ij ≠ 0]); then 2^{2s}·P − l·lᵀ is strictly diagonally
+    dominant.  G is exact by rows of 256: a float product's partial sums stay below ‖x_i‖·‖y_j‖ < 2^52 while
+    max ‖l_i‖² < 2^52; up to 2^61 a block is split into limbs h·2^b + lo, 0 ≤ lo < 2^b, summed in int64."""
+    import numpy as np
+
+    n, big = len(rows), float(np.einsum("ij,ij->i", l, l).max(initial=0.0))
+    if not (big < 2.0**61 and (l.diagonal() > 0).all()):
+        return False
+    b = max(0, frexp(big)[1] - 51)
+    for i in range(0, n, 256):
+        blk, x = rows[i:i + 256], l[i:i + 256]
+        m, lo = np.zeros((len(blk), n), np.int64), np.mod(x, 2.0**b)
+        try:  # R, refused past 2^61 or with a Gaussian integer
+            m.ravel()[[r * n + c for r, row in enumerate(blk) for c in row]] = [
+                (v << 2 * s) // den for row in blk for v in row.values()]
+        except (TypeError, OverflowError):
+            return False
+        if np.abs(m).max() >> 61:
+            return False
+        for sh, y in ((b, (x - lo) / 2.0**b), (0, lo)) if b else ((0, x),):
+            m -= (y @ l.T).astype(np.int64) << sh  # wraps, but |R − G| < 2^62 comes out exact
+        ab, diag = np.abs(m), m.diagonal(i)
+        if int(ab.max()) >> (62 - n.bit_length()) or not (  # row sums below 2^62
+                diag > ab.sum(axis=1) - abs(diag) + [len(row) - (i + r in row) for r, row in enumerate(blk)]).all():
+            return False
+    return True
 
 
 def _float_view(rows, shape: tuple, den: int):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from math import inf, isqrt
 
 from .algebra import CoeffTensor, hermiticity_check
-from .eigen import _lapack_eigvalsh, eigvalsh
-from .linalg import Matrix, _float_view, _from_rows, _psd_rank_over, _shifted, _sparse_product, _to_rows, identity
+from .eigen import _lapack_eigvalsh
+from .linalg import (Matrix, _certify_pd, _float_view, _from_rows, _hermitian, _psd_rank, _psd_rank_over, _shifted,
+                     _sparse_product, _to_rows, identity)
 from .reports import Report
 from .scalars import _denominator, _numerator, rational_str
 
@@ -37,6 +38,7 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 4096
 CUNTZ_MARGIN = 1e-9  # goes when cuntz_stability_predicate is decided exactly
+CERTIFY_MIN_DIM = 32  # measured: on the catalog levels of dim ≤ 27 the LDL* beats _certify_pd's numpy steps
 
 
 class DimensionCapExceeded(ValueError):
@@ -192,6 +194,7 @@ class SpectralSummary:
     t_minus: float
     rank: int
     is_psd: bool
+    decided_by: str  # "certified" by _certify_pd, or "exact" by the LDL*
 
 
 def spectral_summary(X: Matrix) -> SpectralSummary:
@@ -202,16 +205,17 @@ def spectral_summary(X: Matrix) -> SpectralSummary:
 
 
 def _summary(rows, den: int, dim: int) -> SpectralSummary:
-    """Exact ``is_psd`` and ``rank`` of dim × dim rows over den by :func:`_psd_rank_over`, which
-    proves them exactly Hermitian, and LAPACK's spectrum, which decides nothing, of their float view."""
-    is_psd, rank = _psd_rank_over(rows, den)
-    ev = _lapack_eigvalsh(_float_view(rows, (dim, dim), den))
-    if ev.size == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, 0, True)
-    t_plus = float(ev[-1])
-    t_minus = float(ev[0])
-    norm = max(abs(t_plus), abs(t_minus))
-    return SpectralSummary(norm, t_plus, t_minus, rank, is_psd)
+    """Exact ``is_psd`` and ``rank`` of dim × dim rows over den, proved exactly Hermitian, and LAPACK's spectrum
+    of their float view, which decides nothing: from ``CERTIFY_MIN_DIM`` on, its least eigenvalue proposes
+    :func:`_certify_pd`, whose integer check decides (``certified``), else the LDL* :func:`_psd_rank` (``exact``)."""
+    if not _hermitian(rows):
+        raise ValueError("psd_rank requires an exactly Hermitian matrix")
+    ev = _lapack_eigvalsh(a := _float_view(rows, (dim, dim), den))
+    by = "certified" if dim >= CERTIFY_MIN_DIM and _certify_pd(rows, den, a, float(ev[0])) else "exact"
+    del a  # the LDL* runs without the float view
+    is_psd, rank = (True, dim) if by == "certified" else _psd_rank(rows, den)
+    t_plus, t_minus = (float(ev[-1]), float(ev[0])) if ev.size else (0.0, 0.0)
+    return SpectralSummary(max(abs(t_plus), abs(t_minus)), t_plus, t_minus, rank, is_psd, by)
 
 
 def positivity_report(
@@ -255,7 +259,8 @@ def positivity_report(
     p3_psd = True
     for n, (dim, rows, den) in enumerate(levels, 2):
         s = _summary(rows, den, dim)
-        report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank, eig_min=s.t_minus, dim=dim)
+        report.add_check(f"p_{n}", n=n, is_psd=s.is_psd, rank=s.rank, eig_min=s.t_minus, dim=dim,
+                         decided_by=s.decided_by)
         if n == 3:
             p3_psd = s.is_psd
 
@@ -301,6 +306,7 @@ def cuntz_stability_predicate(T: CoeffTensor) -> bool:
     ``CUNTZ_MARGIN``."""
     if not hermiticity_check(T):
         raise ValueError("cuntz_stability_predicate requires a hermitian tensor")
-    ev = eigvalsh(t_matrix(T))
+    rows, delta = _t_rows(T)
+    ev = _lapack_eigvalsh(_float_view(rows, (T.d**2, T.d**2), delta))
     t_plus, t_minus = float(ev[-1]), float(ev[0])
     return max(abs(t_plus), abs(t_minus)) ** 2 < 1.0 - t_plus + t_minus - CUNTZ_MARGIN

@@ -155,7 +155,8 @@ def dense_positivity_checks(T, n_max: int) -> dict:
     if minus == (True, d * d):
         bounds["collective_bound"] = 1.0 / (1.0 - t_plus) if t_plus < 1.0 else inf
     checks = {
-        "t_spectrum": {"norm": norm, "t_plus": t_plus, "t_minus": t_minus, "rank": rank, "is_psd": is_psd},
+        "t_spectrum": {"norm": norm, "t_plus": t_plus, "t_minus": t_minus, "rank": rank, "is_psd": is_psd,
+                       "decided_by": "exact"},  # d² below tensorops.CERTIFY_MIN_DIM
         "sufficient_criteria": {**criteria, "any_fires": any(criteria.values())},
         "bounds": bounds,
     }

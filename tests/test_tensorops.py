@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_positivity_checks, entry_t_matrix, entry_ttilde_matrix, kron_gram_levels, tensors
+from test_catalog import REPRESENTATIVES
 from wickalg import linalg, tensorops
 from wickalg.scalars import _denominator, _over
 from wickalg import (
@@ -516,3 +517,23 @@ def test_cuntz_stability_predicate():
     assert not cuntz_stability_predicate(make_preset("qccr", 2, q="21/50").tensor)
     assert cuntz_stability_predicate(make_preset("tlw", 2, q="3/10").tensor)
     assert cuntz_stability_predicate(CoeffTensor(2))
+
+
+# The predicate on each catalog representative, pinned when it read eigvalsh(t_matrix(T)).
+CUNTZ_PINNED = {"qccr": False, "tlw": True, "twisted_ccr": False, "twisted_car": False, "snu2": False,
+                "q_ij": False, "degenerate": False, "usym": True, "aklt": False, "bs_ce": False, "bp_ce": False}
+
+
+@pytest.mark.parametrize("name,d,params", REPRESENTATIVES, ids=[r[0] for r in REPRESENTATIVES])
+def test_cuntz_stability_predicate_reads_the_spectrum_of_the_t_rows(monkeypatch, name, d, params):
+    # LAPACK's spectrum of the float view of δ·T's integer rows: bit for bit that of
+    # eigvalsh(t_matrix(T)), with no Matrix built.
+    def no_matrix(T):
+        raise AssertionError("t_matrix was built")
+
+    T = make_preset(name, d, **params).tensor
+    want, seen, lapack = eigvalsh(t_matrix(T)), [], tensorops._lapack_eigvalsh
+    monkeypatch.setattr(tensorops, "_lapack_eigvalsh", lambda a: seen.append(lapack(a)) or seen[-1])
+    monkeypatch.setattr(tensorops, "t_matrix", no_matrix)
+    assert cuntz_stability_predicate(T) is CUNTZ_PINNED[name]
+    assert [ev.tobytes() for ev in seen] == [want.tobytes()]
